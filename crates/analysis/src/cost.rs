@@ -10,10 +10,11 @@
 //! The aggregate splits at the AMC target exactly like the engine does:
 //! a key frame runs every layer (`key_frame_macs`); a predicted frame
 //! skips the prefix (`predicted_frame_macs = key − prefix`) and instead
-//! pays motion estimation and warping, both bounded statically
-//! ([`Rfbme::ops_bound`] and one interpolation per target activation
-//! value). [`CostSummary::capacity_plan`] turns those numbers plus an SLO
-//! into engine limits — see `EngineLimits::builder().derive_from_slo` in
+//! pays motion estimation and warping, both known statically
+//! ([`Rfbme::ops_bound`], exact for the dense search, and at most one
+//! interpolation per target activation value).
+//! [`CostSummary::capacity_plan`] turns those numbers plus an SLO into
+//! engine limits — see `EngineLimits::builder().derive_from_slo` in
 //! `eva2-core`.
 
 use eva2_cnn::describe::{LayerInfo, LayerKind};
@@ -58,8 +59,9 @@ pub struct CostSummary {
     /// Exact MACs a predicted frame executes (= `suffix_macs`); must
     /// equal `ExecStats::macs_executed` after a predicted frame.
     pub predicted_frame_macs: u64,
-    /// Sound upper bound on RFBME arithmetic ops per predicted frame
-    /// ([`Rfbme::ops_bound`]).
+    /// Exact RFBME arithmetic ops per estimate ([`Rfbme::ops_bound`]; the
+    /// dense search's cost depends on the geometry alone); must equal
+    /// `AmcFrameResult::rfbme_ops` on every frame that has key state.
     pub rfbme_ops_bound: u64,
     /// Upper bound on warp interpolations per predicted frame: one per
     /// target activation value.
@@ -99,10 +101,8 @@ impl CostSummary {
     /// and the per-session memory bound (`session_bytes`, see
     /// `session_memory_bound` in `eva2-core`).
     ///
-    /// Predicted frames are charged their full op *bound* (suffix MACs +
-    /// RFBME + warp, one op ≈ one MAC), so the plan is conservative: a
-    /// tick admitted by these limits fits the SLO even when motion-search
-    /// pruning never fires.
+    /// Predicted frames are charged suffix MACs + RFBME ops (both exact)
+    /// + the warp bound, one op ≈ one MAC.
     pub fn capacity_plan(
         &self,
         slo_ms: f64,

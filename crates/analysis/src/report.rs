@@ -240,7 +240,7 @@ impl AnalysisReport {
         if let Some(c) = &self.cost {
             let _ = writeln!(
                 out,
-                "  cost: key {} MACs; predicted <= {} ops (suffix {} MACs + rfbme <= {} \
+                "  cost: key {} MACs; predicted <= {} ops (suffix {} MACs + rfbme {} exact \
                  + warp <= {}); target activation {} B",
                 c.key_frame_macs,
                 c.predicted_ops_bound,

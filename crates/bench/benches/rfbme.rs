@@ -33,7 +33,7 @@ fn bench_rfbme_vs_unoptimized(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("rfbme", size), &size, |b, _| {
             b.iter(|| black_box(rfbme.estimate(&key, &new)))
         });
-        // The exhaustive two-stage model, without the diff-tile early exit.
+        // The two-stage reference model of the same exhaustive search.
         group.bench_with_input(BenchmarkId::new("rfbme_reference", size), &size, |b, _| {
             b.iter(|| black_box(rfbme.estimate_reference(&key, &new)))
         });

@@ -1,6 +1,6 @@
 //! Produces `BENCH_conv.json` — the committed performance trajectory of the
 //! convolution engine (naive vs im2col+GEMM), the sparse-aware suffix
-//! (skip-zero vs densify-then-dense), the RFBME early-exit fast path, and
+//! (skip-zero vs densify-then-dense), the dense RFBME fast path, and
 //! the serial vs pipelined AMC executors.
 //!
 //! Run from the workspace root:

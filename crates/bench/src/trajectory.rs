@@ -95,11 +95,9 @@ pub struct Measurements {
     pub convhead_sparse_over_densify: f64,
     /// End-to-end AMC: key frame over predicted frame (serial executor).
     pub key_over_predicted: f64,
-    /// RFBME: exhaustive reference over the early-exit fast path.
+    /// RFBME: the two-stage reference model over the dense vectorised
+    /// fast path (the same exhaustive search).
     pub rfbme_reference_over_fast: f64,
-    /// RFBME: the PR-2 single-level ascending-magnitude search over the
-    /// two-level best-first search (both at the executor geometry).
-    pub rfbme_twolevel_over_onelevel: f64,
     /// Predicted-frame tail (warp + sparse suffix): dense-intermediate
     /// (warp → dense tensor → `from_dense` → suffix) over the fused
     /// warp→sparse path the serving engine runs.
@@ -353,9 +351,8 @@ pub fn measure(mode: Mode) -> Measurements {
     };
 
     // ------------------------------------------------------------------
-    // RFBME at the executor's geometry: two-level best-first fast path vs
-    // the retained single-level search vs the exhaustive two-stage
-    // reference.
+    // RFBME at the executor's geometry: the dense vectorised fast path vs
+    // the two-stage reference model.
     // ------------------------------------------------------------------
     let f0 = frame(0);
     let f1 = frame(1);
@@ -367,18 +364,12 @@ pub fn measure(mode: Mode) -> Measurements {
         black_box(rfbme.estimate(black_box(&f0), black_box(&f1)));
     });
     record("rfbme/fast/48x48_r8s1", rfbme_fast);
-    let rfbme_onelevel = time_ns(mode, || {
-        black_box(rfbme.estimate_onelevel(black_box(&f0), black_box(&f1)));
-    });
-    record("rfbme/onelevel/48x48_r8s1", rfbme_onelevel);
     let rfbme_reference = time_ns(mode, || {
         black_box(rfbme.estimate_reference(black_box(&f0), black_box(&f1)));
     });
     record("rfbme/reference/48x48_r8s1", rfbme_reference);
     let rfbme_reference_over_fast = rfbme_reference / rfbme_fast;
-    let rfbme_twolevel_over_onelevel = rfbme_onelevel / rfbme_fast;
     println!("rfbme speedup (reference / fast): {rfbme_reference_over_fast:.2}x");
-    println!("rfbme speedup (one-level / two-level): {rfbme_twolevel_over_onelevel:.2}x");
 
     // ------------------------------------------------------------------
     // Predicted-frame tail: warp + sparse suffix, fused warp→sparse (the
@@ -495,7 +486,6 @@ pub fn measure(mode: Mode) -> Measurements {
         convhead_sparse_over_densify,
         key_over_predicted: key_ns / pred_ns,
         rfbme_reference_over_fast,
-        rfbme_twolevel_over_onelevel,
         predicted_frame_fused_over_dense,
         predicted_serial_over_pipelined,
         session_memory_footprint,
@@ -533,11 +523,10 @@ impl Measurements {
         }
         let _ = write!(
             body,
-            "  }},\n  \"convhead_sparse_over_densify_50pct\": {:.2},\n  \"key_over_predicted_frame\": {:.2},\n  \"rfbme_reference_over_fast\": {:.2},\n  \"rfbme_twolevel_over_onelevel\": {:.2},\n  \"predicted_frame_fused_over_dense\": {:.2},\n  \"predicted_serial_over_pipelined\": {:.2},\n  \"session_memory_footprint\": {:.0}\n}}\n",
+            "  }},\n  \"convhead_sparse_over_densify_50pct\": {:.2},\n  \"key_over_predicted_frame\": {:.2},\n  \"rfbme_reference_over_fast\": {:.2},\n  \"predicted_frame_fused_over_dense\": {:.2},\n  \"predicted_serial_over_pipelined\": {:.2},\n  \"session_memory_footprint\": {:.0}\n}}\n",
             self.convhead_sparse_over_densify,
             self.key_over_predicted,
             self.rfbme_reference_over_fast,
-            self.rfbme_twolevel_over_onelevel,
             self.predicted_frame_fused_over_dense,
             self.predicted_serial_over_pipelined,
             self.session_memory_footprint
@@ -591,10 +580,6 @@ impl Measurements {
         v.push(strict(
             "rfbme_reference_over_fast",
             self.rfbme_reference_over_fast,
-        ));
-        v.push(strict(
-            "rfbme_twolevel_over_onelevel",
-            self.rfbme_twolevel_over_onelevel,
         ));
         v.push(strict(
             "predicted_frame_fused_over_dense",
@@ -674,7 +659,6 @@ mod tests {
             convhead_sparse_over_densify: 1.3,
             key_over_predicted: 1.21,
             rfbme_reference_over_fast: 6.8,
-            rfbme_twolevel_over_onelevel: 1.8,
             predicted_frame_fused_over_dense: 1.4,
             predicted_serial_over_pipelined: 1.15,
             session_memory_footprint: 123456.0,
@@ -703,7 +687,6 @@ mod tests {
             convhead_sparse_over_densify: 1.0,
             key_over_predicted: 1.0,
             rfbme_reference_over_fast: 1.0,
-            rfbme_twolevel_over_onelevel: 1.0,
             predicted_frame_fused_over_dense: 1.0,
             predicted_serial_over_pipelined: 1.0,
             session_memory_footprint: 1.0,

@@ -299,18 +299,6 @@ pub struct ExecStats {
     pub macs: u64,
     /// Total RFBME operations.
     pub rfbme_ops: u64,
-    /// Total RFBME search candidates — valid (offset, receptive field)
-    /// pairs the two-level search examined. With the two rejection
-    /// counters below, this exposes per-stream search efficiency to
-    /// serving deployments: `candidates = level-0 rejects + level-1
-    /// rejects + refined`, so the fraction refined is
-    /// `1 − (rejects / candidates)`.
-    pub rfbme_candidates: u64,
-    /// RFBME candidates rejected by the whole-tile (level-0) bound.
-    pub rfbme_level0_rejects: u64,
-    /// RFBME candidates rejected by the per-row/per-column-strip (level-1)
-    /// bound after surviving level 0.
-    pub rfbme_level1_rejects: u64,
     /// Total warp interpolations.
     pub warp_interpolations: u64,
     /// Key frames forced by the residual confidence bound
@@ -345,9 +333,6 @@ impl ExecStats {
             key_frames: self.key_frames - earlier.key_frames,
             macs: self.macs - earlier.macs,
             rfbme_ops: self.rfbme_ops - earlier.rfbme_ops,
-            rfbme_candidates: self.rfbme_candidates - earlier.rfbme_candidates,
-            rfbme_level0_rejects: self.rfbme_level0_rejects - earlier.rfbme_level0_rejects,
-            rfbme_level1_rejects: self.rfbme_level1_rejects - earlier.rfbme_level1_rejects,
             warp_interpolations: self.warp_interpolations - earlier.warp_interpolations,
             forced_keys: self.forced_keys - earlier.forced_keys,
             evictions: self.evictions - earlier.evictions,

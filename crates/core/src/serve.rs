@@ -36,9 +36,9 @@
 //!
 //! Predicted frames are the steady-state common case — key frames are
 //! deliberately rare — so their path is kept free of dense intermediates:
-//! RFBME runs the two-level best-first search
-//! (`eva2_motion::rfbme`, with per-stream pruning counters surfaced in
-//! [`ExecStats`]), and warping emits the sparse activation *directly*
+//! RFBME runs the dense vectorised search (`eva2_motion::rfbme`, whose
+//! cost depends on the geometry alone), and warping emits the sparse
+//! activation *directly*
 //! ([`crate::warp::warp_activation_sparse`] /
 //! [`crate::warp::warp_activation_fixed_sparse`]) into the skip-zero CNN
 //! suffix. A predicted frame therefore flows RFBME → warp → sparse suffix
@@ -871,9 +871,21 @@ pub(crate) struct SessionCore {
 impl SessionCore {
     /// Builds a core for `net` under `config`, validating both.
     pub(crate) fn new(net: &Network, config: &AmcConfig) -> Result<Self, AmcError> {
+        Self::build(net, config, true)
+    }
+
+    /// [`SessionCore::new`] for a (`net`, `config`) pair the static
+    /// verifier has already accepted.
+    pub(crate) fn new_verified(net: &Network, config: &AmcConfig) -> Result<Self, AmcError> {
+        Self::build(net, config, false)
+    }
+
+    fn build(net: &Network, config: &AmcConfig, verify: bool) -> Result<Self, AmcError> {
         config.validate()?;
         let (target, rf) = config.target.geometry(net)?;
-        config.verify_resolved(net, target)?;
+        if verify {
+            config.verify_resolved(net, target)?;
+        }
         Ok(Self {
             target,
             rf,
@@ -1029,15 +1041,10 @@ impl SessionCore {
     /// Commits an admitted plan: bumps the per-stream frame and RFBME
     /// counters. Must be followed by exactly one matching
     /// `finish_key_frame`/`finish_predicted`.
-    pub(crate) fn commit_frame(&mut self, plan: &FramePlan, motion: &Option<RfbmeResult>) {
+    pub(crate) fn commit_frame(&mut self, plan: &FramePlan) {
         self.stats.frames += 1;
         self.frames_since_key += 1;
         self.stats.rfbme_ops += plan.rfbme_ops;
-        if let Some(m) = motion.as_ref() {
-            self.stats.rfbme_candidates += m.search.candidates;
-            self.stats.rfbme_level0_rejects += m.search.rejected_level0;
-            self.stats.rfbme_level1_rejects += m.search.rejected_level1;
-        }
         if plan.forced {
             self.stats.forced_keys += 1;
         }
@@ -1178,7 +1185,7 @@ impl SessionCore {
     ) -> Result<AmcFrameResult, AmcError> {
         self.check_geometry(image)?;
         let plan = self.classify(&motion);
-        self.commit_frame(&plan, &motion);
+        self.commit_frame(&plan);
         after_decision(plan.kind);
         match plan.kind {
             FrameKind::Key => {
@@ -1382,9 +1389,8 @@ impl EngineLimitsBuilder {
     ///
     /// * [`EngineLimits::max_frames_per_tick`] — the tick's MAC budget
     ///   divided by the amortized per-frame cost at the policy's key-frame
-    ///   gap, charging predicted frames their full static op *bound*
-    ///   (suffix + RFBME + warp), so an admitted tick fits the SLO even
-    ///   when motion-search pruning never fires;
+    ///   gap, charging predicted frames their static op count (suffix +
+    ///   RFBME, both exact, + the warp bound);
     /// * [`EngineLimits::max_key_frames_per_tick`] — the budget in whole
     ///   key frames;
     /// * [`EngineLimits::max_sessions`] — one stream per frame slot (each
@@ -1788,7 +1794,14 @@ impl Engine {
                 limit: self.limits.max_sessions,
             });
         }
-        let core = SessionCore::new(&self.net, &config)?;
+        // The engine's own configuration passed the static verifier against
+        // this network at construction; only a per-stream override needs a
+        // run of its own.
+        let core = if config == self.base {
+            SessionCore::new_verified(&self.net, &config)?
+        } else {
+            SessionCore::new(&self.net, &config)?
+        };
         if core.target() != self.target {
             return Err(AmcError::SessionTargetMismatch {
                 engine: self.target,
@@ -2040,7 +2053,7 @@ impl Engine {
                 // is contained too — a panic mid-commit leaves counters
                 // half-bumped, which is exactly what quarantine is for.
                 let stats_before = session.core.stats();
-                contain::run("admit", || session.core.commit_frame(&plan, &motion))?;
+                contain::run("admit", || session.core.commit_frame(&plan))?;
                 admitted += 1;
                 session.slot.last_tick.store(tick, Relaxed);
                 match plan.kind() {
@@ -2641,34 +2654,6 @@ mod tests {
         assert!(results[1].frame().unwrap().is_key, "b's first frame is key");
         assert_eq!(a.stats().key_frames, 1);
         assert_eq!(b.stats().key_frames, 1);
-    }
-
-    #[test]
-    fn sessions_surface_rfbme_pruning_counters() {
-        let net = Arc::new(zoo::tiny_fasterm(0).network);
-        let mut engine = Engine::new(net, AmcConfig::default()).unwrap();
-        let mut session = engine.open_session().unwrap();
-        let f0 = frame(0);
-        let f1 = frame(1);
-        engine.process(&mut session, &f0).unwrap();
-        assert_eq!(
-            session.stats().rfbme_candidates,
-            0,
-            "no estimate ran on the first frame"
-        );
-        engine.process(&mut session, &f1).unwrap();
-        let s = session.stats();
-        assert!(s.rfbme_candidates > 0, "second frame ran the search");
-        assert!(
-            s.rfbme_level0_rejects + s.rfbme_level1_rejects > 0,
-            "the two-level search prunes on a drifting scene: {s:?}"
-        );
-        let refined = s.rfbme_candidates - s.rfbme_level0_rejects - s.rfbme_level1_rejects;
-        assert!(
-            refined < s.rfbme_candidates,
-            "refined {refined} of {} candidates",
-            s.rfbme_candidates
-        );
     }
 
     #[test]

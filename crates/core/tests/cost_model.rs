@@ -6,7 +6,8 @@
 //! - Key-frame and predicted-frame MAC counts must match
 //!   [`AmcFrameResult::macs_executed`] **exactly** — to the MAC, for every
 //!   zoo network at both paper targets and for randomized architectures.
-//! - RFBME ops and warp interpolations must stay under their static bounds.
+//! - RFBME ops must equal their static count; warp interpolations must stay
+//!   under their static bound.
 //! - [`session_memory_bound`] must dominate the audited
 //!   [`StreamSession::memory_footprint`] without being uselessly loose
 //!   (within 2×).
@@ -82,12 +83,11 @@ fn check_net_against_cost_model(net: &Network, target: TargetSelection, predicte
             "{}: static predicted-frame MACs must match the engine exactly",
             net.name()
         );
-        assert!(
-            frame.rfbme_ops <= cost.rfbme_ops_bound,
-            "{}: RFBME ops {} exceed static bound {}",
-            net.name(),
+        assert_eq!(
             frame.rfbme_ops,
-            cost.rfbme_ops_bound
+            cost.rfbme_ops_bound,
+            "{}: static RFBME ops must match the engine exactly",
+            net.name()
         );
     }
     let stats = session.stats();

@@ -1,40 +1,36 @@
-//! Chunked sum-of-absolute-difference kernels and window-sum precomputation.
+//! Chunked sum-of-absolute-difference kernels.
 //!
 //! The RFBME diff tile producer's inner loop is a `u8` SAD over a
 //! `stride × stride` window — the canonical block-matching kernel. The
-//! original implementation read pixels one at a time through bounds-checked
-//! accessors; the kernels here operate on row slices in fixed-width chunks so
-//! the compiler can keep the accumulation in vector registers (with
-//! `target-cpu=native` this lowers to `psadbw`-class code on x86-64).
-//!
-//! [`IntegralImage`] provides O(1) window sums, which the fast RFBME path
-//! ([`crate::rfbme::Rfbme::estimate`]) uses to derive *lower bounds* on tile
-//! SADs. The bounds form a hierarchy, all instances of one inequality: for
-//! any partition of a window into bands, the triangle inequality gives
-//!
-//! ```text
-//! Σ_bands |Σ new_band − Σ key_band|  ≤  SAD(new, key)
-//! ```
-//!
-//! * **Level 0** ([`sad_lower_bound`]) uses the trivial one-band partition:
-//!   `|Σ new − Σ key| ≤ SAD`. One subtraction from two O(1) window sums.
-//! * **Level 1** ([`sad_lower_bound_rows`] / [`sad_lower_bound_cols`])
-//!   partitions the window into single-pixel-high rows (or single-pixel-wide
-//!   column strips). Each band sum is an O(1) summed-area-table band, so the
-//!   whole bound is O(h) (or O(w)) — and because splitting a partition can
-//!   only grow a sum of absolute values, every level-1 bound dominates the
-//!   level-0 bound while still never exceeding the true SAD.
-//!
-//! A candidate offset whose aggregated bound already exceeds a receptive
-//! field's running-minimum error cannot win, so its SAD refinement is
-//! skipped entirely — the diff-tile early-exit, made hierarchical.
+//! kernels here operate on row slices in fixed-width chunks so the compiler
+//! can keep the accumulation in vector registers (with `target-cpu=native`
+//! this lowers to `psadbw` on x86-64): [`sad_chunk`] is one fixed-width
+//! chunk, [`sad_row`] a row of any length, [`sad_window`] a 2-D window.
 
 use eva2_tensor::GrayImage;
 
+/// Sum of absolute differences over the first `N` bytes of two rows.
+///
+/// The fixed trip count is what lets the compiler emit a single `psadbw`
+/// for `N` = 4, 8 or 16 — the dense RFBME producer calls this once per
+/// tile row.
+///
+/// # Panics
+///
+/// Panics when either slice is shorter than `N`.
+#[inline(always)]
+pub fn sad_chunk<const N: usize>(a: &[u8], b: &[u8]) -> u32 {
+    let (a, b) = (&a[..N], &b[..N]);
+    let mut s = 0u32;
+    for i in 0..N {
+        s += (a[i] as i32 - b[i] as i32).unsigned_abs();
+    }
+    s
+}
+
 /// Sum of absolute differences between two equal-length byte rows.
 ///
-/// Accumulates in 8-wide chunks (tiles are `stride` pixels wide — 8 on the
-/// paper's geometries, 4 in the small test geometries) with a scalar tail.
+/// Accumulates in 8-wide chunks with a scalar tail.
 #[inline]
 pub fn sad_row(a: &[u8], b: &[u8]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "sad_row length mismatch");
@@ -42,11 +38,7 @@ pub fn sad_row(a: &[u8], b: &[u8]) -> u32 {
     let mut ca = a.chunks_exact(8);
     let mut cb = b.chunks_exact(8);
     for (ka, kb) in (&mut ca).zip(&mut cb) {
-        let mut s = 0u32;
-        for i in 0..8 {
-            s += (ka[i] as i32 - kb[i] as i32).unsigned_abs();
-        }
-        acc += s;
+        acc += sad_chunk::<8>(ka, kb);
     }
     for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
         acc += (x as i32 - y as i32).unsigned_abs();
@@ -79,153 +71,6 @@ pub fn sad_window(
         let no = (ny + row) * nw + nx;
         let ko = (ky + row) * kw + kx;
         acc += sad_row(&nd[no..no + w], &kd[ko..ko + w]);
-    }
-    acc
-}
-
-/// A summed-area table over a [`GrayImage`], giving O(1) window sums.
-///
-/// `sat[(y, x)]` holds the sum of all pixels above and left of `(y, x)`
-/// exclusive, so a window sum is four lookups. Sums are `u64` so arbitrarily
-/// large frames cannot overflow.
-#[derive(Debug, Clone, Default)]
-pub struct IntegralImage {
-    width: usize,
-    sat: Vec<u64>,
-}
-
-impl IntegralImage {
-    /// Builds the table in one pass over the image.
-    pub fn new(img: &GrayImage) -> Self {
-        let mut sat = Self::default();
-        sat.recompute(img);
-        sat
-    }
-
-    /// Bytes of heap memory this table holds (allocated capacity) — the
-    /// serving engine's per-session memory audit.
-    pub fn heap_bytes(&self) -> usize {
-        self.sat.capacity() * std::mem::size_of::<u64>()
-    }
-
-    /// Rebuilds the table for `img`, reusing this table's allocation — the
-    /// frame-loop entry point (an RFBME estimate needs two tables per
-    /// frame, and the worker thread runs one estimate per frame).
-    pub fn recompute(&mut self, img: &GrayImage) {
-        let (h, w) = (img.height(), img.width());
-        let stride = w + 1;
-        self.width = w;
-        // Interior cells are all overwritten below; only the zero border
-        // (row 0 and column 0) needs initialising.
-        self.sat.resize((h + 1) * stride, 0);
-        self.sat[..stride].fill(0);
-        let data = img.as_slice();
-        for y in 0..h {
-            let mut row_sum = 0u64;
-            let src = &data[y * w..(y + 1) * w];
-            let (prev, cur) = self.sat.split_at_mut((y + 1) * stride);
-            let prev = &prev[y * stride..];
-            cur[0] = 0;
-            for x in 0..w {
-                row_sum += src[x] as u64;
-                cur[x + 1] = prev[x + 1] + row_sum;
-            }
-        }
-    }
-
-    /// Sum of the `h × w` window anchored at `(y, x)` (must be in bounds).
-    #[inline]
-    pub fn window_sum(&self, y: usize, x: usize, h: usize, w: usize) -> u64 {
-        let s = self.width + 1;
-        let (y1, x1) = (y + h, x + w);
-        self.sat[y1 * s + x1] + self.sat[y * s + x] - self.sat[y * s + x1] - self.sat[y1 * s + x]
-    }
-
-    /// Sum over rows `0..y` restricted to columns `x..x+w`. Consecutive `y`
-    /// values differ by exactly one row band, which is how the row-band
-    /// bound walks a window in O(h) lookups instead of O(h) window sums.
-    #[inline]
-    fn row_prefix(&self, y: usize, x: usize, w: usize) -> u64 {
-        let s = self.width + 1;
-        self.sat[y * s + x + w] - self.sat[y * s + x]
-    }
-
-    /// Sum over columns `0..x` restricted to rows `y..y+h` (the transposed
-    /// companion of [`IntegralImage::row_prefix`]).
-    #[inline]
-    fn col_prefix(&self, y: usize, h: usize, x: usize) -> u64 {
-        let s = self.width + 1;
-        self.sat[(y + h) * s + x] - self.sat[y * s + x]
-    }
-}
-
-/// Level-0 SAD lower bound: `|Σ new − Σ key|` over the two windows.
-///
-/// Admissible by the triangle inequality (`|Σ(a−b)| ≤ Σ|a−b|`); O(1).
-#[inline]
-pub fn sad_lower_bound(
-    new_sat: &IntegralImage,
-    key_sat: &IntegralImage,
-    (ny, nx): (usize, usize),
-    (ky, kx): (usize, usize),
-    h: usize,
-    w: usize,
-) -> u64 {
-    new_sat
-        .window_sum(ny, nx, h, w)
-        .abs_diff(key_sat.window_sum(ky, kx, h, w))
-}
-
-/// Level-1 per-row SAD lower bound: `Σ_r |Σ new_row_r − Σ key_row_r|`.
-///
-/// The rows partition the window, so the bound is admissible (each term is
-/// ≤ that row's SAD) and dominates [`sad_lower_bound`] (splitting a sum
-/// into absolute parts can only grow it). Costs O(h): one summed-area band
-/// prefix per row boundary, no per-pixel work.
-#[inline]
-pub fn sad_lower_bound_rows(
-    new_sat: &IntegralImage,
-    key_sat: &IntegralImage,
-    (ny, nx): (usize, usize),
-    (ky, kx): (usize, usize),
-    h: usize,
-    w: usize,
-) -> u64 {
-    let mut acc = 0u64;
-    let mut pn = new_sat.row_prefix(ny, nx, w);
-    let mut pk = key_sat.row_prefix(ky, kx, w);
-    for r in 1..=h {
-        let cn = new_sat.row_prefix(ny + r, nx, w);
-        let ck = key_sat.row_prefix(ky + r, kx, w);
-        acc += (cn - pn).abs_diff(ck - pk);
-        pn = cn;
-        pk = ck;
-    }
-    acc
-}
-
-/// Level-1 per-column-strip SAD lower bound:
-/// `Σ_c |Σ new_col_c − Σ key_col_c|` — [`sad_lower_bound_rows`] transposed,
-/// O(w). Its band prefixes walk one summed-area row contiguously, so it is
-/// the cheaper of the two level-1 bounds and is evaluated first.
-#[inline]
-pub fn sad_lower_bound_cols(
-    new_sat: &IntegralImage,
-    key_sat: &IntegralImage,
-    (ny, nx): (usize, usize),
-    (ky, kx): (usize, usize),
-    h: usize,
-    w: usize,
-) -> u64 {
-    let mut acc = 0u64;
-    let mut pn = new_sat.col_prefix(ny, h, nx);
-    let mut pk = key_sat.col_prefix(ky, h, kx);
-    for c in 1..=w {
-        let cn = new_sat.col_prefix(ny, h, nx + c);
-        let ck = key_sat.col_prefix(ky, h, kx + c);
-        acc += (cn - pn).abs_diff(ck - pk);
-        pn = cn;
-        pk = ck;
     }
     acc
 }
@@ -268,6 +113,11 @@ mod tests {
                 .map(|(&x, &y)| (x as i32 - y as i32).unsigned_abs())
                 .sum();
             assert_eq!(sad_row(&a, &b), expect, "len {len}");
+            match len {
+                8 => assert_eq!(sad_chunk::<8>(&a, &b), expect),
+                16 => assert_eq!(sad_chunk::<16>(&a, &b), expect),
+                _ => {}
+            }
         }
     }
 
@@ -287,83 +137,5 @@ mod tests {
                 sad_window_naive(&new, &key, anchor_n, anchor_k, h, w),
             );
         }
-    }
-
-    #[test]
-    fn integral_image_window_sums() {
-        let img = textured(13, 17);
-        let sat = IntegralImage::new(&img);
-        for (y, x, h, w) in [(0, 0, 13, 17), (0, 0, 1, 1), (5, 3, 4, 8), (12, 16, 1, 1)] {
-            let mut expect = 0u64;
-            for yy in y..y + h {
-                for xx in x..x + w {
-                    expect += img.get(yy, xx) as u64;
-                }
-            }
-            assert_eq!(sat.window_sum(y, x, h, w), expect, "({y},{x},{h},{w})");
-        }
-    }
-
-    #[test]
-    fn lower_bound_property_holds() {
-        // |Σa − Σb| ≤ SAD(a, b): the pruning invariant of the fast path.
-        let new = textured(16, 16);
-        let key = textured(16, 16).translate(2, 1, 100);
-        let sat_new = IntegralImage::new(&new);
-        let sat_key = IntegralImage::new(&key);
-        for y in 0..8 {
-            for x in 0..8 {
-                let a = sat_new.window_sum(y, x, 8, 8);
-                let b = sat_key.window_sum(y + 1, x + 1, 8, 8);
-                let lb = a.abs_diff(b);
-                let sad = sad_window(&new, &key, (y, x), (y + 1, x + 1), 8, 8) as u64;
-                assert!(lb <= sad, "lb {lb} > sad {sad} at ({y},{x})");
-                assert_eq!(
-                    lb,
-                    sad_lower_bound(&sat_new, &sat_key, (y, x), (y + 1, x + 1), 8, 8)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn level1_bounds_dominate_level0_and_stay_admissible() {
-        // The bound hierarchy on every window shape, including ragged ones:
-        //   level-0 ≤ level-1 (rows/cols) ≤ true SAD.
-        let new = textured(20, 17);
-        let key = textured(20, 17).translate(1, 2, 63);
-        let sat_new = IntegralImage::new(&new);
-        let sat_key = IntegralImage::new(&key);
-        for &(na, ka, h, w) in &[
-            ((0usize, 0usize), (0usize, 0usize), 8usize, 8usize),
-            ((3, 5), (1, 2), 7, 5),
-            ((10, 7), (12, 9), 1, 4),
-            ((0, 0), (11, 8), 9, 1),
-            ((5, 5), (5, 5), 3, 3),
-        ] {
-            let l0 = sad_lower_bound(&sat_new, &sat_key, na, ka, h, w);
-            let rows = sad_lower_bound_rows(&sat_new, &sat_key, na, ka, h, w);
-            let cols = sad_lower_bound_cols(&sat_new, &sat_key, na, ka, h, w);
-            let sad = sad_window(&new, &key, na, ka, h, w) as u64;
-            assert!(l0 <= rows && l0 <= cols, "level-1 must dominate level-0");
-            assert!(rows <= sad, "rows bound {rows} > sad {sad}");
-            assert!(cols <= sad, "cols bound {cols} > sad {sad}");
-        }
-    }
-
-    #[test]
-    fn level1_row_bound_exact_on_row_disjoint_difference() {
-        // A frame pair differing by a constant per row: each row's |Δ| is
-        // the row's exact SAD, so the per-row bound must be tight while
-        // level-0 may cancel across rows.
-        let key = GrayImage::filled(8, 8, 100);
-        let new = GrayImage::from_fn(8, 8, |y, _| if y % 2 == 0 { 110 } else { 90 });
-        let sat_new = IntegralImage::new(&new);
-        let sat_key = IntegralImage::new(&key);
-        let sad = sad_window(&new, &key, (0, 0), (0, 0), 8, 8) as u64;
-        let rows = sad_lower_bound_rows(&sat_new, &sat_key, (0, 0), (0, 0), 8, 8);
-        let l0 = sad_lower_bound(&sat_new, &sat_key, (0, 0), (0, 0), 8, 8);
-        assert_eq!(rows, sad, "row bound is exact here");
-        assert_eq!(l0, 0, "whole-window sums cancel");
     }
 }

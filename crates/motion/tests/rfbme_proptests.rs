@@ -1,15 +1,11 @@
-//! Property tests for the RFBME fast path: the two-level best-first search
-//! must return, for every receptive field, a motion vector whose SAD *cost*
-//! equals the exhaustive search's minimum — and, against the in-tree
-//! reference model, the exact same *vectors* (the lexicographic
-//! `(error, |offset|², row-major index)` tie-break contract). The level-1
-//! bounds must be admissible (≤ the true SAD) on every window geometry,
-//! including ragged ones.
+//! Property tests for the RFBME fast path: the dense search must return,
+//! for every receptive field, a motion vector whose SAD *cost* equals the
+//! exhaustive search's minimum — and, against the in-tree reference model,
+//! the exact same *vectors* (smaller error, then smaller displacement, then
+//! row-major order) on any geometry.
 
-use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, SearchParams};
-use eva2_motion::sad::{
-    sad_lower_bound, sad_lower_bound_cols, sad_lower_bound_rows, sad_window, IntegralImage,
-};
+use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, RfbmeScratch, SearchParams};
+use eva2_motion::sad::sad_window;
 use eva2_tensor::GrayImage;
 use proptest::prelude::*;
 
@@ -188,59 +184,12 @@ proptest! {
         let exhaustive = exhaustive_min_errors(rf, params, &key, &new);
         prop_assert_eq!(&fast.errors, &exhaustive, "per-field minimum SAD costs differ");
         assert_vectors_achieve_errors(rf, &key, &new, &fast);
-        // All three in-tree implementations agree wholesale — vectors
-        // included (the best-first search reproduces the reference's
-        // tie-breaking exactly, under any visit order).
+        // The in-tree reference agrees wholesale — vectors included.
         let reference = rfbme.estimate_reference(&key, &new);
         prop_assert_eq!(&fast.errors, &reference.errors);
         prop_assert_eq!(fast.total_error, reference.total_error);
         prop_assert_eq!(fast.total_pixels, reference.total_pixels);
         prop_assert_eq!(&fast.field, &reference.field, "vector fields differ");
-        let onelevel = rfbme.estimate_onelevel(&key, &new);
-        prop_assert_eq!(&onelevel.errors, &reference.errors);
-        prop_assert_eq!(&onelevel.field, &reference.field);
-        // The pruning counters partition the candidates.
-        let s = fast.search;
-        prop_assert_eq!(
-            s.candidates,
-            s.rejected_level0 + s.rejected_level1 + s.refined
-        );
-    }
-
-    #[test]
-    fn level1_bounds_admissible_on_every_window_geometry(
-        key in frame_strategy(21, 19),
-        noise_seed in 0u64..1000,
-        ny in 0usize..10,
-        nx in 0usize..9,
-        ky in 0usize..10,
-        kx in 0usize..9,
-        h in 1usize..=11,
-        w in 1usize..=10,
-    ) {
-        // Arbitrary (including ragged, non-square, 1-wide/1-high) windows:
-        // level-0 ≤ level-1 rows/cols ≤ true SAD, always.
-        let mut state = noise_seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut new = key.clone();
-        for _ in 0..40 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let y = (state >> 33) as usize % 21;
-            let x = (state >> 13) as usize % 19;
-            new.set(y, x, (state >> 5) as u8);
-        }
-        let sat_new = IntegralImage::new(&new);
-        let sat_key = IntegralImage::new(&key);
-        let na = (ny, nx);
-        let ka = (ky, kx);
-        prop_assume!(ny + h <= 21 && ky + h <= 21 && nx + w <= 19 && kx + w <= 19);
-        let l0 = sad_lower_bound(&sat_new, &sat_key, na, ka, h, w);
-        let rows = sad_lower_bound_rows(&sat_new, &sat_key, na, ka, h, w);
-        let cols = sad_lower_bound_cols(&sat_new, &sat_key, na, ka, h, w);
-        let sad = sad_window(&new, &key, na, ka, h, w) as u64;
-        prop_assert!(l0 <= rows, "rows bound must dominate level 0");
-        prop_assert!(l0 <= cols, "cols bound must dominate level 0");
-        prop_assert!(rows <= sad, "rows bound {} > sad {}", rows, sad);
-        prop_assert!(cols <= sad, "cols bound {} > sad {}", cols, sad);
     }
 
     #[test]
@@ -287,6 +236,59 @@ proptest! {
         // kept vectors must still match the reference exactly.
         let reference = rfbme.estimate_reference(&key, &new);
         prop_assert_eq!(&fast.field, &reference.field, "tie-break divergence");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn any_geometry_matches_reference(
+        h in 1usize..=40,
+        w in 1usize..=44,
+        seed in 0u64..1_000_000,
+        dy in -6isize..=6,
+        dx in -6isize..=6,
+        stride in prop_oneof![Just(4usize), Just(8usize), Just(16usize), 1usize..=13],
+        size in 1usize..=30,
+        padding in 0usize..=20,
+        radius in 0usize..=7,
+        step in 1usize..=4,
+    ) {
+        // Everything the dense search specialises on, drawn at random:
+        // strides with and without a fixed-width kernel, steps that do not
+        // divide the radius, non-square frames that are not a multiple of
+        // the stride or are smaller than one tile, padding beyond the
+        // stride, receptive fields narrower than a tile.
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let key = GrayImage::from_vec(h, w, (0..h * w).map(|_| next() as u8).collect());
+        let mut new = key.translate(dy, dx, 77);
+        for _ in 0..(h * w / 16) {
+            let (y, x, v) = (next() % h, next() % w, next() as u8);
+            new.set(y, x, v);
+        }
+        let rf = RfGeometry { size, stride, padding };
+        let rfbme = Rfbme::new(rf, SearchParams { radius, step });
+        // A scratch left dirty by another geometry and another key image
+        // must not show through.
+        let mut scratch = RfbmeScratch::new();
+        let other = RfGeometry { size: 8, stride: 4, padding: 0 };
+        let _ = Rfbme::new(other, SearchParams { radius: 2, step: 1 })
+            .estimate_with(&new, &key, &mut scratch);
+        let fast = rfbme.estimate_with(&key, &new, &mut scratch);
+        let reference = rfbme.estimate_reference(&key, &new);
+        prop_assert_eq!(&fast.errors, &reference.errors);
+        prop_assert_eq!(fast.total_error, reference.total_error);
+        prop_assert_eq!(fast.total_pixels, reference.total_pixels);
+        prop_assert_eq!(&fast.field, &reference.field, "vector fields differ");
+        // Cost is the geometry's, not the frames': the static count is
+        // exact, and swapping the frames does not move it.
+        prop_assert_eq!(fast.ops(), rfbme.ops_bound(h, w));
+        prop_assert_eq!(rfbme.estimate(&new, &key).ops(), fast.ops());
     }
 }
 
