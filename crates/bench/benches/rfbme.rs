@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eva2_motion::block::{BlockMatcher, SearchStrategy};
 use eva2_motion::hornschunck::HornSchunck;
 use eva2_motion::lucas_kanade::LucasKanade;
-use eva2_motion::rfbme::{RfGeometry, Rfbme, SearchParams};
+use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeScratch, SearchParams};
 use eva2_motion::MotionEstimator;
 use eva2_tensor::GrayImage;
 use std::hint::black_box;
@@ -89,5 +89,36 @@ fn bench_fig14_estimators(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rfbme_vs_unoptimized, bench_fig14_estimators);
+/// What the serving engine runs: the two geometries of the serving
+/// benchmark's workloads (`steady`/`mixed_fleet`/`cut_storm_deep` search a
+/// late target's 27/8/10 fields at radius 8, `early_churn` an early
+/// target's 7/4/2 fields at radius 4) over 48×48 frames, through a held
+/// scratch as a worker holds one.
+fn bench_serving_geometries(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serving_geometries_48x48");
+    let (key, new) = frames(48, 48);
+    for (name, size, stride, padding, radius) in [
+        ("late_27_8_10_r8", 27, 8, 10, 8),
+        ("early_7_4_2_r4", 7, 4, 2, 4),
+    ] {
+        let rf = RfGeometry {
+            size,
+            stride,
+            padding,
+        };
+        let rfbme = Rfbme::new(rf, SearchParams { radius, step: 1 });
+        let mut scratch = RfbmeScratch::new();
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(rfbme.estimate_with(&key, &new, &mut scratch)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_rfbme_vs_unoptimized,
+    bench_fig14_estimators,
+    bench_serving_geometries
+);
 criterion_main!(benches);

@@ -14,7 +14,7 @@ use crate::sparse::RleActivation;
 use crate::target::TargetSelection;
 use crate::warp::WarpStats;
 use eva2_cnn::network::Network;
-use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, SearchParams};
+use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, RfbmeScratch, SearchParams};
 use eva2_tensor::{GemmScratch, GrayImage, Tensor3};
 use serde::{Deserialize, Serialize};
 
@@ -354,6 +354,8 @@ pub struct AmcExecutor<'n> {
     /// Reusable im2col/GEMM buffers: steady-state frame processing performs
     /// no per-frame convolution-engine allocation.
     scratch: GemmScratch,
+    /// Reusable RFBME buffers, for the same reason.
+    motion_scratch: RfbmeScratch,
 }
 
 impl<'n> std::fmt::Debug for AmcExecutor<'n> {
@@ -386,6 +388,7 @@ impl<'n> AmcExecutor<'n> {
             net,
             core: SessionCore::new(net, &config)?,
             scratch: GemmScratch::new(),
+            motion_scratch: RfbmeScratch::new(),
         })
     }
 
@@ -454,7 +457,8 @@ impl<'n> AmcExecutor<'n> {
     /// [`AmcError`] instead of panicking — the serving-grade entry point
     /// (the multi-stream [`crate::serve::Engine`] is fallible throughout).
     pub fn try_process(&mut self, image: &GrayImage) -> Result<AmcFrameResult, AmcError> {
-        self.core.process(self.net, &mut self.scratch, image)
+        self.core
+            .process(self.net, &mut self.scratch, &mut self.motion_scratch, image)
     }
 
     /// Processes one frame with an externally computed motion estimate.

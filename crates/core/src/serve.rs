@@ -9,11 +9,12 @@
 //! GEMM scratch). This module splits them:
 //!
 //! * [`Engine`] owns the process-wide resources — an [`Arc<Network>`] plus
-//!   the shared im2col/packing scratch pools — and executes frames.
+//!   one im2col/packing pool and one RFBME scratch per worker — and
+//!   executes frames.
 //! * [`StreamSession`] holds exactly the per-stream state: the stored key
-//!   frame and its sparse activation, the key-frame policy, the RFBME
-//!   scratch, and per-stream statistics. Sessions are cheap, independent,
-//!   and `Send`.
+//!   frame and its sparse activation, the key-frame policy, and per-stream
+//!   statistics. Sessions are cheap, independent, and `Send`; a session
+//!   owns no scratch, so its memory is its key state and nothing else.
 //!
 //! # The batching seam
 //!
@@ -50,13 +51,14 @@
 //! # Threading model & determinism
 //!
 //! [`EngineLimits::worker_threads`] sizes a pool of workers (scoped
-//! threads with one private [`GemmScratch`] each — the hot path never
-//! locks a shared pool) that [`Engine::process_batch`] fans work out to
-//! in three places:
+//! threads with one private [`GemmScratch`] and one private
+//! `RfbmeScratch` each — the hot path never locks a shared pool) that
+//! [`Engine::process_batch`] fans work out to in three places:
 //!
 //! 1. **Per-stream RFBME** runs stream-per-worker: motion estimation
-//!    touches only its own session's key image and `RfbmeScratch`, so
-//!    jobs partition round-robin across workers with no sharing.
+//!    reads only its own session's key image and writes only the
+//!    worker's `RfbmeScratch`, so jobs partition round-robin across
+//!    workers with no sharing.
 //! 2. **Coinciding key frames** fan out frame-per-thread: each worker
 //!    runs *its* subset of the tick's key frames through one
 //!    `forward_prefix_batched` sub-batch (one frame per thread beats
@@ -83,9 +85,11 @@
 //! The one observable difference: with `worker_threads > 1` the engine
 //! estimates motion *speculatively* for every screened-in job before the
 //! serial admission walk, so a frame that ends up shed by a tick budget
-//! may have warmed its session's `RfbmeScratch`. Scratch contents never
-//! influence results (the eviction/rehydration tests rely on exactly that
-//! property), so shed-and-resubmit stays bit-identical.
+//! has passed through a worker's `RfbmeScratch`. Scratch contents never
+//! influence results — one scratch serves every stream its worker
+//! estimates for, whatever their geometry, and the interleaved, fault and
+//! chaos suites hold every served frame to a serial oracle's bits — so
+//! shed-and-resubmit stays bit-identical.
 //!
 //! `worker_threads: 1` (the default) runs every phase inline — no threads
 //! are spawned, and the engine behaves exactly like the pre-pool
@@ -124,7 +128,7 @@
 //!   the classify step side-effect-free.)
 //! * **Eviction & rehydration.** [`StreamSession::memory_footprint`]
 //!   audits a session's heap use (key image + compressed/sparse/decoded
-//!   activations + RFBME scratch, by allocated capacity).
+//!   activations, by allocated capacity).
 //!   [`Engine::maintain`] drops the key state of sessions idle for
 //!   [`EngineLimits::idle_evict_ticks`] ticks and then least-recently-used
 //!   sessions until the total fits [`EngineLimits::max_total_bytes`];
@@ -209,7 +213,8 @@
 //!
 //! `AmcExecutor` (and therefore `PipelinedExecutor`) is a thin wrapper
 //! over the same per-session state machine ([`SessionCore`]) this module
-//! runs: one session, one borrowed network, one private scratch. Every
+//! runs: one session, one borrowed network, private GEMM and RFBME
+//! scratch. Every
 //! output, decision, and statistic is **bit-identical** across all three
 //! entry points — serial executor, pipelined executor, and engine sessions
 //! (single or batched) — which `crates/core/tests/serve_interleaved.rs`
@@ -845,13 +850,12 @@ impl HealthState {
 /// [`AmcExecutor`](crate::executor::AmcExecutor) wrap exactly this type,
 /// which is what makes their outputs bit-identical: there is one
 /// implementation of the frame state machine, parameterised on a borrowed
-/// network and GEMM scratch at each call.
+/// network and borrowed GEMM and RFBME scratch at each call.
 #[derive(Debug)]
 pub(crate) struct SessionCore {
     target: usize,
     rf: RfGeometry,
     rfbme: Rfbme,
-    rfbme_scratch: RfbmeScratch,
     warp_mode: WarpMode,
     fixed_point: bool,
     sparsity_threshold: f32,
@@ -890,7 +894,6 @@ impl SessionCore {
             target,
             rf,
             rfbme: Rfbme::new(rf, config.search),
-            rfbme_scratch: RfbmeScratch::new(),
             warp_mode: config.warp,
             fixed_point: config.fixed_point,
             sparsity_threshold: config.sparsity_threshold,
@@ -943,18 +946,17 @@ impl SessionCore {
         self.state.is_some()
     }
 
-    /// Drops the stored key state *and* the RFBME scratch, returning the
-    /// session to its just-opened memory footprint. The next frame
+    /// Drops the stored key state, returning the session to its
+    /// just-opened memory footprint (a session owns no scratch: the RFBME
+    /// buffers belong to whoever runs the estimate). The next frame
     /// rehydrates through the forced-key seam (no state ⇒ key frame) and
-    /// is bit-identical to a fresh session from that frame on — scratch
-    /// contents never influence results (see `RfbmeScratch`). Returns
+    /// is bit-identical to a fresh session from that frame on. Returns
     /// whether key state was actually present; only real state drops count
     /// in [`ExecStats::evictions`].
     pub(crate) fn evict_state(&mut self) -> bool {
         let had_state = self.state.is_some();
         self.state = None;
         self.frames_since_key = 0;
-        self.rfbme_scratch = RfbmeScratch::new();
         if had_state {
             self.stats.evictions += 1;
         }
@@ -962,11 +964,9 @@ impl SessionCore {
     }
 
     /// Audited heap use of this session: the struct itself plus the stored
-    /// key-frame buffers and the RFBME scratch, by allocated capacity.
+    /// key-frame buffers, by allocated capacity.
     pub(crate) fn memory_footprint(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.rfbme_scratch.heap_bytes()
-            + self.state.as_ref().map_or(0, KeyState::heap_bytes)
+        std::mem::size_of::<Self>() + self.state.as_ref().map_or(0, KeyState::heap_bytes)
     }
 
     /// Rejects a frame whose geometry differs from the network's input
@@ -995,13 +995,16 @@ impl SessionCore {
     }
 
     /// Runs this stream's RFBME from the stored key frame to `image`
-    /// (`None` when no key state exists yet).
-    pub(crate) fn estimate_motion(&mut self, image: &GrayImage) -> Option<RfbmeResult> {
+    /// (`None` when no key state exists yet) in the caller's scratch — one
+    /// per worker, shared by every stream that worker serves; its contents
+    /// never influence a result (see `RfbmeScratch`).
+    pub(crate) fn estimate_motion(
+        &self,
+        image: &GrayImage,
+        scratch: &mut RfbmeScratch,
+    ) -> Option<RfbmeResult> {
         let state = self.state.as_ref()?;
-        Some(
-            self.rfbme
-                .estimate_with(&state.image, image, &mut self.rfbme_scratch),
-        )
+        Some(self.rfbme.estimate_with(&state.image, image, scratch))
     }
 
     /// Classifies a frame without committing anything: derives the metrics
@@ -1162,12 +1165,13 @@ impl SessionCore {
         &mut self,
         net: &Network,
         scratch: &mut GemmScratch,
+        motion_scratch: &mut RfbmeScratch,
         image: &GrayImage,
     ) -> Result<AmcFrameResult, AmcError> {
         self.check_geometry(image)?;
         // EVA² always runs RFBME — its block errors drive the key-frame
         // choice module even when warping is disabled (memoization mode).
-        let motion = self.estimate_motion(image);
+        let motion = self.estimate_motion(image, motion_scratch);
         self.process_with_motion_hook(net, scratch, image, motion, |_| {})
     }
 
@@ -1468,9 +1472,9 @@ impl EngineLimitsBuilder {
 /// * the sparse non-zero view at one `(u32, f32)` entry per activation
 ///   value (its channel vectors are sized exactly from the RLE entry
 ///   counts);
-/// * the decoded f32 copy of the target activation;
-/// * the RFBME scratch at its steady-state bound
-///   ([`Rfbme::scratch_bytes_bound`]).
+/// * the decoded f32 copy of the target activation.
+///
+/// RFBME scratch is not session memory: the engine keeps one per worker.
 ///
 /// The footprint audit counts allocated capacity, not length, which is
 /// why capacity rounding (not just worst-case length) is charged.
@@ -1482,7 +1486,7 @@ impl EngineLimitsBuilder {
 pub fn session_memory_bound(net: &Network, config: &AmcConfig) -> Result<usize, AmcError> {
     use std::mem::size_of;
     config.validate()?;
-    let (target, rf) = config.target.geometry(net)?;
+    let (target, _) = config.target.geometry(net)?;
     let input = net.input_shape();
     let mut act = input;
     for layer in &net.layers()[..=target] {
@@ -1503,13 +1507,11 @@ pub fn session_memory_bound(net: &Network, config: &AmcConfig) -> Result<usize, 
         .saturating_mul(vec_header)
         .saturating_add(act.channels.saturating_mul(plane * size_of::<(u32, f32)>()));
     let decoded = act.len().saturating_mul(size_of::<f32>());
-    let scratch = Rfbme::new(rf, config.search).scratch_bytes_bound(input.height, input.width);
     Ok(size_of::<SessionCore>()
         .saturating_add(image)
         .saturating_add(rle)
         .saturating_add(sparse)
-        .saturating_add(decoded)
-        .saturating_add(scratch))
+        .saturating_add(decoded))
 }
 
 /// Engine-side bookkeeping for one admitted session, shared through an
@@ -1549,6 +1551,10 @@ pub struct Engine {
     /// scratch no matter how many streams are open. Index 0 is the
     /// calling thread's pool (the only one touched when inline).
     scratches: Vec<GemmScratch>,
+    /// Per-worker RFBME buffers, beside the GEMM pools and for the same
+    /// reason. A worker's scratch serves every stream that worker
+    /// estimates for; its contents never influence a result.
+    motion_scratches: Vec<RfbmeScratch>,
     /// Process-unique engine identity, stamped into every session so
     /// cross-engine session use fails loudly instead of silently running
     /// one engine's key state against another engine's network.
@@ -1635,6 +1641,9 @@ impl Engine {
             total_macs,
             scratches: (0..limits.worker_threads)
                 .map(|_| GemmScratch::new())
+                .collect(),
+            motion_scratches: (0..limits.worker_threads)
+                .map(|_| RfbmeScratch::new())
                 .collect(),
             engine_id: NEXT_ENGINE_ID.fetch_add(1, Relaxed),
             next_session: 0,
@@ -1952,9 +1961,10 @@ impl Engine {
 
         // Phase 1 (multi-worker only): speculative per-stream RFBME for
         // screened-in jobs, fanned out stream-per-worker. `estimate_motion`
-        // touches only the session's own key state and `RfbmeScratch`
-        // (whose contents never influence results), so estimating for a
-        // frame the admission walk later sheds leaves no observable trace.
+        // reads only the session's own key state and writes only the
+        // worker's `RfbmeScratch` (whose contents never influence
+        // results), so estimating for a frame the admission walk later
+        // sheds leaves no observable trace.
         // Bounded by the frame budget so a submission storm against a
         // tight budget does not do unbounded speculative work; the walk
         // falls back to an inline estimate for anything not speculated.
@@ -1976,13 +1986,16 @@ impl Engine {
                     items.push((&mut session.core, frame, sid, slot));
                 }
             }
-            let mut units = vec![(); workers];
-            fan_out(&mut units, items, |(), (core, frame, sid, slot)| {
-                *slot = Some(contain::run("estimate", || {
-                    contain::chaos(injector, clock, EnginePhase::Estimate, tick, sid);
-                    core.estimate_motion(frame)
-                }));
-            });
+            fan_out(
+                &mut self.motion_scratches,
+                items,
+                |scratch, (core, frame, sid, slot)| {
+                    *slot = Some(contain::run("estimate", || {
+                        contain::chaos(injector, clock, EnginePhase::Estimate, tick, sid);
+                        core.estimate_motion(frame, scratch)
+                    }));
+                },
+            );
         }
 
         // Phase 2: the serial admission walk, in submission order —
@@ -2015,10 +2028,11 @@ impl Engine {
                     Some(speculated) => speculated?,
                     None => {
                         let sid = session.id;
-                        let core = &mut session.core;
+                        let core = &session.core;
+                        let scratch = &mut self.motion_scratches[0];
                         contain::run("estimate", || {
                             contain::chaos(injector, clock, EnginePhase::Estimate, tick, sid);
-                            core.estimate_motion(frame)
+                            core.estimate_motion(frame, scratch)
                         })?
                     }
                 };
@@ -2450,15 +2464,15 @@ impl StreamSession {
 
     /// Drops stored state, forcing this stream's next frame to be a key
     /// frame (e.g. on a known scene cut or after a seek). Unlike
-    /// [`StreamSession::evict_state`] this keeps the RFBME scratch and is
-    /// not counted as an eviction.
+    /// [`StreamSession::evict_state`] this is not counted as an eviction
+    /// and does not lift a quarantine.
     pub fn reset(&mut self) {
         self.core.reset();
         self.slot.bytes.store(self.core.memory_footprint(), Relaxed);
     }
 
-    /// Evicts this session's key state and RFBME scratch, returning it to
-    /// its just-opened footprint; counted in [`ExecStats::evictions`] when
+    /// Evicts this session's key state, returning it to its just-opened
+    /// footprint; counted in [`ExecStats::evictions`] when
     /// key state was present (the returned flag). The next frame
     /// *rehydrates* as a key frame, bit-identical to a fresh session from
     /// that frame on.
@@ -2481,8 +2495,8 @@ impl StreamSession {
     }
 
     /// Audited heap footprint: the session struct plus the stored key
-    /// image, compressed/sparse/decoded activations, and RFBME scratch,
-    /// by allocated capacity. This is the figure the engine's
+    /// image and compressed/sparse/decoded activations, by allocated
+    /// capacity. This is the figure the engine's
     /// [`EngineLimits::max_session_bytes`] / `max_total_bytes` budgets
     /// are enforced against.
     pub fn memory_footprint(&self) -> usize {
@@ -3050,22 +3064,32 @@ mod tests {
     #[test]
     fn memory_footprint_audits_all_parts() {
         let net = Arc::new(zoo::tiny_fasterm(0).network);
-        let mut engine = Engine::new(net, AmcConfig::default()).unwrap();
+        // A policy that always predicts once keyed, so the second frame
+        // runs RFBME and the warp.
+        let config = AmcConfig {
+            policy: PolicyConfig::BlockError {
+                threshold: f32::INFINITY,
+                max_gap: 1000,
+            },
+            ..Default::default()
+        };
+        let mut engine = Engine::new(net, config).unwrap();
         let mut session = engine.open_session().unwrap();
         let empty = session.memory_footprint();
         assert!(empty >= std::mem::size_of::<SessionCore>());
         engine.process(&mut session, &frame(0)).unwrap();
-        engine.process(&mut session, &frame(1)).unwrap();
-        // The audit is exactly struct + key-state buffers + scratch.
+        let keyed = session.memory_footprint();
+        assert!(keyed > empty, "key state must be audited");
+        assert!(!engine.process(&mut session, &frame(1)).unwrap().is_key);
+        // The audit is exactly struct + key-state buffers. The RFBME
+        // scratch is the engine's, one per worker, so a predicted frame
+        // grows nothing in the session.
         let core = &session.core;
         let want = std::mem::size_of::<SessionCore>()
-            + core.rfbme_scratch.heap_bytes()
             + core.state.as_ref().map_or(0, KeyState::heap_bytes);
         assert_eq!(session.memory_footprint(), want);
-        assert!(
-            session.memory_footprint() > empty,
-            "key state and scratch must be audited"
-        );
+        assert_eq!(session.memory_footprint(), keyed);
+        assert!(engine.motion_scratches[0].heap_bytes() > 0);
         assert_eq!(engine.total_session_bytes(), session.memory_footprint());
         // Eviction returns the session to (at most) its opening footprint.
         session.evict_state();

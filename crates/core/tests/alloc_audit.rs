@@ -1,11 +1,12 @@
 //! Heap audit for the steady-state predicted-frame path, backing the
 //! static memory model with allocator-level evidence: once a session is
-//! warmed (key state stored, scratch buffers grown to their geometry),
-//! serving predicted frames causes **zero net heap growth** and a
-//! **constant number of transient allocations per frame** — i.e. every
-//! byte the hot loop touches was either pre-sized by the structures
-//! [`session_memory_bound`] charges for, or belongs to the returned
-//! [`AmcFrameResult`] the caller immediately drops.
+//! warmed (key state stored, the engine's per-worker scratch buffers grown
+//! to their geometry), serving predicted frames causes **zero net heap
+//! growth** and a **constant number of transient allocations per frame** —
+//! i.e. every byte the hot loop touches was either pre-sized (by the
+//! structures [`session_memory_bound`] charges for, or by the engine's
+//! GEMM and RFBME scratch), or belongs to the returned [`AmcFrameResult`]
+//! the caller immediately drops.
 //!
 //! A counting [`GlobalAlloc`] wrapper around [`System`] observes every
 //! allocation in the process, so this file holds exactly ONE `#[test]`

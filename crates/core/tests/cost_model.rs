@@ -10,7 +10,8 @@
 //!   under their static bound.
 //! - [`session_memory_bound`] must dominate the audited
 //!   [`StreamSession::memory_footprint`] without being uselessly loose
-//!   (within 2×).
+//!   (within 2×). Both sides are key state only: RFBME scratch belongs to
+//!   the engine's workers, so neither counts it.
 //! - The SLO capacity planner must reproduce the measured
 //!   `BENCH_serve.json` operating point from first principles.
 

@@ -18,34 +18,73 @@
 //! operations, which backs the §IV-A first-order comparison against the CNN
 //! prefix cost.
 //!
-//! # The fast path: the same search, dense and vectorised
+//! # The fast path: the same search, laid out for the vector unit
 //!
 //! [`Rfbme::estimate`] runs the *same exhaustive search* as the two-stage
 //! hardware model ([`Rfbme::estimate_reference`]) — every in-bounds tile
-//! SAD of every offset — fused so that no per-offset diff plane is
-//! materialised and the pixel work runs at vector speed:
+//! SAD of every offset — with the data laid out so that both stages are
+//! contiguous vector work and no per-offset diff plane is materialised.
+//! One loop structure serves every stride; strides 4, 8 and 16 run it with
+//! the stride as a constant.
 //!
-//! * **Producer.** Offsets are visited in the reference's row-major order.
-//!   The tiles whose search windows stay in the key frame form a rectangle
-//!   that is separable per axis, so one offset is a handful of contiguous
-//!   row slices of `new` against equally long, displaced row slices of
-//!   `key`; each `stride`-byte chunk of a row pair is one tile-row SAD
-//!   ([`crate::sad::sad_chunk`], which the compiler lowers to `psadbw` for
-//!   strides 4, 8 and 16), accumulated per tile in a register.
-//! * **Consumer.** Per receptive-field row the tile SADs are summed into
-//!   column sums, each field sums the columns it covers, and the min-check
-//!   register applies the reference's own rule — strictly smaller error
-//!   wins, ties prefer the smaller displacement — which in the same visit
-//!   order keeps the same vector.
+//! * **Producer: contiguous tiles against a contiguous strip.** `new` is
+//!   copied once per call tile-major, tile column after tile column, so a
+//!   tile is `stride²` contiguous bytes. The horizontal offset `dx` is the
+//!   outer loop; for each tile column whose windows stay in the key frame
+//!   at that `dx`, the key frame's `stride`-byte-wide column displaced by
+//!   `dx` is copied into one contiguous strip. The tile SAD at vertical
+//!   offset `dy` is then a SAD of two contiguous `stride²`-byte runs — the
+//!   tile against the strip from row `ty·stride + dy` — and consecutive
+//!   `dy` are `stride` bytes apart. `sad::sad_tile` compares the
+//!   runs in 32-byte blocks (`vpsadbw` on `ymm` operands; one 16-byte
+//!   block at stride 4, a runtime-length run at other strides).
+//! * **Consumer: `dy` is the lane.** Tile SADs land in `[tile row][lane]`
+//!   order, one lane per vertical offset, so "sum the tile rows a field row
+//!   covers" and "sum the tile columns a field covers" are lane-wise adds
+//!   of whole rows — every `dy` at once, eight lanes per register.
+//!   The lanes at which a tile row is valid, and those at which a field
+//!   row is admitted, are contiguous ranges derived once per call from the
+//!   per-axis `AxisSpan`s (one per offset per axis, not one per offset
+//!   pair). Each field takes the minimum over its admitted lanes first and
+//!   enters the scalar min-check only when that minimum can still win.
+//! * **Min-check without a visit order.** Fields now see offsets
+//!   `dx`-major, not in the reference's row-major order, so the register
+//!   applies the reference's rule in its order-free form
+//!   (`RfMatch::yields_to`): smaller error, then smaller `dy² + dx²`,
+//!   then lexicographically smaller `(dy, dx)` — exactly "first visited in
+//!   row-major order".
 //!
 //! Results are bit-identical to the reference. The cost depends on the
 //! geometry only, never on frame contents: [`Rfbme::ops_bound`] is the
-//! exact operation count of every call.
+//! exact operation count of every call, and the counts a result reports
+//! are computed from the same per-axis totals rather than tallied in the
+//! loop. Sums are exact in `u32` for frames below [`Rfbme::MAX_PIXELS`],
+//! which [`Rfbme::estimate_with`] checks.
+//!
+//! Measured on the way here, so nobody re-tries them blind (48×48, RF
+//! 27/8/10, radius 8, interleaved min-of-60 against the per-row `psadbw`
+//! search this replaced at 69 µs a call; this one runs 27–28 µs, of which
+//! the tile SADs are ≈ 12, the lane sums and min-checks ≈ 9, and the strip
+//! copies, per-call planning and the returned result ≈ 6):
+//!
+//! * Making `dx` the lane instead, with the per-row 8-byte kernel, took
+//!   the producer from 35 to 55 µs: per-lane bounds checks and spilled row
+//!   pointers. `dy` lanes need neither, because a strip makes consecutive
+//!   lanes' windows one fixed pitch apart.
+//! * The tile SAD must be straight-line blocks of a constant size. Fed
+//!   through the runtime-length run kernel ([`crate::sad::sad_row`]) with
+//!   a length the compiler could have folded, the SAD stayed scalar or
+//!   went out of line (62 µs a call with the consumer below, 0.9× the old
+//!   search); see also the kernel notes in [`crate::sad`].
+//! * Summing runtime-length lane ranges (`copy_from_slice` then adds over
+//!   the 9–17 admitted lanes) costs a `memcpy` call and a scalar epilogue
+//!   per row; whole padded rows in register-wide blocks, with zero in the
+//!   lanes a tile is not searched at, are what made the consumer cheap.
 
 // lint: hot-path
 
 use crate::field::{MotionVector, VectorField};
-use crate::sad::{sad_chunk, sad_window};
+use crate::sad::sad_tile;
 use crate::{MotionEstimator, MotionResult};
 use eva2_tensor::GrayImage;
 use serde::{Deserialize, Serialize};
@@ -229,6 +268,24 @@ impl RfMatch {
         error: u32::MAX,
         pixels: 0,
     };
+
+    /// Whether offset `(dy, dx)` with `error` displaces this register: the
+    /// [`DiffTileConsumer`]'s rule in a form that does not depend on visit
+    /// order. The consumer sees offsets in row-major order and replaces on
+    /// a strictly smaller error, or an equal error and a strictly smaller
+    /// `dy² + dx²` — so of several offsets equal in both it keeps the first
+    /// visited, which is the lexicographically smallest `(dy, dx)`. The
+    /// dense search visits offsets `dx`-major and needs that third clause
+    /// spelled out.
+    fn yields_to(&self, error: u32, dy: isize, dx: isize) -> bool {
+        if error != self.error {
+            return error < self.error;
+        }
+        let held = self.vector;
+        let mag = (dy * dy + dx * dx) as f32;
+        let held_mag = held.dy * held.dy + held.dx * held.dx;
+        mag < held_mag || (mag == held_mag && (dy as f32, dx as f32) < (held.dy, held.dx))
+    }
 }
 
 /// The diff tile consumer: aggregates tile differences into receptive-field
@@ -425,7 +482,7 @@ fn valid_tile_range(tiles: usize, s: usize, d: isize, n: usize) -> (usize, usize
 /// moves one tile per field (then clamps to the frame), so its two ends
 /// are non-decreasing in the field index; the fields inside a tile
 /// interval are therefore an interval too.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct AxisSpan {
     tiles: Range<usize>,
     fields: Range<usize>,
@@ -445,55 +502,176 @@ impl AxisSpan {
     }
 }
 
-/// Writes into `out` the SAD of each tile of one tile row: `new` from byte
-/// `n0` and `key` from byte `k0` are the first pixel rows of `out.len()`
-/// adjacent `S`-wide tiles in frames `w` pixels wide.
-///
-/// Tile-major, so a tile's `S` row SADs accumulate in a register; measured
-/// 0.65–0.75× the row-major form (an accumulator slice updated once per
-/// pixel row) at `S = 8`, level at 4 and 16. Kept out of line: inlined
-/// into the search loop it ran 4–7 % slower.
-#[inline(never)]
-fn tile_row_sads<const S: usize>(
-    new: &[u8],
-    key: &[u8],
-    w: usize,
-    n0: usize,
-    k0: usize,
-    out: &mut [u32],
-) {
-    let len = out.len() * S;
-    let new_rows: [&[u8]; S] = std::array::from_fn(|r| &new[n0 + r * w..][..len]);
-    let key_rows: [&[u8]; S] = std::array::from_fn(|r| &key[k0 + r * w..][..len]);
-    for (t, acc) in out.iter_mut().enumerate() {
-        let span = t * S..(t + 1) * S;
-        let mut sad = 0u32;
-        for r in 0..S {
-            sad += sad_chunk::<S>(&new_rows[r][span.clone()], &key_rows[r][span.clone()]);
+/// The search along one axis, derived once per call from the geometry:
+/// each receptive field's tile range and each offset's [`AxisSpan`].
+/// Everything the search costs factors through two of these.
+#[derive(Debug, Clone, Default)]
+struct AxisPlan {
+    /// Tile range of each receptive field along the axis.
+    ranges: Vec<(usize, usize)>,
+    /// What each search offset admits, in visit order.
+    spans: Vec<AxisSpan>,
+}
+
+impl AxisPlan {
+    /// Plans an axis of `n` pixels.
+    fn fill(&mut self, rfbme: &Rfbme, n: usize) {
+        let s = rfbme.rf.stride.max(1);
+        let tiles = n / s;
+        let consumer = DiffTileConsumer { rf: rfbme.rf };
+        let Self { ranges, spans } = self;
+        ranges.clear();
+        ranges.extend((0..rfbme.rf.grid_len(n)).map(|a| consumer.tile_range(a, tiles)));
+        spans.clear();
+        spans.extend(
+            rfbme
+                .params
+                .axis()
+                .map(|d| AxisSpan::new(ranges, tiles, s, d, n)),
+        );
+    }
+
+    /// The offsets that admit at least one receptive field, with their
+    /// index in visit order. An offset that admits none on either axis is
+    /// not searched at all.
+    fn active(&self) -> impl Iterator<Item = (usize, &AxisSpan)> {
+        let live = |(_, span): &(usize, &AxisSpan)| !span.fields.is_empty();
+        self.spans.iter().enumerate().filter(live)
+    }
+
+    /// Totals over the active offsets.
+    fn totals(&self) -> AxisTotals {
+        let mut t = AxisTotals::default();
+        for (_, span) in self.active() {
+            t.valid += span.tiles.len() as u64;
+            t.covered += self.ranges[span.fields.clone()]
+                .iter()
+                .map(|&(t0, t1)| (t1 - t0) as u64)
+                .sum::<u64>();
+            t.fields += span.fields.len() as u64;
         }
-        *acc = sad;
+        t
+    }
+}
+
+/// Per-axis totals of the dense search over the offsets that admit at least
+/// one receptive field: valid tiles, tiles covered by admitted fields, and
+/// admitted fields.
+#[derive(Debug, Clone, Copy, Default)]
+struct AxisTotals {
+    valid: u64,
+    covered: u64,
+    fields: u64,
+}
+
+/// The operation counts of one dense search, from the two axes' totals.
+///
+/// An offset `(dy, dx)` that admits a receptive field on both axes costs
+/// `s²` per valid tile (producer), one add per valid tile column per tile
+/// row of each admitted field row (tile-row sums), and one add per covered
+/// column of each admitted field; every admitted (offset, field) pair is
+/// one candidate. All four factor per axis, so the sums over the window
+/// are products of per-axis totals. Saturating arithmetic keeps degenerate
+/// geometries from wrapping.
+#[derive(Debug, Clone, Copy)]
+struct SearchCost {
+    producer: u64,
+    consumer: u64,
+    candidates: u64,
+}
+
+impl SearchCost {
+    fn new(s: usize, y: AxisTotals, x: AxisTotals) -> Self {
+        let s = s as u64;
+        let tile_row_sums = y.covered.saturating_mul(x.valid);
+        let field_sums = y.fields.saturating_mul(x.covered);
+        Self {
+            producer: y.valid.saturating_mul(x.valid).saturating_mul(s * s),
+            consumer: tile_row_sums.saturating_add(field_sums),
+            candidates: y.fields.saturating_mul(x.fields),
+        }
+    }
+}
+
+/// Copies the `s`-byte-wide column of `px` (rows `w` bytes apart) that
+/// starts at byte `x0` of each row into `dst`, one row after another, so
+/// that any `s × s` window of the column is `s²` contiguous bytes.
+/// `dst.len() / s` rows are copied.
+#[inline(always)]
+fn copy_column(px: &[u8], w: usize, x0: usize, s: usize, dst: &mut [u8]) {
+    for (row, out) in px[x0..].chunks(w).zip(dst.chunks_exact_mut(s)) {
+        out.copy_from_slice(&row[..s]);
+    }
+}
+
+/// Lanes are summed in blocks of this many `u32`s (one `ymm` register), so
+/// every lane row is padded to a whole number of blocks.
+const LANE_BLOCK: usize = 8;
+
+/// Writes the SAD of `tile` against each window of `windows` into `out`:
+/// window `i` is the `tile.len()` bytes starting `i · pitch` bytes in.
+/// `S` is the tile side (`0`: whatever `tile.len()` says).
+///
+/// Kept out of line: measured level with the inlined form at stride 8 and
+/// 5 % faster at stride 4.
+#[inline(never)]
+fn tile_lane_sads<const S: usize>(tile: &[u8], windows: &[u8], pitch: usize, out: &mut [u32]) {
+    let s2 = if S == 0 { tile.len() } else { S * S };
+    let tile = &tile[..s2];
+    for (sad, window) in out.iter_mut().zip(windows.windows(s2).step_by(pitch)) {
+        *sad = sad_tile::<S>(tile, window);
+    }
+}
+
+/// Writes into `out` the lane-wise sum of `count` lane rows, the first at
+/// the start of `rows` and each next one `out.len()` lanes further on.
+/// `out.len()` is a multiple of [`LANE_BLOCK`]; each block is summed in a
+/// register.
+#[inline(always)]
+fn sum_lane_rows(rows: &[u32], count: usize, out: &mut [u32]) {
+    let pitch = out.len();
+    for (b, out) in out.chunks_exact_mut(LANE_BLOCK).enumerate() {
+        let mut acc = [0u32; LANE_BLOCK];
+        for row in 0..count {
+            let block = &rows[row * pitch + b * LANE_BLOCK..][..LANE_BLOCK];
+            for (a, &v) in acc.iter_mut().zip(block) {
+                *a += v;
+            }
+        }
+        out.copy_from_slice(&acc);
     }
 }
 
 /// Reusable buffers for [`Rfbme::estimate_with`].
 ///
-/// A frame-loop caller (the AMC executor's session state, the pipelined
-/// executor's `rfbme-worker` thread) holds one scratch so steady-state
-/// estimation allocates nothing but the returned [`RfbmeResult`]. Buffer
-/// contents never influence results — every value is rewritten before use
-/// — so sharing a scratch across streams, key images or geometries, or
-/// none at all, is purely a performance choice.
+/// A frame-loop caller (each worker of the serving engine, the
+/// single-stream executor, the pipelined executor's `rfbme-worker` thread)
+/// holds one scratch so steady-state estimation allocates nothing but the
+/// returned [`RfbmeResult`]. Buffer contents never influence results —
+/// every value is rewritten before it is read — so sharing a scratch
+/// across streams, key images or geometries, or none at all, is purely a
+/// performance choice.
 #[derive(Debug, Clone, Default)]
 pub struct RfbmeScratch {
-    /// Tile range of each receptive-field row / column.
-    row_range: Vec<(usize, usize)>,
-    col_range: Vec<(usize, usize)>,
+    /// The search along each axis.
+    rows: AxisPlan,
+    cols: AxisPlan,
+    /// Lanes (indices into the vertical offsets) at which each tile row is
+    /// searched / each receptive-field row is admitted.
+    tile_lanes: Vec<Range<usize>>,
+    field_lanes: Vec<Range<usize>>,
     /// Min-check register per receptive field.
     best: Vec<RfMatch>,
-    /// Tile SADs of the offset being searched.
-    tile_sad: Vec<u32>,
-    /// Column sums of one receptive-field row.
-    colsum: Vec<u64>,
+    /// `new`, one tile column after another, each `stride` bytes wide.
+    new_tiles: Vec<u8>,
+    /// One `stride`-byte-wide column of `key`, displaced by `dx`.
+    strip: Vec<u8>,
+    /// Tile SADs of one tile column: `[tile row][lane]`.
+    plane: Vec<u32>,
+    /// Tile-row sums of one `dx`: `[field row][tile column][lane]`.
+    rowsum: Vec<u32>,
+    /// One receptive field's error at every lane.
+    lane_err: Vec<u32>,
 }
 
 impl RfbmeScratch {
@@ -502,19 +680,25 @@ impl RfbmeScratch {
         Self::default()
     }
 
-    /// Bytes of heap memory this scratch holds (allocated capacities) —
-    /// the serving engine's per-session memory audit. Buffers grow to
-    /// their steady-state size on the first estimate, so a session's
-    /// footprint is stable after its first predicted frame.
+    /// Bytes of heap memory this scratch holds (allocated capacities).
+    /// Buffers grow to their steady-state size on the first estimate of a
+    /// geometry and stay there.
     pub fn heap_bytes(&self) -> usize {
         fn vec_bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        vec_bytes(&self.row_range)
-            + vec_bytes(&self.col_range)
+        vec_bytes(&self.rows.ranges)
+            + vec_bytes(&self.rows.spans)
+            + vec_bytes(&self.cols.ranges)
+            + vec_bytes(&self.cols.spans)
+            + vec_bytes(&self.tile_lanes)
+            + vec_bytes(&self.field_lanes)
             + vec_bytes(&self.best)
-            + vec_bytes(&self.tile_sad)
-            + vec_bytes(&self.colsum)
+            + vec_bytes(&self.new_tiles)
+            + vec_bytes(&self.strip)
+            + vec_bytes(&self.plane)
+            + vec_bytes(&self.rowsum)
+            + vec_bytes(&self.lane_err)
     }
 }
 
@@ -573,7 +757,7 @@ impl Rfbme {
     ///
     /// # Panics
     ///
-    /// Panics when the two frames differ in size.
+    /// As [`Rfbme::estimate_with`].
     pub fn estimate(&self, key: &GrayImage, new: &GrayImage) -> RfbmeResult {
         self.estimate_with(key, new, &mut RfbmeScratch::new())
     }
@@ -585,7 +769,8 @@ impl Rfbme {
     ///
     /// # Panics
     ///
-    /// Panics when the two frames differ in size.
+    /// Panics when the two frames differ in size, or hold
+    /// [`Rfbme::MAX_PIXELS`] pixels or more (the search sums in `u32`).
     pub fn estimate_with(
         &self,
         key: &GrayImage,
@@ -597,93 +782,155 @@ impl Rfbme {
             (new.height(), new.width()),
             "frame size mismatch"
         );
+        assert!(
+            Self::sums_fit_u32(new.height(), new.width()),
+            "frame too large for RFBME's u32 sums"
+        );
+        // The stride as a constant is what turns the row copies into
+        // single moves and the tile SAD into two (or one, or eight) block
+        // SADs; any other stride runs the same loop on runtime lengths.
+        match self.rf.stride {
+            4 => self.search::<4>(key, new, scratch),
+            8 => self.search::<8>(key, new, scratch),
+            16 => self.search::<16>(key, new, scratch),
+            _ => self.search::<0>(key, new, scratch),
+        }
+    }
+
+    /// Frames must hold fewer pixels than this. A receptive-field sum is at
+    /// most `255` per pixel of the frame, so below this limit every sum is
+    /// at most `u32::MAX - 1`: exact in the search's `u32` lanes, never
+    /// touched by the reference's clamp to that value (the reference sums
+    /// in `u64`), and never equal to the min-check register's `u32::MAX`
+    /// sentinel. 4096×4096 fits.
+    pub const MAX_PIXELS: usize = (u32::MAX / 255) as usize;
+
+    fn sums_fit_u32(h: usize, w: usize) -> bool {
+        h.checked_mul(w).is_some_and(|p| p < Self::MAX_PIXELS)
+    }
+
+    /// The dense search for tile side `S` (`0`: the runtime stride).
+    fn search<const S: usize>(
+        &self,
+        key: &GrayImage,
+        new: &GrayImage,
+        scratch: &mut RfbmeScratch,
+    ) -> RfbmeResult {
         let RfbmeScratch {
-            row_range,
-            col_range,
+            rows,
+            cols,
+            tile_lanes,
+            field_lanes,
             best,
-            tile_sad,
-            colsum,
+            new_tiles,
+            strip,
+            plane,
+            rowsum,
+            lane_err,
         } = scratch;
-        let s = self.rf.stride.max(1);
+        let s = if S == 0 { self.rf.stride.max(1) } else { S };
+        let s2 = s * s;
         let (h, w) = (new.height(), new.width());
         let (tiles_y, tiles_x) = (h / s, w / s);
         let (grid_h, grid_w) = (self.rf.grid_len(h), self.rf.grid_len(w));
-        self.fill_tile_ranges(row_range, grid_h, tiles_y);
-        self.fill_tile_ranges(col_range, grid_w, tiles_x);
+        let (new_px, key_px) = (new.as_slice(), key.as_slice());
+        rows.fill(self, h);
+        cols.fill(self, w);
+        let cost = SearchCost::new(s, rows.totals(), cols.totals());
+
+        // Lane `i` is vertical offset `offset(i)`. The lanes at which a
+        // tile row is valid, and those at which a field row is admitted,
+        // are contiguous (both conditions bound `dy` from two sides).
+        let lanes = rows.spans.len().next_multiple_of(LANE_BLOCK);
+        let step = self.params.step.max(1);
+        let offset = |lane: usize| (lane * step) as isize - self.params.radius as isize;
+        tile_lanes.clear();
+        tile_lanes.resize(tiles_y, 0..0);
+        field_lanes.clear();
+        field_lanes.resize(grid_h, 0..0);
+        for (lane, span) in rows.active() {
+            let tiles = tile_lanes[span.tiles.clone()].iter_mut();
+            for r in tiles.chain(&mut field_lanes[span.fields.clone()]) {
+                if r.start == r.end {
+                    r.start = lane;
+                }
+                r.end = lane + 1;
+            }
+        }
+
         best.clear();
         best.resize(grid_h * grid_w, RfMatch::UNMATCHED);
-        tile_sad.resize(tiles_y * tiles_x, 0);
-        colsum.resize(tiles_x, 0);
-        let (new_px, key_px) = (new.as_slice(), key.as_slice());
-        let s2 = (s * s) as u32;
+        new_tiles.resize(tiles_x * tiles_y * s2, 0);
+        strip.resize(h * s, 0);
+        // Lanes at which a tile is not searched stay zero, so whole lane
+        // rows can be summed; only admitted lanes are ever compared.
+        plane.clear();
+        plane.resize(tiles_y * lanes, 0);
+        rowsum.resize(grid_h * tiles_x * lanes, 0);
+        lane_err.resize(lanes, 0);
+        let column = tiles_y * s2;
+        for tx in 0..tiles_x {
+            copy_column(
+                new_px,
+                w,
+                tx * s,
+                s,
+                &mut new_tiles[tx * column..][..column],
+            );
+        }
 
-        let mut producer_ops: u64 = 0;
-        let mut consumer_ops: u64 = 0;
-        let mut candidates: u64 = 0;
-        for dy in self.params.axis() {
-            let ys = AxisSpan::new(row_range, tiles_y, s, dy, h);
-            for dx in self.params.axis() {
-                let xs = AxisSpan::new(col_range, tiles_x, s, dx, w);
-                if ys.fields.is_empty() || xs.fields.is_empty() {
-                    continue; // no receptive field can match at this offset
-                }
-                let n_x = xs.tiles.len();
-
-                // Producer: the SAD of every valid tile, one tile row of
-                // contiguous row slices at a time.
-                for ty in ys.tiles.clone() {
-                    let ky = ((ty * s) as isize + dy) as usize;
-                    let n0 = ty * s * w + xs.tiles.start * s;
-                    let k0 = ky * w + ((xs.tiles.start * s) as isize + dx) as usize;
-                    let out = &mut tile_sad[ty * tiles_x + xs.tiles.start..][..n_x];
-                    match s {
-                        4 => tile_row_sads::<4>(new_px, key_px, w, n0, k0, out),
-                        8 => tile_row_sads::<8>(new_px, key_px, w, n0, k0, out),
-                        16 => tile_row_sads::<16>(new_px, key_px, w, n0, k0, out),
-                        _ => {
-                            for (tx, sad) in xs.tiles.clone().zip(out) {
-                                let kx = ((tx * s) as isize + dx) as usize;
-                                *sad = sad_window(new, key, (ty * s, tx * s), (ky, kx), s, s);
-                            }
-                        }
+        for (xi, xs) in cols.active() {
+            let dx = offset(xi);
+            for tx in xs.tiles.clone() {
+                // Producer: every tile of this tile column against the key
+                // column displaced by `dx`, all vertical offsets at once.
+                // Consecutive lanes' windows start `step` strip rows apart.
+                copy_column(key_px, w, ((tx * s) as isize + dx) as usize, s, strip);
+                let tiles = new_tiles[tx * column..][..column].chunks_exact(s2);
+                for ((ty, tile), tl) in tiles.enumerate().zip(tile_lanes.iter()) {
+                    if tl.is_empty() {
+                        continue;
                     }
+                    let first = ((ty * s) as isize + offset(tl.start)) as usize * s;
+                    let sads = &mut plane[ty * lanes..][tl.clone()];
+                    tile_lane_sads::<S>(tile, &strip[first..], step * s, sads);
                 }
-                producer_ops += (ys.tiles.len() * n_x) as u64 * s2 as u64;
-
-                // Consumer: column sums per receptive-field row, then each
-                // field's columns, then the min-check register.
-                let cand_mag = (dy * dy + dx * dx) as f32;
-                for ay in ys.fields.clone() {
-                    let (ty0, ty1) = row_range[ay];
-                    let cols = &mut colsum[xs.tiles.clone()];
-                    cols.fill(0);
-                    for ty in ty0..ty1 {
-                        let row = &tile_sad[ty * tiles_x + xs.tiles.start..][..n_x];
-                        for (c, &d) in cols.iter_mut().zip(row) {
-                            *c += d as u64;
-                        }
+                // Consumer, first half: the tile rows each field row covers.
+                for ((ay, fl), &(ty0, ty1)) in field_lanes.iter().enumerate().zip(&rows.ranges) {
+                    if fl.is_empty() {
+                        continue;
                     }
-                    consumer_ops += ((ty1 - ty0) * n_x) as u64;
-                    for ax in xs.fields.clone() {
-                        let (tx0, tx1) = col_range[ax];
-                        let sum: u64 = colsum[tx0..tx1].iter().sum();
-                        consumer_ops += (tx1 - tx0) as u64;
-                        let err = sum.min(u32::MAX as u64 - 1) as u32;
-                        let b = &mut best[ay * grid_w + ax];
-                        // The reference's rule, in the reference's visit
-                        // order: strictly-smaller error wins; ties prefer
-                        // the smaller displacement.
-                        let best_mag = b.vector.dy * b.vector.dy + b.vector.dx * b.vector.dx;
-                        if err < b.error || (err == b.error && cand_mag < best_mag) {
+                    let sum = &mut rowsum[(ay * tiles_x + tx) * lanes..][..lanes];
+                    sum_lane_rows(&plane[ty0 * lanes..], ty1 - ty0, sum);
+                }
+            }
+            // Consumer, second half: the tile columns each field covers,
+            // then the min-check register — entered only when the best lane
+            // can still win.
+            for ((ay, fl), &(ty0, ty1)) in field_lanes.iter().enumerate().zip(&rows.ranges) {
+                if fl.is_empty() {
+                    continue;
+                }
+                for ax in xs.fields.clone() {
+                    let (tx0, tx1) = cols.ranges[ax];
+                    sum_lane_rows(&rowsum[(ay * tiles_x + tx0) * lanes..], tx1 - tx0, lane_err);
+                    let err = &lane_err[fl.clone()];
+                    let min = err.iter().fold(u32::MAX, |m, &e| m.min(e));
+                    let b = &mut best[ay * grid_w + ax];
+                    if min > b.error {
+                        continue;
+                    }
+                    for (lane, &e) in fl.clone().zip(err) {
+                        let dy = offset(lane);
+                        if e == min && b.yields_to(e, dy, dx) {
                             *b = RfMatch {
                                 vector: MotionVector::new(dy as f32, dx as f32),
-                                error: err,
-                                pixels: ((ty1 - ty0) * (tx1 - tx0)) as u32 * s2,
+                                error: e,
+                                pixels: ((ty1 - ty0) * (tx1 - tx0) * s2) as u32,
                             };
                         }
                     }
                 }
-                candidates += (ys.fields.len() * xs.fields.len()) as u64;
             }
         }
 
@@ -692,46 +939,14 @@ impl Rfbme {
             best,
             grid_h,
             grid_w,
-            producer_ops,
-            consumer_ops,
+            cost.producer,
+            cost.consumer,
             SearchStats {
-                candidates,
-                refined: candidates,
+                candidates: cost.candidates,
+                refined: cost.candidates,
                 ..SearchStats::default()
             },
         )
-    }
-
-    /// Writes each receptive field's tile range along one axis of `grid`
-    /// fields over `tiles` tiles.
-    fn fill_tile_ranges(&self, ranges: &mut Vec<(usize, usize)>, grid: usize, tiles: usize) {
-        let consumer = DiffTileConsumer { rf: self.rf };
-        ranges.clear();
-        ranges.extend((0..grid).map(|a| consumer.tile_range(a, tiles)));
-    }
-
-    /// Per-axis totals of the dense search over the offsets that admit at
-    /// least one receptive field along an axis of `n` pixels: valid tiles,
-    /// tiles covered by admitted fields, and admitted fields.
-    fn axis_totals(&self, n: usize) -> (u64, u64, u64) {
-        let s = self.rf.stride.max(1);
-        let tiles = n / s;
-        let mut ranges = Vec::new();
-        self.fill_tile_ranges(&mut ranges, self.rf.grid_len(n), tiles);
-        let (mut valid, mut covered, mut fields) = (0u64, 0u64, 0u64);
-        for d in self.params.axis() {
-            let span = AxisSpan::new(&ranges, tiles, s, d, n);
-            if span.fields.is_empty() {
-                continue;
-            }
-            valid += span.tiles.len() as u64;
-            covered += ranges[span.fields.clone()]
-                .iter()
-                .map(|&(t0, t1)| (t1 - t0) as u64)
-                .sum::<u64>();
-            fields += span.fields.len() as u64;
-        }
-        (valid, covered, fields)
     }
 
     /// The exact [`RfbmeResult::ops`] of one
@@ -739,48 +954,44 @@ impl Rfbme {
     /// frames — the motion-estimation term of `eva2-analysis`'s
     /// predicted-frame cost model. It is a function of the geometry alone,
     /// so the bound capacity planning budgets against is met with equality.
-    ///
-    /// An offset `(dy, dx)` that admits a receptive field on both axes
-    /// costs `s²` per valid tile (producer), one add per valid tile column
-    /// per tile row of each admitted field row (column sums), and one add
-    /// per covered column of each admitted field; all three factor per
-    /// axis, so the sum over the window is three products of per-axis
-    /// totals. Saturating arithmetic keeps degenerate geometries from
-    /// wrapping.
     pub fn ops_bound(&self, h: usize, w: usize) -> u64 {
-        let s = self.rf.stride.max(1) as u64;
-        let (valid_y, covered_y, fields_y) = self.axis_totals(h);
-        let (valid_x, covered_x, _) = self.axis_totals(w);
-        let producer = valid_y.saturating_mul(valid_x).saturating_mul(s * s);
-        let column_sums = covered_y.saturating_mul(valid_x);
-        let field_sums = fields_y.saturating_mul(covered_x);
-        producer
-            .saturating_add(column_sums)
-            .saturating_add(field_sums)
+        let (mut rows, mut cols) = (AxisPlan::default(), AxisPlan::default());
+        rows.fill(self, h);
+        cols.fill(self, w);
+        let cost = SearchCost::new(self.rf.stride.max(1), rows.totals(), cols.totals());
+        cost.producer.saturating_add(cost.consumer)
     }
 
     /// Static upper bound on [`RfbmeScratch::heap_bytes`] after any number
-    /// of [`Rfbme::estimate_with`] calls over `h`×`w` frames — the
-    /// motion-scratch term of the serving engine's per-session memory
-    /// bound. Every buffer is sized exactly by the geometry, up to the
-    /// allocator's four-element minimum.
+    /// of [`Rfbme::estimate_with`] calls over `h`×`w` frames. Every buffer
+    /// is sized exactly by the geometry, up to the allocator's minimum of
+    /// eight bytes or four wider elements.
     pub fn scratch_bytes_bound(&self, h: usize, w: usize) -> usize {
         use std::mem::size_of;
-        fn cap(len: usize) -> usize {
+        fn bytes<T>(len: usize) -> usize {
+            let floor = if size_of::<T>() == 1 { 8 } else { 4 };
             if len == 0 {
                 0
             } else {
-                len.max(4)
+                len.max(floor) * size_of::<T>()
             }
         }
         let s = self.rf.stride.max(1);
         let (tiles_y, tiles_x) = (h / s, w / s);
-        let grid_h = self.rf.grid_len(h);
-        let grid_w = self.rf.grid_len(w);
-        (cap(grid_h) + cap(grid_w)) * size_of::<(usize, usize)>() // row/col_range
-            + cap(grid_h * grid_w) * size_of::<RfMatch>() // best
-            + cap(tiles_y * tiles_x) * size_of::<u32>() // tile_sad
-            + cap(tiles_x) * size_of::<u64>() // colsum
+        let (grid_h, grid_w) = (self.rf.grid_len(h), self.rf.grid_len(w));
+        let offsets = self.params.axis().count();
+        let lanes = offsets.next_multiple_of(LANE_BLOCK);
+        bytes::<(usize, usize)>(grid_h) // rows.ranges
+            + bytes::<(usize, usize)>(grid_w) // cols.ranges
+            + 2 * bytes::<AxisSpan>(offsets) // rows.spans, cols.spans
+            + bytes::<Range<usize>>(tiles_y) // tile_lanes
+            + bytes::<Range<usize>>(grid_h) // field_lanes
+            + bytes::<RfMatch>(grid_h * grid_w) // best
+            + bytes::<u8>(tiles_x * tiles_y * s * s) // new_tiles
+            + bytes::<u8>(h * s) // strip
+            + bytes::<u32>(tiles_y * lanes) // plane
+            + bytes::<u32>(grid_h * tiles_x * lanes) // rowsum
+            + bytes::<u32>(lanes) // lane_err
     }
 
     /// Finalises per-field matches into an [`RfbmeResult`], mapping fields
@@ -1271,7 +1482,63 @@ mod tests {
     }
 
     #[test]
+    fn checkerboard_ties_resolve_in_row_major_order() {
+        // A checkerboard against its inverse: every offset with odd
+        // `dy + dx` matches exactly, so the four unit offsets tie at error 0
+        // and magnitude 1. The reference visits (-1, 0) first. A search
+        // that visits `dx`-major meets (0, -1) first and must still prefer
+        // (-1, 0) — the third clause of `RfMatch::yields_to`.
+        let key = GrayImage::from_fn(48, 48, |y, x| 255 * ((y + x) & 1) as u8);
+        let new = GrayImage::from_fn(48, 48, |y, x| 255 * ((y + x + 1) & 1) as u8);
+        let steady = RfGeometry {
+            size: 27,
+            stride: 8,
+            padding: 10,
+        };
+        let early = RfGeometry {
+            size: 7,
+            stride: 4,
+            padding: 2,
+        };
+        for (rf, radius) in [(steady, 8), (early, 4)] {
+            let rfbme = Rfbme::new(rf, SearchParams { radius, step: 1 });
+            let fast = rfbme.estimate(&key, &new);
+            let reference = rfbme.estimate_reference(&key, &new);
+            assert_same_result(&fast, &reference, &format!("checkerboard rf {rf:?}"));
+            assert_eq!(fast.total_error, 0);
+            let consumer = DiffTileConsumer { rf };
+            let tiles = 48 / rf.stride;
+            for gy in 0..fast.field.grid_h() {
+                for gx in 0..fast.field.grid_w() {
+                    // A field that covers tile row 0 cannot look up, one
+                    // that covers tile column 0 cannot look left.
+                    let want = match (
+                        consumer.tile_range(gy, tiles).0,
+                        consumer.tile_range(gx, tiles).0,
+                    ) {
+                        (1.., _) => MotionVector::new(-1.0, 0.0),
+                        (0, 1..) => MotionVector::new(0.0, -1.0),
+                        (0, 0) => MotionVector::new(0.0, 1.0),
+                    };
+                    assert_eq!(fast.field.get(gy, gx), want, "rf {rf:?} field ({gy},{gx})");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn saturated_difference_is_255_per_pixel() {
+        // The search sums in `u32`. Below `MAX_PIXELS` a frame-wide sum of
+        // saturated differences stays under the reference's clamp and the
+        // register's sentinel; at it, it would not — so such frames are
+        // refused up front rather than summed in a second, wider path.
+        let limit = Rfbme::MAX_PIXELS as u64;
+        assert_eq!((limit - 1) * 255, u32::MAX as u64 - 255);
+        assert!(limit * 255 > u32::MAX as u64 - 1);
+        assert!(Rfbme::sums_fit_u32(4096, 4096));
+        assert!(Rfbme::sums_fit_u32(1, Rfbme::MAX_PIXELS - 1));
+        assert!(!Rfbme::sums_fit_u32(1, Rfbme::MAX_PIXELS));
+        assert!(!Rfbme::sums_fit_u32(usize::MAX, 2));
         // All-0 against all-255: every offset of every field costs exactly
         // 255 per compared pixel, far below the `u32::MAX - 1` clamp.
         let key = GrayImage::filled(40, 48, 0);

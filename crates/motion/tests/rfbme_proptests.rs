@@ -239,8 +239,18 @@ proptest! {
     }
 }
 
+/// Cases `any_geometry_matches_reference` draws: 256, or what
+/// `EVA2_RFBME_CASES` says (CI runs 20,000 in the release profile, where
+/// the vector kernels exist).
+fn geometry_cases() -> u32 {
+    std::env::var("EVA2_RFBME_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(geometry_cases()))]
 
     #[test]
     fn any_geometry_matches_reference(
@@ -254,6 +264,8 @@ proptest! {
         padding in 0usize..=20,
         radius in 0usize..=7,
         step in 1usize..=4,
+        dirty_stride in 1usize..=9,
+        dirty_radius in 0usize..=5,
     ) {
         // Everything the dense search specialises on, drawn at random:
         // strides with and without a fixed-width kernel, steps that do not
@@ -273,11 +285,12 @@ proptest! {
         }
         let rf = RfGeometry { size, stride, padding };
         let rfbme = Rfbme::new(rf, SearchParams { radius, step });
-        // A scratch left dirty by another geometry and another key image
-        // must not show through.
+        // A scratch left dirty by another geometry — another stride and
+        // lane count, so another layout of every buffer — and another key
+        // image must not show through.
         let mut scratch = RfbmeScratch::new();
-        let other = RfGeometry { size: 8, stride: 4, padding: 0 };
-        let _ = Rfbme::new(other, SearchParams { radius: 2, step: 1 })
+        let other = RfGeometry { size: 2 * dirty_stride, stride: dirty_stride, padding: 1 };
+        let _ = Rfbme::new(other, SearchParams { radius: dirty_radius, step: 1 })
             .estimate_with(&new, &key, &mut scratch);
         let fast = rfbme.estimate_with(&key, &new, &mut scratch);
         let reference = rfbme.estimate_reference(&key, &new);
