@@ -38,8 +38,12 @@ pub struct LayerCost {
     pub weight_bytes: u64,
     /// Dense output activation written (f32).
     pub output_bytes: u64,
-    /// Peak working-set scratch: the im2col packing buffer for conv
-    /// layers, zero elsewhere.
+    /// Working-set scratch beyond input, weights and output: for a conv
+    /// layer the zero-bordered copy of its input the direct convolution
+    /// reads (`C_in` planes of `(H+2P) × (W+2P)`, split into `S²` phase
+    /// planes of `⌈(H+2P)/S⌉ × ⌈(W+2P)/S⌉` when the stride `S > 1`, plus one
+    /// register tile of slack) — what `GemmScratch` grows to, not counting
+    /// its `C_in·K²`-entry tap table. Zero elsewhere.
     pub scratch_bytes: u64,
 }
 
@@ -160,9 +164,16 @@ fn layer_cost(info: &LayerInfo, input: Shape3, output: Shape3) -> Option<LayerCo
                 .checked_mul(info.channels.len() as u64)?
                 .checked_add(info.channels.len() as u64)?
                 .checked_mul(f32b)?;
-            // im2col packs one patch column per output pixel.
-            let cols = (output.height as u64).checked_mul(output.width as u64)?;
-            let scratch = patch.checked_mul(cols)?.checked_mul(f32b)?;
+            // The padded input copy, one (phase) plane per channel and
+            // stride phase, and the kernel's one tile row of slack.
+            let (s, p2) = (g.stride as u64, 2 * g.padding as u64);
+            let rows = (input.height as u64).checked_add(p2)?.div_ceil(s);
+            let pitch = (input.width as u64).checked_add(p2)?.div_ceil(s);
+            let scratch = (in_channels as u64)
+                .checked_mul(s.checked_mul(s)?)?
+                .checked_mul(rows.checked_mul(pitch)?)?
+                .checked_add(eva2_tensor::gemm::NR as u64)?
+                .checked_mul(f32b)?;
             (macs, weights, scratch)
         }
         LayerKind::FullyConnected {

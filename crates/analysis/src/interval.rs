@@ -67,8 +67,8 @@ impl Interval {
     /// Widens both bounds by an absolute + relative slack.
     ///
     /// The analysis computes bounds in `f64`, but the network's forward
-    /// pass sums in `f32` in an implementation-defined order (im2col GEMM
-    /// vs naive loops); the slack absorbs that rounding noise so the
+    /// pass sums in `f32` in an implementation-defined order (blocked
+    /// kernel vs naive loops); the slack absorbs that rounding noise so the
     /// proptest soundness contract ("every actual activation lies inside
     /// the predicted interval") holds for every execution path.
     pub fn slacked(&self) -> Interval {

@@ -5,7 +5,7 @@ use crate::{analyze, AnalysisOptions, DiagCode, Severity};
 use eva2_cnn::layer::{Conv2d, FullyConnected, MaxPool2d, Relu};
 use eva2_cnn::network::Network;
 use eva2_cnn::zoo;
-use eva2_tensor::Shape3;
+use eva2_tensor::{GemmScratch, Shape3, Tensor3};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -315,6 +315,39 @@ fn cost_model_matches_reference_accounting_for_zoo() {
                 "{name} @ {target}"
             );
             assert!(cost.target_activation_bytes > 0, "{name} @ {target}");
+        }
+    }
+}
+
+#[test]
+fn conv_scratch_bytes_is_what_the_live_scratch_grows_to() {
+    // `LayerCost::scratch_bytes` models the padded (phase-split) input copy
+    // of the direct convolution. Run every zoo conv through a fresh
+    // `GemmScratch` and compare: all the live scratch holds beyond the
+    // modelled bytes is the tap table (`C_in·K²` offsets, however the
+    // allocator rounded it).
+    for workload in zoo::Workload::ALL {
+        let z = workload.build(3);
+        let report = analyze(&z.network, &AnalysisOptions::for_target(z.late_target));
+        let cost = report.cost.expect("zoo networks build a cost model");
+        let mut x = Tensor3::filled(z.network.input_shape(), 0.5);
+        for (layer, modelled) in z.network.layers().iter().zip(&cost.per_layer) {
+            let mut scratch = GemmScratch::new();
+            let input_channels = x.shape().channels;
+            x = layer.forward_scratch(&x, &mut scratch);
+            let live = scratch.capacity_bytes() as u64;
+            let Some(g) = layer.geometry().filter(|_| layer.param_count() > 0) else {
+                assert_eq!((modelled.scratch_bytes, live), (0, 0), "{}", layer.name());
+                continue;
+            };
+            let taps = (input_channels * g.kernel * g.kernel * size_of::<usize>()) as u64;
+            assert!(
+                modelled.scratch_bytes <= live && live <= modelled.scratch_bytes + 2 * taps + 64,
+                "{} {}: modelled {} vs live {live} (tap table {taps})",
+                workload.name(),
+                layer.name(),
+                modelled.scratch_bytes,
+            );
         }
     }
 }

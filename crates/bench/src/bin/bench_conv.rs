@@ -1,5 +1,5 @@
 //! Produces `BENCH_conv.json` — the committed performance trajectory of the
-//! convolution engine (naive vs im2col+GEMM), the sparse-aware suffix
+//! convolution engine (naive vs the direct kernel), the sparse-aware suffix
 //! (skip-zero vs densify-then-dense), the dense RFBME fast path, and
 //! the serial vs pipelined AMC executors.
 //!

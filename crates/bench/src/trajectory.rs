@@ -78,21 +78,13 @@ pub struct Entry {
 pub struct Measurements {
     /// Every timed benchmark, in measurement order.
     pub entries: Vec<Entry>,
-    /// Conv forward: naive over im2col+GEMM (scratch path).
+    /// Conv forward: naive over the direct kernel (scratch path).
     pub conv_speedup: f64,
     /// Raw GEMM on the key-frame prefix critical-path shape: AXPY-panel
     /// kernel over the register-blocked micro-kernel.
     pub gemm_micro_over_axpy: f64,
-    /// Key-frame prefix: four single `forward_prefix_scratch` runs over
-    /// one batch-4 `forward_prefix_batched` call (the serving engine's
-    /// cross-stream batching seam; amortized A-packing, direct-B kernel,
-    /// single-pass bias store).
-    pub batched_prefix_over_single: f64,
     /// Suffix-from-RLE: densify-then-dense over sparse-aware, per sparsity.
     pub suffix_speedups: Vec<(f32, f64)>,
-    /// Early-target (conv-head) suffix at 50% sparsity: densify-then-dense
-    /// over the transposed-weight gather path.
-    pub convhead_sparse_over_densify: f64,
     /// End-to-end AMC: key frame over predicted frame (serial executor).
     pub key_over_predicted: f64,
     /// RFBME: the two-stage reference model over the dense vectorised
@@ -123,11 +115,9 @@ pub struct TrackedRatio {
     pub value: f64,
     /// Host-marginal ratios are *advisory*: `bench_gate` warns on
     /// regression instead of failing unless `EVA2_BENCH_STRICT=1` is set.
-    /// Two classes qualify: machine-topology-dependent ratios (serial vs
-    /// pipelined executor — the committed value depends on the measuring
-    /// host's core count), and noise-marginal ratios whose true value sits
-    /// near 1.0 (the 50%-sparsity conv-head ratio), where a 30% band is
-    /// routinely crossed by container noise alone. In-process
+    /// That is the machine-topology-dependent ratio (serial vs pipelined
+    /// executor — the committed value depends on the measuring host's core
+    /// count) and the session-memory capacity figure. In-process
     /// algorithm-vs-algorithm ratios with real separation divide out the
     /// host and stay strict.
     pub advisory: bool,
@@ -175,7 +165,8 @@ pub fn measure(mode: Mode) -> Measurements {
     };
 
     // ------------------------------------------------------------------
-    // Conv forward: naive vs GEMM on a representative mid-network layer.
+    // Conv forward: naive vs the direct kernel on a representative
+    // mid-network layer (entry names keep their historical `gemm` label).
     // ------------------------------------------------------------------
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let conv = Conv2d::new("bench", 16, 32, 3, 1, 1, &mut rng);
@@ -241,42 +232,8 @@ pub fn measure(mode: Mode) -> Measurements {
     });
     record("conv_forward/gemm_scratch/3x48x48_k5s2", gemm2);
 
-    // ------------------------------------------------------------------
-    // Cross-stream batched key-frame prefix (serving engine seam):
-    // batch-4 `forward_prefix_batched` vs four single prefix runs on the
-    // FasterM analogue. Packing amortization and the direct-B kernel show
-    // even on a single CPU — no thread-level parallelism is involved.
-    // ------------------------------------------------------------------
     let z = zoo::tiny_fasterm(0);
     let target = z.late_target;
-    let batched_prefix_over_single = {
-        let frames: Vec<Tensor3> = (0..4).map(|i| frame(i * 3).to_tensor()).collect();
-        let single = time_ns(mode, || {
-            for f in &frames {
-                black_box(
-                    z.network
-                        .forward_prefix_scratch(black_box(f), target, &mut scratch),
-                );
-            }
-        });
-        record("prefix_batch/single_x4/fasterm", single);
-        let batched = time_ns(mode, || {
-            // The clone mirrors the engine's per-batch `to_tensor` inputs
-            // (the API consumes its batch); the single side clones each
-            // input internally, so the comparison stays like-for-like.
-            black_box(z.network.forward_prefix_batched(
-                black_box(frames.clone()),
-                target,
-                &mut scratch,
-            ));
-        });
-        record("prefix_batch/batched_b4/fasterm", batched);
-        println!(
-            "batched prefix speedup (4 singles / batch-4): {:.2}x",
-            single / batched
-        );
-        single / batched
-    };
 
     // ------------------------------------------------------------------
     // Suffix from the RLE store: densify-then-dense vs sparse-aware.
@@ -310,45 +267,6 @@ pub fn measure(mode: Mode) -> Measurements {
             densify / sparse
         );
     }
-
-    // ------------------------------------------------------------------
-    // Early-target conv head: the first suffix layer is a *convolution*.
-    // Its transposed-weight gather path (fed straight from the RLE store)
-    // vs densify-then-dense through the GEMM engine, measured at the layer
-    // the restructure changed so the ratio is directly attributable.
-    // ------------------------------------------------------------------
-    let early = z.early_target;
-    let early_shape = z.network.shape_after(early);
-    let convhead_sparse_over_densify = {
-        let head = &z.network.layers()[early + 1];
-        let act = Tensor3::from_fn(early_shape, |c, y, x| {
-            let i = (c * 131 + y * 17 + x * 3) % 1000;
-            if i < 500 {
-                0.0
-            } else {
-                (i as f32) * 0.004
-            }
-        });
-        let rle = RleActivation::encode(&act, 0.0);
-        let densify = time_ns(mode, || {
-            let dense = rle.decode();
-            black_box(head.forward_scratch(&dense, &mut scratch));
-        });
-        record("convhead/densify_dense/50pct", densify);
-        let sparse = time_ns(mode, || {
-            let s = rle.to_sparse();
-            black_box(
-                head.forward_sparse(&s, &mut scratch)
-                    .expect("conv head has a sparse path"),
-            );
-        });
-        record("convhead/sparse_gather/50pct", sparse);
-        println!(
-            "conv-head speedup at 50% sparsity: {:.2}x",
-            densify / sparse
-        );
-        densify / sparse
-    };
 
     // ------------------------------------------------------------------
     // RFBME at the executor's geometry: the dense vectorised fast path vs
@@ -481,9 +399,7 @@ pub fn measure(mode: Mode) -> Measurements {
         entries,
         conv_speedup,
         gemm_micro_over_axpy,
-        batched_prefix_over_single,
         suffix_speedups,
-        convhead_sparse_over_densify,
         key_over_predicted: key_ns / pred_ns,
         rfbme_reference_over_fast,
         predicted_frame_fused_over_dense,
@@ -510,8 +426,8 @@ impl Measurements {
         }
         let _ = write!(
             body,
-            "  ],\n  \"conv_speedup_naive_over_gemm\": {:.2},\n  \"gemm_micro_over_axpy\": {:.2},\n  \"batched_prefix_over_single\": {:.2},\n  \"suffix_speedup_sparse_over_densify\": {{\n",
-            self.conv_speedup, self.gemm_micro_over_axpy, self.batched_prefix_over_single
+            "  ],\n  \"conv_speedup_naive_over_gemm\": {:.2},\n  \"gemm_micro_over_axpy\": {:.2},\n  \"suffix_speedup_sparse_over_densify\": {{\n",
+            self.conv_speedup, self.gemm_micro_over_axpy
         );
         for (i, (s, x)) in self.suffix_speedups.iter().enumerate() {
             let _ = write!(body, "    \"{:.0}pct\": {x:.2}", s * 100.0);
@@ -523,8 +439,7 @@ impl Measurements {
         }
         let _ = write!(
             body,
-            "  }},\n  \"convhead_sparse_over_densify_50pct\": {:.2},\n  \"key_over_predicted_frame\": {:.2},\n  \"rfbme_reference_over_fast\": {:.2},\n  \"predicted_frame_fused_over_dense\": {:.2},\n  \"predicted_serial_over_pipelined\": {:.2},\n  \"session_memory_footprint\": {:.0}\n}}\n",
-            self.convhead_sparse_over_densify,
+            "  }},\n  \"key_over_predicted_frame\": {:.2},\n  \"rfbme_reference_over_fast\": {:.2},\n  \"predicted_frame_fused_over_dense\": {:.2},\n  \"predicted_serial_over_pipelined\": {:.2},\n  \"session_memory_footprint\": {:.0}\n}}\n",
             self.key_over_predicted,
             self.rfbme_reference_over_fast,
             self.predicted_frame_fused_over_dense,
@@ -547,16 +462,6 @@ impl Measurements {
         let mut v = vec![
             strict("conv_speedup_naive_over_gemm", self.conv_speedup),
             strict("gemm_micro_over_axpy", self.gemm_micro_over_axpy),
-            // Since the PR-5 port of the direct-B kernel + bias-store
-            // epilogue to the single-frame path, the batch's only
-            // remaining edge is A-pack amortisation — the ratio's true
-            // value is ~1.0, which puts it in the noise-marginal advisory
-            // class (a 30% band around parity flakes on container noise).
-            TrackedRatio {
-                key: "batched_prefix_over_single".to_string(),
-                value: self.batched_prefix_over_single,
-                advisory: true,
-            },
         ];
         for (s, x) in &self.suffix_speedups {
             v.push(strict(
@@ -564,18 +469,6 @@ impl Measurements {
                 *x,
             ));
         }
-        // The conv-head ratio sits barely above 1.0 (PR 3 committed 1.12,
-        // PR 4's container re-measure drifted to 1.06 — and the PR-5 port
-        // of the direct-B kernel to the single-frame path speeds up its
-        // *densify* baseline, pushing the ratio closer still to parity).
-        // With container noise a 30% band around ~1.0 flakes, so it is
-        // advisory: reported, tracked in the trajectory, but warn-only
-        // unless EVA2_BENCH_STRICT=1.
-        v.push(TrackedRatio {
-            key: "convhead_sparse_over_densify_50pct".to_string(),
-            value: self.convhead_sparse_over_densify,
-            advisory: true,
-        });
         v.push(strict("key_over_predicted_frame", self.key_over_predicted));
         v.push(strict(
             "rfbme_reference_over_fast",
@@ -654,9 +547,7 @@ mod tests {
             }],
             conv_speedup: 17.25,
             gemm_micro_over_axpy: 2.4,
-            batched_prefix_over_single: 1.3,
             suffix_speedups: vec![(0.5, 4.5), (0.8, 11.0)],
-            convhead_sparse_over_densify: 1.3,
             key_over_predicted: 1.21,
             rfbme_reference_over_fast: 6.8,
             predicted_frame_fused_over_dense: 1.4,
@@ -682,9 +573,7 @@ mod tests {
             entries: Vec::new(),
             conv_speedup: 1.0,
             gemm_micro_over_axpy: 1.0,
-            batched_prefix_over_single: 1.0,
             suffix_speedups: vec![(0.5, 1.0)],
-            convhead_sparse_over_densify: 1.0,
             key_over_predicted: 1.0,
             rfbme_reference_over_fast: 1.0,
             predicted_frame_fused_over_dense: 1.0,
@@ -700,8 +589,6 @@ mod tests {
         assert_eq!(
             advisory,
             vec![
-                "batched_prefix_over_single",
-                "convhead_sparse_over_densify_50pct",
                 "predicted_serial_over_pipelined",
                 "session_memory_footprint"
             ]

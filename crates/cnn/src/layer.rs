@@ -62,10 +62,9 @@ pub trait Layer: fmt::Debug + Send + Sync {
 
     /// Runs the layer forward reusing caller-owned scratch buffers.
     ///
-    /// Layers that lower to GEMM ([`Conv2d`]) use `scratch` for their
-    /// im2col packing so steady-state frame processing performs no
-    /// per-frame allocation; layers without scratch needs fall back to
-    /// [`Layer::forward`].
+    /// [`Conv2d`] keeps the padded copy of its input there, so steady-state
+    /// frame processing performs no per-frame allocation beyond the output;
+    /// layers without scratch needs fall back to [`Layer::forward`].
     fn forward_scratch(&self, input: &Tensor3, scratch: &mut GemmScratch) -> Tensor3 {
         let _ = scratch;
         self.forward(input)
@@ -90,10 +89,10 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// The contract is **bit-identity** with mapping
     /// [`Layer::forward_scratch`] over the batch; implementations may only
     /// reorganise work that cannot change any output bit. The default does
-    /// exactly that mapping. [`Conv2d`] overrides it to amortise GEMM
-    /// packing across frames, [`Relu`] to rectify in place (no per-frame
-    /// allocation), and [`MaxPool2d`] to pool over row slices instead of
-    /// per-element accessors.
+    /// exactly that mapping — a batch is a loop over frames for
+    /// [`Conv2d`] (its weights are packed when they change, so nothing is
+    /// left to amortise) and [`MaxPool2d`]. [`Relu`] overrides it to
+    /// rectify in place (no per-frame allocation).
     fn forward_batch(&self, batch: Vec<Tensor3>, scratch: &mut GemmScratch) -> Vec<Tensor3> {
         batch
             .iter()
@@ -101,11 +100,13 @@ pub trait Layer: fmt::Debug + Send + Sync {
             .collect()
     }
 
-    /// Runs the layer forward directly from a sparse activation, skipping
-    /// zero entries (the software analogue of the EVA² skip-zero suffix
-    /// feed, §IV of the paper).
+    /// Runs the layer forward directly from a sparse activation (the
+    /// software analogue of the EVA² skip-zero suffix feed, §IV of the
+    /// paper). [`FullyConnected`] skips the zero entries' work entirely;
+    /// [`Conv2d`] skips only the dense intermediate, scattering the
+    /// non-zeros into its padded input copy and running the dense kernel.
     ///
-    /// Returns `None` when the layer has no sparse-aware path; the caller
+    /// Returns `None` when the layer has no sparse-fed path; the caller
     /// then densifies and uses [`Layer::forward_scratch`].
     fn forward_sparse(
         &self,
@@ -208,14 +209,10 @@ pub struct Conv2d {
     geom: LayerGeometry,
     /// Weights indexed `[oc][ic][ky][kx]`, flattened.
     weights: Vec<f32>,
-    /// Transposed copy `[ic][ky][kx][oc]`, kept in sync by
-    /// [`Conv2d::sync_transpose`].
-    ///
-    /// The sparse conv-head path turns every surviving input entry into
-    /// `K²` unit-stride AXPYs over rows of this matrix (a *gather* over all
-    /// output channels at once, like the FC sparse path) instead of the
-    /// scalar plane-strided scatter it replaced.
-    weights_t: Vec<f32>,
+    /// `weights` packed into the forward kernel's row panels
+    /// ([`gemm::pack_conv_weights`]), kept in sync by
+    /// [`Conv2d::sync_panels`] so no frame pays for the packing.
+    panels: Vec<f32>,
     bias: Vec<f32>,
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
@@ -249,14 +246,14 @@ impl Conv2d {
                 padding,
             },
             weights,
-            weights_t: vec![0.0; n],
+            panels: Vec::new(),
             bias: vec![0.0; out_channels],
             grad_w: vec![0.0; n],
             grad_b: vec![0.0; out_channels],
             momentum_w: vec![0.0; n],
             momentum_b: vec![0.0; out_channels],
         };
-        conv.sync_transpose();
+        conv.sync_panels();
         conv
     }
 
@@ -277,34 +274,28 @@ impl Conv2d {
     }
 
     /// Direct access to the weight buffer (for tests constructing known
-    /// filters). Call [`Conv2d::sync_transpose`] after mutating before
-    /// exercising the sparse path.
+    /// filters). Call [`Conv2d::sync_panels`] after mutating, before the
+    /// next forward pass.
     pub fn weights_mut(&mut self) -> &mut [f32] {
         &mut self.weights
     }
 
-    /// Rebuilds the transposed weight copy after a weight mutation.
+    /// Re-packs the forward kernel's weight panels after a weight mutation.
     ///
     /// Called automatically by [`Layer::apply_grads`],
-    /// [`Layer::load_params`], and [`Conv2d::set_weight`]; tests poking
-    /// [`Conv2d::weights_mut`] directly must call it before exercising the
-    /// sparse path.
-    pub fn sync_transpose(&mut self) {
+    /// [`Layer::load_params`], and [`Conv2d::set_weight`]; code poking
+    /// [`Conv2d::weights_mut`] directly must call it before running the
+    /// layer forward.
+    pub fn sync_panels(&mut self) {
         let k_dim = self.in_channels * self.geom.kernel * self.geom.kernel;
-        for oc in 0..self.out_channels {
-            for w0 in 0..k_dim {
-                self.weights_t[w0 * self.out_channels + oc] = self.weights[oc * k_dim + w0];
-            }
-        }
+        gemm::pack_conv_weights(&self.weights, self.out_channels, k_dim, &mut self.panels);
     }
 
-    /// Sets a single weight `[oc][ic][ky][kx]` (both layouts stay in sync).
+    /// Sets a single weight `[oc][ic][ky][kx]` (and re-packs the panels).
     pub fn set_weight(&mut self, oc: usize, ic: usize, ky: usize, kx: usize, v: f32) {
         let i = self.w_index(oc, ic, ky, kx);
         self.weights[i] = v;
-        let k = self.geom.kernel;
-        let w0 = ((ic * k) + ky) * k + kx;
-        self.weights_t[w0 * self.out_channels + oc] = v;
+        self.sync_panels();
     }
 
     fn check_input(&self, shape: Shape3) {
@@ -317,9 +308,9 @@ impl Conv2d {
 
     /// Reference implementation: the direct six-loop convolution.
     ///
-    /// Kept for golden-equivalence tests and the naive-vs-GEMM benchmark;
-    /// the production path is [`Layer::forward`], which lowers to
-    /// im2col + GEMM ([`eva2_tensor::gemm`]).
+    /// Kept for golden-equivalence tests and the naive-vs-kernel benchmark;
+    /// the production path is [`Layer::forward`], the padded-domain direct
+    /// convolution of [`eva2_tensor::gemm`].
     pub fn forward_naive(&self, input: &Tensor3) -> Tensor3 {
         self.check_input(input.shape());
         let out_shape = self.output_shape(input.shape());
@@ -393,231 +384,6 @@ impl Conv2d {
         }
         grad_in
     }
-
-    /// Sparse forward: a *gather* over transposed weights, visiting no zero
-    /// entries at all.
-    ///
-    /// Each surviving input entry contributes `K²` unit-stride AXPYs over
-    /// `[ic][ky][kx]`-rows of the transposed weight copy, accumulated into a
-    /// position-major (`H·W × C_out`) scratch buffer so every inner
-    /// operation is a contiguous vector op — the same shape as the FC
-    /// sparse path. A final pass stores the accumulator channel-major and
-    /// adds the bias. Cost is `O(nnz · K² · C_out)` wide ops versus the
-    /// dense path's `O(C_in · H·W · K² · C_out)` — proportional savings
-    /// equal to the activation's sparsity, mirroring the paper's skip-zero
-    /// hardware, and (unlike the scalar scatter this replaced) the win is
-    /// realised already at 50% sparsity.
-    pub fn forward_sparse_impl(
-        &self,
-        input: &SparseActivation,
-        scratch: &mut GemmScratch,
-    ) -> Tensor3 {
-        self.check_input(input.shape());
-        let out_shape = self.output_shape(input.shape());
-        let s = self.geom.stride;
-        let mut out = Tensor3::zeros(out_shape);
-        let noc = self.out_channels;
-        let plane = out_shape.plane_len();
-        let acc = scratch.sparse_out_buffer(plane * noc);
-        if plane == 0 {
-            return out;
-        }
-        if s == 1 {
-            self.gather_stride1(input, out_shape, acc);
-            // Undo the x-mirroring of the accumulator (see gather_stride1)
-            // while storing channel-major and adding the bias.
-            let out_w = out_shape.width;
-            for (oc, &b) in self.bias.iter().enumerate() {
-                let ch = out.channel_mut(oc);
-                for (arow, orow) in acc
-                    .chunks_exact(out_w * noc)
-                    .zip(ch.chunks_exact_mut(out_w))
-                {
-                    for (ox, ov) in orow.iter_mut().enumerate() {
-                        *ov = b + arow[(out_w - 1 - ox) * noc + oc];
-                    }
-                }
-            }
-        } else {
-            self.gather_strided(input, out_shape, acc);
-            for (oc, &b) in self.bias.iter().enumerate() {
-                for (pos, ov) in out.channel_mut(oc).iter_mut().enumerate() {
-                    *ov = b + acc[pos * noc + oc];
-                }
-            }
-        }
-        out
-    }
-
-    /// Stride-1 gather: the hot case (every conv-head suffix layer in the
-    /// zoo).
-    ///
-    /// Two structural tricks keep the inner loop wide and branch-free:
-    ///
-    /// * Valid `ky`/`kx` windows are interval arithmetic per non-zero
-    ///   (`oy = iy + p − ky` must land in `[0, H_out)`), not per kernel
-    ///   position, and entries are walked per input row so the row/`ky`
-    ///   work hoists out of the per-entry loop — no division or modulo
-    ///   anywhere in the scan.
-    /// * The accumulator stores each output row **x-mirrored**
-    ///   (`acc[(oy·W + (W−1−ox))·C_out + oc]`). Ascending `kx` walks weight
-    ///   rows forward but output columns *backward* (`ox = x + p − kx`);
-    ///   mirroring makes both ascend, so each (non-zero, `ky`) pair becomes
-    ///   ONE contiguous `nkx·C_out`-wide AXPY over the transposed weights
-    ///   instead of `nkx` short reversed segments. The store pass un-mirrors.
-    fn gather_stride1(&self, input: &SparseActivation, out_shape: Shape3, acc: &mut [f32]) {
-        let k = self.geom.kernel;
-        let p = self.geom.padding;
-        let noc = self.out_channels;
-        let (out_h, out_w) = (out_shape.height, out_shape.width);
-        let w_in = input.shape().width;
-        for ic in 0..self.in_channels {
-            let entries = input.channel(ic);
-            let mut i = 0;
-            while i < entries.len() {
-                // One input row's worth of entries: positions are strictly
-                // ascending, so the group is a contiguous run.
-                let iy = entries[i].0 as usize / w_in;
-                let row_end = ((iy + 1) * w_in) as u32;
-                let mut j = i;
-                while j < entries.len() && entries[j].0 < row_end {
-                    j += 1;
-                }
-                let ynum = iy + p;
-                let ky_min = (ynum + 1).saturating_sub(out_h);
-                let ky_max = ynum.min(k - 1);
-                if ky_min <= ky_max {
-                    for &(pos, v) in &entries[i..j] {
-                        let xnum = pos as usize - iy * w_in + p;
-                        let kx_min = (xnum + 1).saturating_sub(out_w);
-                        let kx_max = xnum.min(k - 1);
-                        if kx_min > kx_max {
-                            continue;
-                        }
-                        let width = (kx_max - kx_min + 1) * noc;
-                        // Mirrored column of the first (kx_min) segment;
-                        // `kx_min ≥ xnum + 1 − out_w` keeps this in range.
-                        let mcol = (out_w - 1 + kx_min) - xnum;
-                        for ky in ky_min..=ky_max {
-                            let oy = ynum - ky;
-                            let w0 = ((ic * k + ky) * k + kx_min) * noc;
-                            let a0 = (oy * out_w + mcol) * noc;
-                            let wrun = &self.weights_t[w0..w0 + width];
-                            let arun = &mut acc[a0..a0 + width];
-                            for (av, wv) in arun.iter_mut().zip(wrun) {
-                                *av += v * wv;
-                            }
-                        }
-                    }
-                }
-                i = j;
-            }
-        }
-    }
-
-    /// General strided gather (stride > 1): same accumulation, with the
-    /// per-kernel-position divisibility checks the stride demands.
-    fn gather_strided(&self, input: &SparseActivation, out_shape: Shape3, acc: &mut [f32]) {
-        let k = self.geom.kernel;
-        let s = self.geom.stride;
-        let p = self.geom.padding;
-        let noc = self.out_channels;
-        for (ic, iy, ix, v) in input.iter_coords() {
-            for ky in 0..k {
-                // iy = oy*s - p + ky  ⇒  oy = (iy + p - ky) / s.
-                let oy_num = iy + p;
-                if oy_num < ky {
-                    break; // ky increases: later kernel rows can't match either
-                }
-                let oy_off = oy_num - ky;
-                if !oy_off.is_multiple_of(s) {
-                    continue;
-                }
-                let oy = oy_off / s;
-                if oy >= out_shape.height {
-                    continue;
-                }
-                for kx in 0..k {
-                    let ox_num = ix + p;
-                    if ox_num < kx {
-                        break;
-                    }
-                    let ox_off = ox_num - kx;
-                    if !ox_off.is_multiple_of(s) {
-                        continue;
-                    }
-                    let ox = ox_off / s;
-                    if ox >= out_shape.width {
-                        continue;
-                    }
-                    let w0 = ((ic * k) + ky) * k + kx;
-                    let o0 = oy * out_shape.width + ox;
-                    gemm::axpy(
-                        v,
-                        &self.weights_t[w0 * noc..(w0 + 1) * noc],
-                        &mut acc[o0 * noc..(o0 + 1) * noc],
-                    );
-                }
-            }
-        }
-    }
-
-    /// The pre-gather scalar scatter implementation, kept as an independent
-    /// oracle for the sparse-path equivalence tests and the bench that
-    /// tracks the gather restructure's win.
-    pub fn forward_sparse_scatter(&self, input: &SparseActivation) -> Tensor3 {
-        self.check_input(input.shape());
-        let out_shape = self.output_shape(input.shape());
-        let k = self.geom.kernel;
-        let s = self.geom.stride;
-        let p = self.geom.padding;
-        let mut out = Tensor3::zeros(out_shape);
-        for oc in 0..self.out_channels {
-            out.channel_mut(oc).fill(self.bias[oc]);
-        }
-        if out_shape.is_empty() {
-            return out;
-        }
-        let w_stride = self.in_channels * k * k; // between consecutive oc
-        let plane = out_shape.plane_len();
-        for (ic, iy, ix, v) in input.iter_coords() {
-            for ky in 0..k {
-                let oy_num = iy + p;
-                if oy_num < ky {
-                    break;
-                }
-                let oy_off = oy_num - ky;
-                if !oy_off.is_multiple_of(s) {
-                    continue;
-                }
-                let oy = oy_off / s;
-                if oy >= out_shape.height {
-                    continue;
-                }
-                for kx in 0..k {
-                    let ox_num = ix + p;
-                    if ox_num < kx {
-                        break;
-                    }
-                    let ox_off = ox_num - kx;
-                    if !ox_off.is_multiple_of(s) {
-                        continue;
-                    }
-                    let ox = ox_off / s;
-                    if ox >= out_shape.width {
-                        continue;
-                    }
-                    let w0 = ((ic * k) + ky) * k + kx;
-                    let o0 = oy * out_shape.width + ox;
-                    let out_buf = out.as_mut_slice();
-                    for oc in 0..self.out_channels {
-                        out_buf[oc * plane + o0] += self.weights[oc * w_stride + w0] * v;
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Debug for Conv2d {
@@ -658,30 +424,14 @@ impl Layer for Conv2d {
 
     fn forward_scratch(&self, input: &Tensor3, scratch: &mut GemmScratch) -> Tensor3 {
         self.check_input(input.shape());
+        let g = self.geom;
         gemm::conv2d_forward(
             input,
-            &self.weights,
+            &self.panels,
             &self.bias,
-            self.out_channels,
-            self.geom.kernel,
-            self.geom.stride,
-            self.geom.padding,
-            scratch,
-        )
-    }
-
-    fn forward_batch(&self, batch: Vec<Tensor3>, scratch: &mut GemmScratch) -> Vec<Tensor3> {
-        if let Some(first) = batch.first() {
-            self.check_input(first.shape());
-        }
-        gemm::conv2d_forward_batch(
-            &batch,
-            &self.weights,
-            &self.bias,
-            self.out_channels,
-            self.geom.kernel,
-            self.geom.stride,
-            self.geom.padding,
+            g.kernel,
+            g.stride,
+            g.padding,
             scratch,
         )
     }
@@ -691,7 +441,17 @@ impl Layer for Conv2d {
         input: &SparseActivation,
         scratch: &mut GemmScratch,
     ) -> Option<Tensor3> {
-        Some(self.forward_sparse_impl(input, scratch))
+        self.check_input(input.shape());
+        let g = self.geom;
+        Some(gemm::conv2d_forward_sparse(
+            input,
+            &self.panels,
+            &self.bias,
+            g.kernel,
+            g.stride,
+            g.padding,
+            scratch,
+        ))
     }
 
     fn backward(&mut self, input: &Tensor3, grad_out: &Tensor3) -> Tensor3 {
@@ -735,7 +495,7 @@ impl Layer for Conv2d {
             self.bias[i] -= scale * self.momentum_b[i];
             self.grad_b[i] = 0.0;
         }
-        self.sync_transpose();
+        self.sync_panels();
     }
 
     fn geometry(&self) -> Option<LayerGeometry> {
@@ -770,7 +530,7 @@ impl Layer for Conv2d {
         let (w, b) = params.split_at(self.weights.len());
         self.weights.copy_from_slice(w);
         self.bias.copy_from_slice(b);
-        self.sync_transpose();
+        self.sync_panels();
     }
 
     fn describe(&self) -> LayerInfo {
@@ -819,6 +579,47 @@ impl MaxPool2d {
     }
 }
 
+/// `N` neighbouring outputs of one max-pool row: lane `i` is the maximum
+/// of the `k × k` window at column `i·s` of `rows` (the input rows from the
+/// window's first, `w` apart), folded `ky`-outer, `kx`-inner from −∞.
+///
+/// The `N` running maxima stay in one register across the whole window.
+/// The compiler unrolls the window and turns the strided reads into
+/// shuffles only when `k` and `s` are literals at the (inlined) call site —
+/// see `MaxPool2d::forward`.
+#[inline(always)]
+fn pool_block<const N: usize>(rows: &[f32], w: usize, k: usize, s: usize) -> [f32; N] {
+    let mut acc = [f32::NEG_INFINITY; N];
+    for ky in 0..k {
+        let row = &rows[ky * w..][..(N - 1) * s + k];
+        for kx in 0..k {
+            for lane in 0..N {
+                acc[lane] = acc[lane].max(row[lane * s + kx]);
+            }
+        }
+    }
+    acc
+}
+
+/// One output row of a max-pool, in [`pool_block`]s of eight (a `ymm`
+/// register); a ragged end is covered by a last block that overlaps its
+/// neighbour, and rows narrower than a block go output by output.
+#[inline(always)]
+fn pool_row(m: &mut [f32], rows: &[f32], w: usize, k: usize, s: usize) {
+    const LANES: usize = 8;
+    let n = m.len();
+    if n >= LANES {
+        for b in 0..n.div_ceil(LANES) {
+            let o = (b * LANES).min(n - LANES);
+            m[o..o + LANES].copy_from_slice(&pool_block::<LANES>(&rows[o * s..], w, k, s));
+        }
+    } else {
+        for (o, mv) in m.iter_mut().enumerate() {
+            [*mv] = pool_block::<1>(&rows[o * s..], w, k, s);
+        }
+    }
+}
+
 impl Layer for MaxPool2d {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
@@ -837,50 +638,31 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&self, input: &Tensor3) -> Tensor3 {
-        let out_shape = self.output_shape(input.shape());
+        // Row slices instead of per-element accessors; every output is
+        // still the fold `max(…max(max(−∞, w₀₀), w₀₁)…, w_kk)` over its
+        // window in `ky`-outer, `kx`-inner order.
+        let in_shape = input.shape();
+        let out_shape = self.output_shape(in_shape);
         let k = self.geom.kernel;
         let s = self.geom.stride;
-        Tensor3::from_fn(out_shape, |c, oy, ox| {
-            let mut m = f32::NEG_INFINITY;
-            for ky in 0..k {
-                for kx in 0..k {
-                    m = m.max(input.get(c, oy * s + ky, ox * s + kx));
-                }
+        let mut out = vec![0.0f32; out_shape.len()];
+        if out_shape.is_empty() {
+            return Tensor3::from_vec(out_shape, out);
+        }
+        let w = in_shape.width;
+        for (r, m) in out.chunks_exact_mut(out_shape.width).enumerate() {
+            let (c, oy) = (r / out_shape.height, r % out_shape.height);
+            let rows = &input.channel(c)[oy * s * w..];
+            // A literal window and stride let the inlined body unroll and
+            // its strided reads become shuffles; every zoo pool is 2×2 at
+            // stride 2. Other shapes take the same body as compiled for
+            // run-time values (mostly scalar).
+            match (k, s) {
+                (2, 2) => pool_row(m, rows, w, 2, 2),
+                _ => pool_row(m, rows, w, k, s),
             }
-            m
-        })
-    }
-
-    fn forward_batch(&self, batch: Vec<Tensor3>, _scratch: &mut GemmScratch) -> Vec<Tensor3> {
-        // Row-slice pooling: same windows folded in the same (ky-outer,
-        // kx-inner) order as `forward`, so every output bit matches — only
-        // the per-element closure/indexing overhead of `from_fn` is gone.
-        let k = self.geom.kernel;
-        let s = self.geom.stride;
-        batch
-            .iter()
-            .map(|input| {
-                let in_shape = input.shape();
-                let out_shape = self.output_shape(in_shape);
-                let mut out = Vec::with_capacity(out_shape.len());
-                for c in 0..out_shape.channels {
-                    let plane = input.channel(c);
-                    for oy in 0..out_shape.height {
-                        for ox in 0..out_shape.width {
-                            let mut m = f32::NEG_INFINITY;
-                            for ky in 0..k {
-                                let row = &plane[(oy * s + ky) * in_shape.width + ox * s..][..k];
-                                for &v in row {
-                                    m = m.max(v);
-                                }
-                            }
-                            out.push(m);
-                        }
-                    }
-                }
-                Tensor3::from_vec(out_shape, out)
-            })
-            .collect()
+        }
+        Tensor3::from_vec(out_shape, out)
     }
 
     fn backward(&mut self, input: &Tensor3, grad_out: &Tensor3) -> Tensor3 {
@@ -1032,9 +814,9 @@ pub struct FullyConnected {
     weights: Vec<f32>,
     /// Transposed copy `[in][out]`, kept in sync by [`FullyConnected::sync_transpose`].
     ///
-    /// The sparse suffix path turns every non-zero input into one
-    /// unit-stride AXPY over a row of this matrix, so skip-zero execution
-    /// vectorizes as well as the dense path it replaces.
+    /// Both forward paths turn an input into one unit-stride AXPY over a
+    /// row of this matrix — every input on the dense path, every non-zero
+    /// on the sparse one.
     weights_t: Vec<f32>,
     bias: Vec<f32>,
     grad_w: Vec<f32>,
@@ -1080,7 +862,7 @@ impl FullyConnected {
     ///
     /// Called automatically by [`Layer::apply_grads`] and
     /// [`Layer::load_params`]; tests poking `weights` directly must call it
-    /// before exercising the sparse path.
+    /// before running the layer forward.
     pub fn sync_transpose(&mut self) {
         for o in 0..self.out_features {
             for i in 0..self.in_features {
@@ -1123,15 +905,14 @@ impl Layer for FullyConnected {
 
     fn forward(&self, input: &Tensor3) -> Tensor3 {
         let out_shape = self.output_shape(input.shape());
-        let x = input.as_slice();
-        let mut out = Vec::with_capacity(self.out_features);
-        for o in 0..self.out_features {
-            let row = &self.weights[o * self.in_features..(o + 1) * self.in_features];
-            let mut acc = self.bias[o];
-            for (w, v) in row.iter().zip(x) {
-                acc += w * v;
-            }
-            out.push(acc);
+        // One AXPY per input over a row of the transposed weights: every
+        // output still sums `bias + w·x₀ + w·x₁ + …` in input order, but
+        // the outputs advance together in vector registers instead of each
+        // waiting on its own scalar chain.
+        let nout = self.out_features;
+        let mut out = self.bias.clone();
+        for (i, &v) in input.as_slice().iter().enumerate() {
+            gemm::axpy(v, &self.weights_t[i * nout..(i + 1) * nout], &mut out);
         }
         Tensor3::from_vec(out_shape, out)
     }
@@ -1149,9 +930,8 @@ impl Layer for FullyConnected {
             input.shape().len(),
             self.in_features
         );
-        // Each non-zero input contributes one vectorized AXPY over a row of
-        // the transposed weights; zeros cost nothing (`O(nnz · out)` wide
-        // ops vs the dense `O(in · out)`).
+        // [`Layer::forward`] minus the zero inputs' AXPYs (`O(nnz · out)`
+        // wide ops vs the dense `O(in · out)`).
         let nout = self.out_features;
         let mut out = self.bias.clone();
         for (i, v) in input.iter_flat() {
@@ -1374,6 +1154,7 @@ mod tests {
         let mut fc = FullyConnected::new("f", 3, 2, &mut rng());
         fc.weights = vec![1.0, 0.0, -1.0, 0.5, 0.5, 0.5];
         fc.bias = vec![0.1, -0.1];
+        fc.sync_transpose();
         let input = Tensor3::from_vec(Shape3::new(3, 1, 1), vec![2.0, 3.0, 4.0]);
         let out = fc.forward(&input);
         assert!((out.get(0, 0, 0) - (2.0 - 4.0 + 0.1)).abs() < 1e-6);
@@ -1413,6 +1194,7 @@ mod tests {
         let mut fc = FullyConnected::new("f", 2, 1, &mut rng());
         fc.weights = vec![1.0, 1.0];
         fc.bias = vec![0.0];
+        fc.sync_transpose();
         let input = Tensor3::from_vec(Shape3::new(2, 1, 1), vec![1.0, 1.0]);
         // Loss = output; d(loss)/dw = input = 1, so weights must decrease.
         let grad_out = Tensor3::filled(Shape3::new(1, 1, 1), 1.0);

@@ -351,8 +351,8 @@ impl ExecStats {
 pub struct AmcExecutor<'n> {
     net: &'n Network,
     core: SessionCore,
-    /// Reusable im2col/GEMM buffers: steady-state frame processing performs
-    /// no per-frame convolution-engine allocation.
+    /// Reusable convolution buffers (padded input copies): steady-state
+    /// frame processing performs no per-frame convolution-engine allocation.
     scratch: GemmScratch,
     /// Reusable RFBME buffers, for the same reason.
     motion_scratch: RfbmeScratch,

@@ -23,8 +23,8 @@
 //!   frame's RFBME with the current frame's CNN work on a worker thread).
 //! * Multi-stream serving → [`serve`] ([`serve::Engine`] owns the network
 //!   and shared scratch; each video stream is a [`serve::StreamSession`],
-//!   and key frames from independent streams share one batched
-//!   im2col + packed-GEMM prefix pass).
+//!   and key frames from independent streams share one batched,
+//!   layer-by-layer prefix pass).
 //!
 //! Configuration errors are typed ([`AmcError`]); build configurations
 //! through [`executor::AmcConfig::builder`].

@@ -9,7 +9,7 @@
 //! GEMM scratch). This module splits them:
 //!
 //! * [`Engine`] owns the process-wide resources — an [`Arc<Network>`] plus
-//!   one im2col/packing pool and one RFBME scratch per worker — and
+//!   one convolution scratch and one RFBME scratch per worker — and
 //!   executes frames.
 //! * [`StreamSession`] holds exactly the per-stream state: the stored key
 //!   frame and its sparse activation, the key-frame policy, and per-stream
@@ -62,8 +62,9 @@
 //! 2. **Coinciding key frames** fan out frame-per-thread: each worker
 //!    runs *its* subset of the tick's key frames through one
 //!    `forward_prefix_batched` sub-batch (one frame per thread beats
-//!    splitting a single 48×48 frame's GEMM across cores — the PR-4
-//!    finding; within a worker the sub-batch still amortises A-packing).
+//!    splitting a single 48×48 frame's convolution across cores — the
+//!    PR-4 finding; within a worker the sub-batch runs layer by layer, so
+//!    a layer's weight panels stay cache-resident across its frames).
 //! 3. **Completion** (sparse store refresh + suffix for keys, warp +
 //!    suffix for predicted) is per-session work and again runs
 //!    stream-per-worker.
@@ -94,9 +95,9 @@
 //! `worker_threads: 1` (the default) runs every phase inline — no threads
 //! are spawned, and the engine behaves exactly like the pre-pool
 //! implementation. On the single-CPU dev container the forced thread
-//! count is still honoured (cf. `gemm_nn_threads`), which is how the
-//! bit-identity tests exercise the real split without multi-core
-//! hardware; wall-clock scaling needs a multi-core host.
+//! count is still honoured, which is how the bit-identity tests exercise
+//! the real split without multi-core hardware; wall-clock scaling needs a
+//! multi-core host.
 //!
 //! # Lifecycle & failure modes
 //!
@@ -1250,10 +1251,10 @@ pub struct EngineLimits {
     /// Worker threads one [`Engine::process_batch`] tick fans out over
     /// (see the [module docs](self#threading-model--determinism)). `1`
     /// (the default) runs every phase inline on the calling thread and
-    /// spawns nothing. This is a *forced* count, not a hint (cf. the GEMM
-    /// `gemm_nn_threads` hook): asking for 3 workers on a single-CPU host
-    /// still splits the work three ways, which is what makes the threaded
-    /// code path testable on a one-core container.
+    /// spawns nothing. This is a *forced* count, not a hint: asking for 3
+    /// workers on a single-CPU host still splits the work three ways,
+    /// which is what makes the threaded code path testable on a one-core
+    /// container. The worker pool is the system's one parallelism layer.
     pub worker_threads: usize,
 }
 
@@ -1545,7 +1546,8 @@ pub struct Engine {
     rf: RfGeometry,
     prefix_macs: u64,
     total_macs: u64,
-    /// Per-worker im2col/pack pools — one `GemmScratch` per
+    /// Per-worker convolution scratch (padded input copies) — one
+    /// `GemmScratch` per
     /// [`EngineLimits::worker_threads`], so each worker's CNN hot path is
     /// lock-free and steady-state serving allocates no convolution
     /// scratch no matter how many streams are open. Index 0 is the

@@ -24,7 +24,7 @@ fn scene(seed: u64) -> Scene {
 }
 
 /// CI hook: `EVA2_SERVE_WORKERS=N` re-runs this whole suite through the
-/// threaded engine (a forced worker count, cf. `gemm_nn_threads`, so it
+/// threaded engine (a forced worker count, so it
 /// exercises the fan-out even on a single-CPU container). Outcomes are
 /// bit-identical for any worker count, so every assertion holds unchanged.
 fn workers_from_env(mut limits: EngineLimits) -> EngineLimits {

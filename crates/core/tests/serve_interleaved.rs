@@ -7,9 +7,8 @@
 //! in wall-clock time (the cross-stream analogue of
 //! `pipeline_bitident.rs`).
 //!
-//! Worker counts here are *forced* ([`EngineLimits::worker_threads`], cf.
-//! the GEMM `gemm_nn_threads` hook), so the fan-out code path is exercised
-//! even on a single-CPU container.
+//! Worker counts here are *forced* ([`EngineLimits::worker_threads`]), so
+//! the fan-out code path is exercised even on a single-CPU container.
 
 use eva2_cnn::zoo;
 use eva2_core::error::AmcError;

@@ -1,85 +1,102 @@
-//! Packed, register-blocked f32 GEMM and im2col/col2im — the convolution
-//! engine behind `eva2_cnn::Conv2d`.
+//! The convolution engine behind `eva2_cnn::Conv2d`: a padded-domain
+//! direct convolution for the forward pass, and a packed, register-blocked
+//! f32 GEMM over im2col for training.
 //!
 //! # Why this exists
 //!
 //! EVA²'s performance story rests on the cost asymmetry between full CNN
 //! execution (key frames) and suffix-only execution (predicted frames). For
 //! the software reproduction to *measure* that asymmetry honestly, the
-//! forward pass must be compute-bound rather than interpreter-bound: with
-//! RFBME's fast path in place, key frames — dominated by the prefix GEMM —
-//! are the pipeline's critical path, so every GFLOP/s left on the table
-//! here inflates the apparent AMC savings. This module lowers convolution
-//! to matrix multiplication, the same transformation Caffe used for the
-//! networks the paper evaluates, and drives it with a register-blocked
-//! micro-kernel.
+//! forward pass must be compute-bound rather than interpreter-bound: key
+//! frames — dominated by the prefix convolutions — are the pipeline's
+//! critical path, so every GMAC/s left on the table here inflates the
+//! apparent AMC savings.
 //!
 //! # Lowering
 //!
 //! For an input of shape `C_in × H × W` and a square `K × K` kernel with
-//! stride `S` and padding `P`:
+//! stride `S` and padding `P`, [`conv2d_forward`] never materialises the
+//! `(C_in·K²) × (H_out·W_out)` im2col matrix (9× the input for a 3×3
+//! kernel). Instead:
 //!
-//! * [`im2col_into`] unfolds every receptive-field patch into one *column*
-//!   of a `(C_in·K²) × (H_out·W_out)` matrix. Patches are laid out so that
-//!   the weight tensor `[oc][ic][ky][kx]`, flattened row-major, is already
-//!   the left-hand matrix — no weight repacking is needed.
-//! * [`gemm_nn`] computes `C += A·B` with `A = weights (C_out × C_in·K²)`
-//!   and `B = cols`, producing the output activation directly in
-//!   channel-major `Tensor3` layout.
-//! * The backward pass reuses the same packing: `∂W = ∂Y · colsᵀ`
-//!   ([`gemm_nt`]), `∂cols = Wᵀ · ∂Y` ([`gemm_tn`]), and [`col2im_into`]
-//!   scatter-adds `∂cols` back to `∂X`.
+//! * the input is copied **once** into a zero-bordered buffer held in
+//!   [`GemmScratch`] — `C_in` planes of `(H+2P) × (W+2P)`; for `S > 1` the
+//!   same copy splits every plane into `S²` *phase planes*
+//!   (`phase(ry, rx)[y][x] = padded[S·y + ry][S·x + rx]`), which turns the
+//!   strided convolution into a stride-1 one over them;
+//! * the `C_in·K²` *tap offsets* are built once per call: tap
+//!   `p = (ic, ky, kx)` of output `(0, 0)` reads `buf[off[p]]`, and the
+//!   same tap of output `(oy, ox)` reads `buf[off[p] + oy·Wp + ox]`, where
+//!   `Wp` is the row pitch of a (phase) plane;
+//! * the [`MR`]`×`[`NR`] register tile walks the *padded-width* output grid
+//!   `j' = oy·Wp + ox`, so every tap's `NR` operands are one contiguous
+//!   load `buf[off[p] + j' ..][..NR]` for any tile. Tiles may straddle
+//!   output rows; lanes with `ox ≥ W_out` compute values nobody stores
+//!   (`(Wp − W_out)/Wp` of the work: 4 % at 48×48 with a 3×3 kernel, 14 %
+//!   at 12×12), and the buffer carries `NR` floats of slack so the last
+//!   tile's loads stay in bounds;
+//! * the store writes only lanes with `ox < W_out`, as `bias + tile`.
+//!
+//! The weights are packed into `MR`-row kernel-order panels by
+//! [`pack_conv_weights`] — once, when the layer is built or its weights
+//! change, not per call. A sparse activation takes the same road through
+//! [`conv2d_forward_sparse`]: its non-zeros are scattered straight into the
+//! zeroed padded buffer (the densify *is* the padding copy).
+//!
+//! Each output sees the operands of row `p` of the im2col matrix in the
+//! same `p` order, with the same [`KC`] depth blocking, as a bias-prefilled
+//! [`gemm_nn`] over [`im2col_into`] would feed it, so the two agree **bit
+//! for bit** on every geometry (`direct_conv_bit_identical_to_im2col_gemm`
+//! in `eva2-cnn` pins that over random geometries in both build profiles).
+//!
+//! The backward pass still lowers to GEMM: `∂W = ∂Y · colsᵀ`
+//! ([`gemm_nt`]) over [`im2col_into`]'s patch matrix, `∂cols = Wᵀ · ∂Y`
+//! ([`gemm_tn`]), and [`col2im_into`] scatter-adds `∂cols` back to `∂X`.
 //!
 //! # Blocking scheme
 //!
-//! All three transpose variants run one loop nest (BLIS-style):
+//! The direct convolution's loop nest is: for each `NR`-wide tile of the
+//! padded grid, for each `MR`-row weight panel, for each [`KC`]-deep block
+//! of taps — one micro-kernel run (`microkernel.rs`) with `MR·NR = 64`
+//! accumulators in registers, summed across depth blocks in registers and
+//! stored once. A tile's operands are `C_in` short runs of `K` input rows,
+//! L1-resident while every weight panel streams against them.
 //!
-//! 1. `A` is packed once into [`MR`]-row panels in *kernel order* — the
-//!    `MR` values needed at depth step `p` are contiguous (`pack.rs`).
-//! 2. For each [`NC`]-wide column block and [`KC`]-deep depth block, the
-//!    corresponding `B` panel is packed into [`NR`]-column panels
-//!    (`KC × NC × 4 B ≈ 256 KB`, sized to stay L2-resident while every row
-//!    panel of `A` streams against it).
-//! 3. The inner loops walk `MR × NR` tiles of `C`, each computed by the
-//!    register-blocked micro-kernel (`microkernel.rs`): `MR·NR = 64`
-//!    accumulators held in registers across the whole depth block, `MR`
-//!    independent 16-wide FMAs per depth step, zero loads from `C` until
-//!    the block completes.
+//! The micro-kernel compiles to `ymm` `vmulps` + `vaddps` — **no FMA**:
+//! Rust never contracts `a*b + c`, and the disassembled serving benchmark
+//! holds 0 `vfmadd`. Its ceiling is therefore the mul+add port limit,
+//! measured at 23–27 GMAC/s on the development host
+//! (`tensor.gemm.peak_gmacs_per_s`), half of what the FMA units could do.
+//! `f32::mul_add` changes every output bit, so it is a step of its own.
 //!
-//! Ragged `M`/`N` edges are zero-padded during packing so the micro-kernel
-//! never branches on tile shape; ragged `K` tails just shorten the depth
-//! loop. Transposed operands (`gemm_nt`, `gemm_tn`) are handled by the
-//! *packers* through strided views, so no transpose is ever materialised
-//! and the hot loop is identical for all variants.
-//!
-//! The packed panels live in [`GemmScratch`] (`pack_a`/`pack_b`), so
-//! steady-state frame processing packs into the same allocations every
-//! frame. The PR-1 AXPY-panel kernel survives as [`gemm_nn_axpy`]: it is
-//! the measured baseline for the `gemm_micro_over_axpy` trajectory ratio
-//! and an independent reference for equivalence tests.
-//!
-//! With the `parallel` crate feature, large [`gemm_nn`] products split the
-//! `N` dimension across scoped threads: `A` is packed once and shared
-//! read-only, each thread packs its own `B` column stripe (so packing cost
-//! is amortised, not duplicated per row block) and accumulates into its own
-//! output stripe, which the caller folds back into `C` after the join —
-//! per-thread writes stay disjoint without locking. Small products stay
-//! single-threaded — see [`PAR_THRESHOLD`].
+//! The GEMM transpose variants ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) run
+//! one BLIS-style nest: `A` is packed once into `MR`-row kernel-order
+//! panels (`pack.rs`); for each [`NC`]-wide column block and `KC`-deep
+//! depth block, `B` is packed into `NR`-column panels (`KC × NC × 4 B ≈
+//! 256 KB`, L2-resident while `A`'s panels stream against it); the inner
+//! loops walk `MR × NR` tiles of `C`. Ragged `M`/`N` edges are zero-padded
+//! during packing; ragged `K` tails shorten the depth loop. Transposed
+//! operands are handled by the *packers* through strided views, so no
+//! transpose is ever materialised. The PR-1 AXPY-panel kernel survives as
+//! [`gemm_nn_axpy`]: the measured baseline for the `gemm_micro_over_axpy`
+//! trajectory ratio and an independent reference for equivalence tests.
 //!
 //! # Scratch reuse
 //!
-//! [`GemmScratch`] owns the im2col buffers and the packed GEMM panels.
-//! Callers that process many frames (the AMC executor, the training loop)
-//! hold one scratch and pass it to [`conv2d_forward`]/[`conv2d_backward`],
-//! so steady-state execution performs **no** per-frame allocation in the
-//! convolution engine. One-shot callers can use [`with_thread_scratch`],
-//! which reuses a thread-local scratch.
+//! [`GemmScratch`] owns the padded input copy, the tap offsets, the
+//! backward pass's im2col buffers and the packed GEMM panels. Callers that
+//! process many frames (the AMC executor, the serving engine's workers, the
+//! training loop) hold one scratch and pass it to
+//! [`conv2d_forward`]/[`conv2d_backward`], so steady-state execution
+//! performs **no** per-frame allocation in the convolution engine. One-shot
+//! callers can use [`with_thread_scratch`], which reuses a thread-local
+//! scratch.
 //!
 //! # Reproducing the benchmarks
 //!
 //! ```text
 //! cargo bench -p eva2-bench --bench cnn -- gemm_micro   # micro-kernel vs AXPY
-//! cargo bench -p eva2-bench --bench cnn -- conv_paths   # naive vs GEMM
+//! cargo bench -p eva2-bench --bench cnn -- conv_paths   # naive vs direct conv
 //! cargo bench -p eva2-bench --bench sparse -- suffix    # sparse suffix
 //! cargo run --release -p eva2-bench --bin bench_conv    # BENCH_conv.json
 //! ```
@@ -93,9 +110,10 @@
 
 // lint: hot-path
 
-use crate::microkernel::{add_tile, microkernel, microkernel_direct, store_tile_bias};
+use crate::microkernel::{add_tile, microkernel, microkernel_taps};
 use crate::pack::{pack_a_block, pack_b_block, MatRef};
 use crate::shape::Shape3;
+use crate::sparse::SparseActivation;
 use crate::tensor::Tensor3;
 use std::cell::RefCell;
 
@@ -109,11 +127,6 @@ pub const KC: usize = 256;
 /// `KC × NC` f32 ≈ 256 KB, sized to stay L2-resident while every `MR`-row
 /// panel of `A` streams against it.
 pub const NC: usize = 256;
-
-/// Minimum `M·N·K` before the `parallel` feature splits [`gemm_nn`]'s
-/// packed B-panels across threads; below this the spawn overhead dominates.
-#[cfg(feature = "parallel")]
-pub const PAR_THRESHOLD: usize = 1 << 18;
 
 /// Output spatial length of a convolution along one axis (floor convention,
 /// matching `LayerGeometry::output_len` in `eva2-cnn`).
@@ -136,23 +149,26 @@ pub(crate) struct PackBufs {
     b: Vec<f32>,
 }
 
-/// Reusable buffers for the im2col-lowered convolution engine.
+/// Reusable buffers for the convolution engine.
 ///
 /// Holding one `GemmScratch` across frames eliminates steady-state heap
 /// allocation (the buffers grow to the largest layer seen, then stabilise):
-/// `cols`/`cols_grad` hold the im2col patch matrices, `packs` the
-/// kernel-ordered GEMM panels, and `sparse_out` the position-major
-/// accumulator of the sparse conv-head gather path.
+/// `padded`/`taps` serve the forward pass's direct convolution,
+/// `cols`/`cols_grad` the backward pass's im2col matrices, and `packs` the
+/// kernel-ordered GEMM panels.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
-    /// im2col patch matrix, `(C_in·K²) × (H_out·W_out)`.
+    /// Zero-bordered (phase-split) copy of the forward input, plus [`NR`]
+    /// floats of slack — see [`PaddedLayout`].
+    padded: Vec<f32>,
+    /// Offset of every `(ic, ky, kx)` tap of output `(0, 0)` in `padded`.
+    taps: Vec<usize>,
+    /// im2col patch matrix, `(C_in·K²) × (H_out·W_out)` (backward pass).
     cols: Vec<f32>,
     /// Gradient w.r.t. `cols` in the backward pass.
     cols_grad: Vec<f32>,
     /// Packed GEMM panels.
     packs: PackBufs,
-    /// Position-major (`H·W × C_out`) accumulator for sparse conv gathers.
-    sparse_out: Vec<f32>,
 }
 
 impl GemmScratch {
@@ -163,24 +179,13 @@ impl GemmScratch {
 
     /// Total bytes currently held by the scratch buffers.
     pub fn capacity_bytes(&self) -> usize {
-        (self.cols.capacity()
+        (self.padded.capacity()
+            + self.cols.capacity()
             + self.cols_grad.capacity()
             + self.packs.a.capacity()
-            + self.packs.b.capacity()
-            + self.sparse_out.capacity())
+            + self.packs.b.capacity())
             * std::mem::size_of::<f32>()
-    }
-
-    /// Borrows the position-major sparse-gather accumulator, resized to
-    /// `len` and **zero-filled** — callers accumulate (`+=`) into it, so
-    /// the zeroing is part of the contract, not an implementation detail.
-    ///
-    /// Exposed for `eva2_cnn`'s sparse conv-head path, which accumulates
-    /// transposed-weight gathers here before the final channel-major store.
-    pub fn sparse_out_buffer(&mut self, len: usize) -> &mut [f32] {
-        self.sparse_out.clear();
-        self.sparse_out.resize(len, 0.0);
-        &mut self.sparse_out
+            + self.taps.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -240,45 +245,8 @@ fn pack_a_full(a: MatRef<'_>, m: usize, k: usize, buf: &mut Vec<f32>) {
     }
 }
 
-/// The packed loop nest over columns `jc0..jc0+nc_total` of `b`, writing
-/// into `c` (row-major, leading dimension `ldc`, whose column 0 maps to
-/// `b` column `jc0`). `packed_a` must come from [`pack_a_full`].
-#[allow(clippy::too_many_arguments)] // the full blocking state, spelled out
-fn packed_loop(
-    m: usize,
-    k: usize,
-    packed_a: &[f32],
-    b: MatRef<'_>,
-    jc0: usize,
-    nc_total: usize,
-    c: &mut [f32],
-    ldc: usize,
-    pack_b: &mut Vec<f32>,
-) {
-    let m_panels = m.div_ceil(MR);
-    for jc in (0..nc_total).step_by(NC) {
-        let nc = NC.min(nc_total - jc);
-        let n_panels = nc.div_ceil(NR);
-        for kb in (0..k).step_by(KC) {
-            let kc = KC.min(k - kb);
-            pack_b.resize(n_panels * NR * kc, 0.0);
-            pack_b_block(b, kb, kc, jc0 + jc, nc, pack_b);
-            let a_block = &packed_a[kb * m_panels * MR..];
-            for ip in 0..m_panels {
-                let mr = MR.min(m - ip * MR);
-                let a_panel = &a_block[ip * MR * kc..(ip + 1) * MR * kc];
-                for jp in 0..n_panels {
-                    let nr = NR.min(nc - jp * NR);
-                    let b_panel = &pack_b[jp * NR * kc..(jp + 1) * NR * kc];
-                    let tile = microkernel(kc, a_panel, b_panel);
-                    add_tile(&tile, c, ldc, ip * MR, jc + jp * NR, mr, nr);
-                }
-            }
-        }
-    }
-}
-
-/// Serial packed GEMM over strided operand views: `C += A·B`.
+/// Serial packed GEMM over strided operand views: `C += A·B`, `C`
+/// row-major `m × n`.
 fn gemm_packed(
     m: usize,
     n: usize,
@@ -292,97 +260,27 @@ fn gemm_packed(
         return;
     }
     pack_a_full(a, m, k, &mut packs.a);
-    packed_loop(m, k, &packs.a, b, 0, n, c, n, &mut packs.b);
-}
-
-/// N-split parallel [`gemm_nn`]: `A` packed once and shared, each thread
-/// packs and multiplies its own column stripe of `B` into a private output
-/// stripe, folded back into `C` after the join.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)] // mirrors gemm_nn plus the thread count
-fn gemm_nn_split(
-    threads: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    packs: &mut PackBufs,
-) {
-    let a_view = MatRef::new(a, k, 1);
-    let b_view = MatRef::new(b, n, 1);
-    let threads = threads.min(n.div_ceil(NR));
-    if threads <= 1 || m == 0 || n == 0 || k == 0 {
-        gemm_packed(m, n, k, a_view, b_view, c, packs);
-        return;
-    }
-    pack_a_full(a_view, m, k, &mut packs.a);
-    let packed_a: &[f32] = &packs.a;
-    // Stripe widths are NR-aligned so no tile straddles two threads.
-    let stripe = n.div_ceil(NR).div_ceil(threads) * NR;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut j0 = 0;
-        while j0 < n {
-            let w = stripe.min(n - j0);
-            handles.push(s.spawn(move || {
-                let mut out = vec![0.0f32; m * w];
-                let mut pack_b = Vec::new();
-                packed_loop(m, k, packed_a, b_view, j0, w, &mut out, w, &mut pack_b);
-                (j0, w, out)
-            }));
-            j0 += w;
-        }
-        for handle in handles {
-            // A worker panic is already a crash in flight; re-raising it on
-            // the coordinating thread is the only sound continuation.
-            let (j0, w, out) = handle.join().expect("gemm worker panicked"); // lint:allow(no-panic)
-            for (c_row, o_row) in c.chunks_exact_mut(n).zip(out.chunks_exact(w)) {
-                for (cv, ov) in c_row[j0..j0 + w].iter_mut().zip(o_row) {
-                    *cv += ov;
+    let m_panels = m.div_ceil(MR);
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        let n_panels = nc.div_ceil(NR);
+        for kb in (0..k).step_by(KC) {
+            let kc = KC.min(k - kb);
+            packs.b.resize(n_panels * NR * kc, 0.0);
+            pack_b_block(b, kb, kc, jc, nc, &mut packs.b);
+            let a_block = &packs.a[kb * m_panels * MR..];
+            for ip in 0..m_panels {
+                let mr = MR.min(m - ip * MR);
+                let a_panel = &a_block[ip * MR * kc..(ip + 1) * MR * kc];
+                for jp in 0..n_panels {
+                    let nr = NR.min(nc - jp * NR);
+                    let b_panel = &packs.b[jp * NR * kc..(jp + 1) * NR * kc];
+                    let tile = microkernel(kc, a_panel, b_panel);
+                    add_tile(&tile, c, n, ip * MR, jc + jp * NR, mr, nr);
                 }
             }
         }
-    });
-}
-
-#[cfg(feature = "parallel")]
-fn auto_threads(m: usize, n: usize, k: usize) -> usize {
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    if threads > 1 && m * n * k >= PAR_THRESHOLD && n >= 2 * NR * threads {
-        threads
-    } else {
-        1
     }
-}
-
-fn gemm_nn_scratch(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    packs: &mut PackBufs,
-) {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = auto_threads(m, n, k);
-        if threads > 1 {
-            gemm_nn_split(threads, m, n, k, a, b, c, packs);
-            return;
-        }
-    }
-    gemm_packed(
-        m,
-        n,
-        k,
-        MatRef::new(a, k, 1),
-        MatRef::new(b, n, 1),
-        c,
-        packs,
-    );
 }
 
 fn assert_nn_dims(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32], who: &str) {
@@ -391,42 +289,16 @@ fn assert_nn_dims(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32],
     assert_eq!(c.len(), m * n, "{who}: C is not M×N");
 }
 
-/// `C += A · B` for row-major `A: M×K`, `B: K×N`, `C: M×N`.
-///
-/// Runs the packed [`MR`]`×`[`NR`] micro-kernel; with the `parallel`
-/// feature, large products split `B`'s packed column panels across scoped
-/// threads (see the module docs).
+/// `C += A · B` for row-major `A: M×K`, `B: K×N`, `C: M×N`, through the
+/// packed [`MR`]`×`[`NR`] micro-kernel.
 ///
 /// # Panics
 ///
 /// Panics when a buffer length does not match its matrix dimensions.
 pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_nn_dims(m, n, k, a, b, c, "gemm_nn");
-    with_thread_scratch(|s| gemm_nn_scratch(m, n, k, a, b, c, &mut s.packs));
-}
-
-/// [`gemm_nn`] with an explicit worker-thread count.
-///
-/// Exists so equivalence tests (and tuning runs) can exercise the N-split
-/// code path on hosts where `available_parallelism` is 1; production
-/// callers should use [`gemm_nn`], which picks the count itself. `threads`
-/// is clamped so every worker owns at least one [`NR`]-column panel.
-///
-/// # Panics
-///
-/// Panics when a buffer length does not match its matrix dimensions.
-#[cfg(feature = "parallel")]
-pub fn gemm_nn_threads(
-    threads: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    assert_nn_dims(m, n, k, a, b, c, "gemm_nn_threads");
-    with_thread_scratch(|s| gemm_nn_split(threads.max(1), m, n, k, a, b, c, &mut s.packs));
+    let (a, b) = (MatRef::new(a, k, 1), MatRef::new(b, n, 1));
+    with_thread_scratch(|s| gemm_packed(m, n, k, a, b, c, &mut s.packs));
 }
 
 /// The PR-1 AXPY-panel `C += A·B` kernel.
@@ -528,7 +400,8 @@ fn gemm_tn_scratch(
     );
 }
 
-/// Unfolds `input` into the im2col patch matrix.
+/// Unfolds `input` into the im2col patch matrix (the backward pass's
+/// lowering; the forward pass reads a padded copy instead).
 ///
 /// `cols` is resized to `(C_in·K²) × (H_out·W_out)` and fully overwritten.
 /// Row `((ic·K) + ky)·K + kx` holds, for every output position `(oy, ox)`,
@@ -551,20 +424,6 @@ pub fn im2col_into(
     // Length-only resize (grows zero-filled, shrinks by truncation); every
     // retained element is overwritten below.
     cols.resize(k_dim * n, 0.0);
-    im2col_write(input, kernel, stride, padding, cols);
-    (k_dim, n)
-}
-
-/// [`im2col_into`]'s body over a pre-sized slice: writes the full
-/// `(C_in·K²) × (H_out·W_out)` patch matrix into `cols`, overwriting every
-/// element. The batched convolution path lays several frames' matrices out
-/// as consecutive sections of one scratch buffer and calls this per frame.
-fn im2col_write(input: &Tensor3, kernel: usize, stride: usize, padding: usize, cols: &mut [f32]) {
-    let shape = input.shape();
-    let out_h = conv_output_len(shape.height, kernel, stride, padding);
-    let out_w = conv_output_len(shape.width, kernel, stride, padding);
-    let n = out_h * out_w;
-    debug_assert_eq!(cols.len(), shape.channels * kernel * kernel * n);
     let p = padding as isize;
     for ic in 0..shape.channels {
         let plane = input.channel(ic);
@@ -605,6 +464,7 @@ fn im2col_write(input: &Tensor3, kernel: usize, stride: usize, padding: usize, c
             }
         }
     }
+    (k_dim, n)
 }
 
 /// Scatter-adds a `cols`-shaped gradient back onto an input-shaped tensor
@@ -647,283 +507,340 @@ pub fn col2im_into(
     }
 }
 
-/// Single-depth-block convolution GEMM epilogue shared by the single-frame
-/// and batched forward paths (`k_dim ≤ KC`): the unpacked-B micro-kernel
-/// reads the row-major patch matrix `b` directly (no B-panel repack — the
-/// tile's B slab is L1-resident at these shapes) and each output tile is
-/// written in one `C = bias + A·B` pass ([`store_tile_bias`]), skipping the
-/// zero/bias pre-init and the read-modify-write of the accumulate loop.
-/// Ragged final column tiles go through one packed pad panel
-/// (`pad_panel`), exactly as `pack_b_block` would lay them out.
+// ---------------------------------------------------------------------------
+// Padded-domain direct convolution (forward pass)
+// ---------------------------------------------------------------------------
+
+/// Packs a `[oc][ic][ky][kx]` filter bank (`out_channels × k_dim`,
+/// row-major) into the [`MR`]-row kernel-order panels [`conv2d_forward`]
+/// reads: per [`KC`] depth block, one panel per `MR` output channels with
+/// the `MR` weights of tap `p` contiguous, zero rows past `out_channels`.
 ///
-/// Bit-identical to packed-B + bias-prefill + [`add_tile`]: the kernel sees
-/// the same operand values in the same accumulation order, and
-/// `bias + tile` is computed once either way.
-#[allow(clippy::too_many_arguments)] // the full product + epilogue state
-fn gemm_direct_bias(
-    m: usize,
-    n: usize,
+/// Done once when a layer is built or its weights change, not per frame.
+///
+/// # Panics
+///
+/// Panics when `weights.len() != out_channels · k_dim`.
+pub fn pack_conv_weights(
+    weights: &[f32],
+    out_channels: usize,
     k_dim: usize,
-    packed_a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    pad_panel: &mut Vec<f32>,
+    panels: &mut Vec<f32>,
 ) {
-    debug_assert!(k_dim <= KC && k_dim > 0 && n > 0);
-    let m_panels = m.div_ceil(MR);
-    let n_panels = n.div_ceil(NR);
-    let full_panels = n / NR;
-    if full_panels < n_panels {
-        // Pack the ragged tail panel once (zero pad lanes).
-        let nr = n - full_panels * NR;
-        pad_panel.resize(NR * k_dim, 0.0);
-        for p in 0..k_dim {
-            let src = &b[p * n + full_panels * NR..(p + 1) * n];
-            let dst = &mut pad_panel[p * NR..(p + 1) * NR];
-            dst[..nr].copy_from_slice(src);
-            dst[nr..].fill(0.0);
+    assert_eq!(
+        weights.len(),
+        out_channels * k_dim,
+        "pack_conv_weights: weights"
+    );
+    pack_a_full(MatRef::new(weights, k_dim, 1), out_channels, k_dim, panels);
+}
+
+/// Where the padded copy of a `C × H × W` input keeps each sample.
+///
+/// The padded domain is `(H+2P) × (W+2P)` per channel. Stride 1 stores it
+/// as is; stride `S > 1` splits it into `S²` phase planes per channel,
+/// `phase(ry, rx)[y][x] = padded[S·y + ry][S·x + rx]`, each `rows × pitch`
+/// (the last row/column of a phase the padded domain does not reach stays
+/// zero and is never a valid output's operand). Either way output
+/// `(oy, ox)`'s tap `(ic, ky, kx)` sits `oy·pitch + ox` past the same tap
+/// of output `(0, 0)`.
+#[derive(Debug, Clone, Copy)]
+struct PaddedLayout {
+    stride: usize,
+    padding: usize,
+    /// Rows of one (phase) plane: `⌈(H+2P)/S⌉`.
+    rows: usize,
+    /// Row pitch of one (phase) plane: `⌈(W+2P)/S⌉`.
+    pitch: usize,
+}
+
+impl PaddedLayout {
+    fn new(input: Shape3, stride: usize, padding: usize) -> Self {
+        Self {
+            stride,
+            padding,
+            rows: (input.height + 2 * padding).div_ceil(stride),
+            pitch: (input.width + 2 * padding).div_ceil(stride),
         }
     }
-    for jp in 0..n_panels {
-        let nr = NR.min(n - jp * NR);
-        for ip in 0..m_panels {
-            let mr = MR.min(m - ip * MR);
-            let a_panel = &packed_a[ip * MR * k_dim..(ip + 1) * MR * k_dim];
-            let tile = if jp < full_panels {
-                microkernel_direct(k_dim, a_panel, &b[jp * NR..], n)
-            } else {
-                microkernel(k_dim, a_panel, pad_panel)
-            };
-            store_tile_bias(&tile, out, n, ip * MR, jp * NR, mr, nr, bias);
+
+    /// Buffer length for `channels` planes, including the [`NR`] floats of
+    /// slack the last tile's loads may run into.
+    fn len(&self, channels: usize) -> usize {
+        channels * self.stride * self.stride * self.rows * self.pitch + NR
+    }
+
+    /// Index of padded-domain sample `(ic, py, px)`.
+    #[inline]
+    fn index(&self, ic: usize, py: usize, px: usize) -> usize {
+        let s = self.stride;
+        let plane = (ic * s + py % s) * s + px % s;
+        (plane * self.rows + py / s) * self.pitch + px / s
+    }
+
+    /// Writes the padded copy of `input` into `buf`: every sample and every
+    /// border zero in one sequential pass (the slack is left as found — it
+    /// is only ever read into lanes nobody stores).
+    fn copy_dense(&self, input: &Tensor3, buf: &mut Vec<f32>) {
+        let shape = input.shape();
+        let (s, p) = (self.stride, self.padding);
+        buf.resize(self.len(shape.channels), 0.0);
+        let plane_len = self.rows * self.pitch;
+        for ic in 0..shape.channels {
+            let src = input.channel(ic);
+            for ry in 0..s {
+                for rx in 0..s {
+                    let plane = &mut buf[((ic * s + ry) * s + rx) * plane_len..][..plane_len];
+                    for (yq, dst) in plane.chunks_exact_mut(self.pitch).enumerate() {
+                        let py = yq * s + ry;
+                        if py < p || py >= p + shape.height {
+                            dst.fill(0.0);
+                            continue;
+                        }
+                        let row = &src[(py - p) * shape.width..][..shape.width];
+                        if s == 1 {
+                            dst[..p].fill(0.0);
+                            dst[p..p + shape.width].copy_from_slice(row);
+                            dst[p + shape.width..].fill(0.0);
+                        } else {
+                            for (xq, dv) in dst.iter_mut().enumerate() {
+                                let px = xq * s + rx;
+                                *dv = if px >= p && px < p + shape.width {
+                                    row[px - p]
+                                } else {
+                                    0.0
+                                };
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Zeroes `buf` and scatters `input`'s non-zeros to their padded
+    /// positions — the densify and the padding copy in one step.
+    fn scatter_sparse(&self, input: &SparseActivation, buf: &mut Vec<f32>) {
+        let shape = input.shape();
+        buf.clear();
+        buf.resize(self.len(shape.channels), 0.0);
+        for ic in 0..shape.channels {
+            // Positions ascend, so the row is tracked without dividing.
+            let (mut iy, mut row_start) = (0, 0);
+            for &(pos, v) in input.channel(ic) {
+                let pos = pos as usize;
+                while pos >= row_start + shape.width {
+                    iy += 1;
+                    row_start += shape.width;
+                }
+                buf[self.index(ic, iy + self.padding, pos - row_start + self.padding)] = v;
+            }
         }
     }
 }
 
-/// im2col + GEMM convolution forward pass.
+/// The direct convolution over a filled padded buffer: see the module docs
+/// ("Lowering", "Blocking scheme").
+fn conv_tiles(
+    panels: &[f32],
+    bias: &[f32],
+    buf: &[f32],
+    taps: &[usize],
+    pitch: usize,
+    out_shape: Shape3,
+    out: &mut [f32],
+) {
+    let m = out_shape.channels;
+    let (out_h, out_w) = (out_shape.height, out_shape.width);
+    let m_panels = m.div_ceil(MR);
+    let k_dim = taps.len();
+    let grid = (out_h - 1) * pitch + out_w;
+    // Grid cell `jt` is column `ox` of grid row `oy`.
+    let (mut oy, mut ox) = (0, 0);
+    for jt in (0..grid).step_by(NR) {
+        let window = &buf[jt..];
+        for ip in 0..m_panels {
+            // `bias + block₀ + block₁ + …`, summed in registers: the value a
+            // bias-prefilled accumulate loop over the same depth blocks
+            // leaves in `C`. Rows past `m` (a ragged last panel) stay zero.
+            let mut tile = [[0.0f32; NR]; MR];
+            for (i, row) in tile.iter_mut().enumerate() {
+                if let Some(&b) = bias.get(ip * MR + i) {
+                    *row = [b; NR];
+                }
+            }
+            for kb in (0..k_dim).step_by(KC) {
+                let kc = KC.min(k_dim - kb);
+                let a_panel = &panels[(kb * m_panels + ip * kc) * MR..][..kc * MR];
+                let block = microkernel_taps(a_panel, &taps[kb..kb + kc], window);
+                for (row, add) in tile.iter_mut().zip(&block) {
+                    for j in 0..NR {
+                        row[j] += add[j];
+                    }
+                }
+            }
+            let channels = &mut out[ip * MR * out_h * out_w..];
+            let rows = &tile[..MR.min(m - ip * MR)];
+            store_grid_tile(rows, channels, (out_h, out_w), pitch, (oy, ox));
+        }
+        ox += NR;
+        while ox >= pitch {
+            ox -= pitch;
+            oy += 1;
+        }
+    }
+}
+
+/// Stores the lanes of a tile that are outputs. The tile's lane 0 is grid
+/// cell `(oy, ox)`; its lanes run on through the padded-width grid row by
+/// row, and cells with `ox ≥ out_w` are nobody's output. `rows[i]` belongs
+/// to the `i`-th `out_h × out_w` plane of `channels`.
+#[inline]
+fn store_grid_tile(
+    rows: &[[f32; NR]],
+    channels: &mut [f32],
+    (out_h, out_w): (usize, usize),
+    pitch: usize,
+    (mut oy, mut ox): (usize, usize),
+) {
+    if ox + NR <= out_w {
+        // The common case on wide layers: all lanes in one output row, a
+        // fixed-width copy.
+        for (i, row) in rows.iter().enumerate() {
+            let at = (i * out_h + oy) * out_w + ox;
+            channels[at..at + NR].copy_from_slice(row);
+        }
+        return;
+    }
+    let mut j = 0;
+    while j < NR && oy < out_h {
+        let run = (pitch - ox).min(NR - j);
+        let valid = out_w.saturating_sub(ox).min(run);
+        if valid > 0 {
+            for (i, row) in rows.iter().enumerate() {
+                let at = (i * out_h + oy) * out_w + ox;
+                channels[at..at + valid].copy_from_slice(&row[j..j + valid]);
+            }
+        }
+        j += run;
+        ox = 0;
+        oy += 1;
+    }
+}
+
+/// Shared body of [`conv2d_forward`] and [`conv2d_forward_sparse`]: `fill`
+/// writes the padded input copy, the rest is identical.
+#[allow(clippy::too_many_arguments)] // mirrors the conv geometry verbatim
+fn conv_direct(
+    in_shape: Shape3,
+    panels: &[f32],
+    bias: &[f32],
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    scratch: &mut GemmScratch,
+    fill: impl FnOnce(&PaddedLayout, &mut Vec<f32>),
+) -> Tensor3 {
+    let out_channels = bias.len();
+    let k_dim = in_shape.channels * kernel * kernel;
+    assert_eq!(
+        panels.len(),
+        k_dim * out_channels.div_ceil(MR) * MR,
+        "conv2d_forward: panels"
+    );
+    let out_shape = Shape3::new(
+        out_channels,
+        conv_output_len(in_shape.height, kernel, stride, padding),
+        conv_output_len(in_shape.width, kernel, stride, padding),
+    );
+    let n = out_shape.plane_len();
+    if k_dim == 0 || out_shape.is_empty() {
+        let mut out = Vec::with_capacity(out_shape.len());
+        for &b in bias {
+            out.resize(out.len() + n, b);
+        }
+        return Tensor3::from_vec(out_shape, out);
+    }
+    let layout = PaddedLayout::new(in_shape, stride, padding);
+    fill(&layout, &mut scratch.padded);
+    // Tap `p = (ic·K + ky)·K + kx` of output (0, 0) reads padded sample
+    // `(ic, ky, kx)` — im2col's row order.
+    scratch.taps.clear();
+    scratch.taps.extend((0..k_dim).map(|p| {
+        let (ic, cell) = (p / (kernel * kernel), p % (kernel * kernel));
+        layout.index(ic, cell / kernel, cell % kernel)
+    }));
+    // Every element is written by the store pass.
+    let mut out = vec![0.0f32; out_shape.len()];
+    conv_tiles(
+        panels,
+        bias,
+        &scratch.padded,
+        &scratch.taps,
+        layout.pitch,
+        out_shape,
+        &mut out,
+    );
+    Tensor3::from_vec(out_shape, out)
+}
+
+/// Padded-domain direct convolution forward pass (see the module docs).
 ///
-/// `weights` is the flattened `[oc][ic][ky][kx]` filter bank, `bias` one
-/// value per output channel. Returns the `C_out × H_out × W_out` output.
-///
-/// When the whole depth fits one [`KC`] block (`C_in·K² ≤ 256` — true for
-/// every zoo prefix layer), the product runs through [`gemm_direct_bias`]:
-/// the PR-4 batched innovations (unpacked-B micro-kernel, single-pass
-/// `C = bias + A·B` store) ported to the single-frame path, bit-identical
-/// to the packed accumulate loop it bypasses. Deeper products keep the
-/// packed loop (which may N-split under the `parallel` feature).
+/// `panels` is the filter bank packed by [`pack_conv_weights`], `bias` one
+/// value per output channel. Returns the `C_out × H_out × W_out` output,
+/// bit-identical to a bias-prefilled [`gemm_nn`] over [`im2col_into`].
 ///
 /// # Panics
 ///
-/// Panics when `weights`/`bias` lengths are inconsistent with
-/// `out_channels`, `kernel`, and the input channel count.
-#[allow(clippy::too_many_arguments)] // mirrors the conv geometry verbatim
+/// Panics when `panels` is not the packing of a
+/// `bias.len() × (C_in·kernel²)` filter bank.
 pub fn conv2d_forward(
     input: &Tensor3,
-    weights: &[f32],
+    panels: &[f32],
     bias: &[f32],
-    out_channels: usize,
     kernel: usize,
     stride: usize,
     padding: usize,
     scratch: &mut GemmScratch,
 ) -> Tensor3 {
-    let shape = input.shape();
-    let k_dim = shape.channels * kernel * kernel;
-    assert_eq!(
-        weights.len(),
-        out_channels * k_dim,
-        "conv2d_forward: weights"
-    );
-    assert_eq!(bias.len(), out_channels, "conv2d_forward: bias");
-    let out_shape = Shape3::new(
-        out_channels,
-        conv_output_len(shape.height, kernel, stride, padding),
-        conv_output_len(shape.width, kernel, stride, padding),
-    );
-    let (_, n) = im2col_into(input, kernel, stride, padding, &mut scratch.cols);
-    let direct = k_dim > 0 && k_dim <= KC && n > 0 && out_channels > 0;
-    // Keep the N-split for products the parallel feature would thread —
-    // the serial direct path would silently serialize them (single-depth-
-    // block N-splits round identically, so either route is bit-identical).
-    #[cfg(feature = "parallel")]
-    let direct = direct && auto_threads(out_channels, n, k_dim) == 1;
-    if direct {
-        pack_a_full(
-            MatRef::new(weights, k_dim, 1),
-            out_channels,
-            k_dim,
-            &mut scratch.packs.a,
-        );
-        // Every element is written by the store pass.
-        let mut out = vec![0.0f32; out_channels * n];
-        gemm_direct_bias(
-            out_channels,
-            n,
-            k_dim,
-            &scratch.packs.a,
-            &scratch.cols,
-            bias,
-            &mut out,
-            &mut scratch.packs.b,
-        );
-        return Tensor3::from_vec(out_shape, out);
-    }
-    let mut out = Tensor3::zeros(out_shape);
-    for (oc, &b) in bias.iter().enumerate() {
-        out.channel_mut(oc).fill(b);
-    }
-    gemm_nn_scratch(
-        out_channels,
-        n,
-        k_dim,
-        weights,
-        &scratch.cols,
-        out.as_mut_slice(),
-        &mut scratch.packs,
-    );
-    out
+    conv_direct(
+        input.shape(),
+        panels,
+        bias,
+        kernel,
+        stride,
+        padding,
+        scratch,
+        |layout, buf| layout.copy_dense(input, buf),
+    )
 }
 
-/// Batched im2col + GEMM convolution forward pass over frames of identical
-/// shape — the cross-stream key-frame path of the serving engine.
-///
-/// Numerically this is *bit-identical* to calling [`conv2d_forward`] once
-/// per frame: each output element sees exactly the same operand values,
-/// depth blocking, and accumulation order (frames never share micro-kernel
-/// tiles, and the panel bytes fed to the kernel are byte-equal to the
-/// per-frame path's). What the batch restructures is everything a
-/// per-frame call pays per invocation:
-///
-/// * the weight matrix is packed into kernel-ordered `A` panels **once per
-///   batch** instead of once per frame;
-/// * the B-panel repack pass — a full read + write of `K_dim × N` per
-///   frame — disappears: the micro-kernel reads the patch matrix
-///   *directly* ([`microkernel_direct`]), which is profitable whenever the
-///   depth fits one [`KC`] block (`C_in·K² ≤ 256`, true for every zoo
-///   prefix layer) because each tile's `B` slab then stays L1-resident
-///   across the whole `M` loop;
-/// * each output is written in a single store pass `C = bias + A·B`
-///   ([`store_tile_bias`]) instead of zeroed, bias-filled, and then
-///   accumulated read-modify-write;
-/// * the im2col scratch is sized once for the batch and written without
-///   the per-call zero-fill.
-///
-/// Depths beyond one block fall back to the accumulate loop with packed B
-/// (still sharing the batch A-pack). The batched loop stays
-/// single-threaded even with the `parallel` feature, which keeps its
-/// outputs bit-identical to the serial per-frame path on every host; for
-/// single-depth-block shapes the feature's N-split rounds identically
-/// anyway.
+/// [`conv2d_forward`] fed from a sparse activation: the non-zeros are
+/// scattered straight into the zeroed padded buffer, so no dense tensor is
+/// built first. Bit-identical to [`conv2d_forward`] on `input.to_dense()`.
 ///
 /// # Panics
 ///
-/// Panics when the frames' shapes differ or `weights`/`bias` lengths are
-/// inconsistent with the geometry.
-#[allow(clippy::too_many_arguments)] // mirrors conv2d_forward verbatim
-pub fn conv2d_forward_batch(
-    inputs: &[Tensor3],
-    weights: &[f32],
+/// As [`conv2d_forward`].
+pub fn conv2d_forward_sparse(
+    input: &SparseActivation,
+    panels: &[f32],
     bias: &[f32],
-    out_channels: usize,
     kernel: usize,
     stride: usize,
     padding: usize,
     scratch: &mut GemmScratch,
-) -> Vec<Tensor3> {
-    let Some(first) = inputs.first() else {
-        return Vec::new();
-    };
-    let shape = first.shape();
-    assert!(
-        inputs.iter().all(|t| t.shape() == shape),
-        "conv2d_forward_batch: frames must share one shape"
-    );
-    let k_dim = shape.channels * kernel * kernel;
-    assert_eq!(
-        weights.len(),
-        out_channels * k_dim,
-        "conv2d_forward_batch: weights"
-    );
-    assert_eq!(bias.len(), out_channels, "conv2d_forward_batch: bias");
-    let out_shape = Shape3::new(
-        out_channels,
-        conv_output_len(shape.height, kernel, stride, padding),
-        conv_output_len(shape.width, kernel, stride, padding),
-    );
-    let n = out_shape.plane_len();
-    if n == 0 || k_dim == 0 || out_channels == 0 {
-        return inputs
-            .iter()
-            .map(|_| {
-                let mut out = Vec::with_capacity(out_channels * n);
-                for &b in bias {
-                    out.resize(out.len() + n, b);
-                }
-                Tensor3::from_vec(out_shape, out)
-            })
-            .collect();
-    }
-    // One A-pack serves every frame in the batch.
-    pack_a_full(
-        MatRef::new(weights, k_dim, 1),
-        out_channels,
-        k_dim,
-        &mut scratch.packs.a,
-    );
-    // Sectioned row-major patch matrices, one per frame, sized once for
-    // the batch (fully overwritten, so no per-frame zero-fill).
-    let section = k_dim * n;
-    let cols = &mut scratch.cols;
-    if cols.len() < section * inputs.len() {
-        cols.resize(section * inputs.len(), 0.0);
-    }
-    for (input, dst) in inputs.iter().zip(cols.chunks_exact_mut(section)) {
-        im2col_write(input, kernel, stride, padding, dst);
-    }
-    let mut outs = Vec::with_capacity(inputs.len());
-    if k_dim <= KC {
-        // Single-depth-block fast path, shared with the single-frame
-        // conv2d_forward: unpacked-B micro-kernel + one-pass bias store
-        // (`gemm_direct_bias`). What the batch adds on top is the single
-        // A-pack above serving every frame.
-        for f in 0..inputs.len() {
-            let b = &cols[f * section..(f + 1) * section];
-            let mut out = vec![0.0f32; out_channels * n];
-            gemm_direct_bias(
-                out_channels,
-                n,
-                k_dim,
-                &scratch.packs.a,
-                b,
-                bias,
-                &mut out,
-                &mut scratch.packs.b,
-            );
-            outs.push(Tensor3::from_vec(out_shape, out));
-        }
-    } else {
-        // Multi-depth-block fallback: the accumulate loop with packed B
-        // (A still packed once per batch).
-        for f in 0..inputs.len() {
-            let mut out = Vec::with_capacity(out_channels * n);
-            for &b in bias {
-                out.resize(out.len() + n, b);
-            }
-            packed_loop(
-                out_channels,
-                k_dim,
-                &scratch.packs.a,
-                MatRef::new(&cols[f * section..(f + 1) * section], n, 1),
-                0,
-                n,
-                &mut out,
-                n,
-                &mut scratch.packs.b,
-            );
-            outs.push(Tensor3::from_vec(out_shape, out));
-        }
-    }
-    outs
+) -> Tensor3 {
+    conv_direct(
+        input.shape(),
+        panels,
+        bias,
+        kernel,
+        stride,
+        padding,
+        scratch,
+        |layout, buf| layout.scatter_sparse(input, buf),
+    )
 }
 
 /// im2col + GEMM convolution backward pass.
@@ -1034,6 +951,23 @@ mod tests {
         })
     }
 
+    /// [`conv2d_forward`] from an unpacked filter bank.
+    #[allow(clippy::too_many_arguments)]
+    fn conv_forward(
+        input: &Tensor3,
+        weights: &[f32],
+        bias: &[f32],
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+        scratch: &mut GemmScratch,
+    ) -> Tensor3 {
+        let mut panels = Vec::new();
+        let k_dim = input.shape().channels * kernel * kernel;
+        pack_conv_weights(weights, bias.len(), k_dim, &mut panels);
+        conv2d_forward(input, &panels, bias, kernel, stride, padding, scratch)
+    }
+
     fn weights_for(out_c: usize, in_c: usize, kernel: usize) -> (Vec<f32>, Vec<f32>) {
         let k_dim = in_c * kernel * kernel;
         let weights: Vec<f32> = (0..out_c * k_dim)
@@ -1134,7 +1068,7 @@ mod tests {
             let (weights, bias) = weights_for(oc, c, k);
             let want = conv_reference(&input, &weights, &bias, oc, k, s, p);
             let got = with_thread_scratch(|scratch| {
-                conv2d_forward(&input, &weights, &bias, oc, k, s, p, scratch)
+                conv_forward(&input, &weights, &bias, k, s, p, scratch)
             });
             assert_eq!(
                 got.shape(),
@@ -1156,7 +1090,7 @@ mod tests {
         let input = seq_input(c, h, w).map(|v| (v * 0.37).sin());
         let (weights, bias) = weights_for(oc, c, k);
         let mut scratch = GemmScratch::new();
-        let out = conv2d_forward(&input, &weights, &bias, oc, k, s, p, &mut scratch);
+        let out = conv_forward(&input, &weights, &bias, k, s, p, &mut scratch);
         let grad_out = Tensor3::filled(out.shape(), 1.0);
         let mut grad_w = vec![0.0f32; weights.len()];
         let mut grad_b = vec![0.0f32; bias.len()];
@@ -1179,10 +1113,10 @@ mod tests {
             plus.set(1, y, x, input.get(1, y, x) + eps);
             let mut minus = input.clone();
             minus.set(1, y, x, input.get(1, y, x) - eps);
-            let lp: f32 = conv2d_forward(&plus, &weights, &bias, oc, k, s, p, &mut scratch)
+            let lp: f32 = conv_forward(&plus, &weights, &bias, k, s, p, &mut scratch)
                 .iter()
                 .sum();
-            let lm: f32 = conv2d_forward(&minus, &weights, &bias, oc, k, s, p, &mut scratch)
+            let lm: f32 = conv_forward(&minus, &weights, &bias, k, s, p, &mut scratch)
                 .iter()
                 .sum();
             let numeric = (lp - lm) / (2.0 * eps);
@@ -1198,10 +1132,10 @@ mod tests {
             wp[wi] += eps;
             let mut wm = weights.clone();
             wm[wi] -= eps;
-            let lp: f32 = conv2d_forward(&input, &wp, &bias, oc, k, s, p, &mut scratch)
+            let lp: f32 = conv_forward(&input, &wp, &bias, k, s, p, &mut scratch)
                 .iter()
                 .sum();
-            let lm: f32 = conv2d_forward(&input, &wm, &bias, oc, k, s, p, &mut scratch)
+            let lm: f32 = conv_forward(&input, &wm, &bias, k, s, p, &mut scratch)
                 .iter()
                 .sum();
             let numeric = (lp - lm) / (2.0 * eps);
@@ -1218,74 +1152,98 @@ mod tests {
         }
     }
 
-    #[test]
-    fn conv_forward_batch_bit_identical_to_single_calls() {
-        let mut scratch = GemmScratch::new();
-        for &(c, h, w, oc, k, s, p) in &[
-            (2usize, 6usize, 5usize, 3usize, 3usize, 1usize, 1usize),
-            (3, 8, 8, 4, 5, 2, 2),
-            (1, 4, 4, 2, 4, 4, 0),
-            // Ragged N (25 = one full NR panel + 9 pad lanes).
-            (2, 5, 5, 3, 3, 1, 1),
-            // K_dim = 8·6² = 288 > KC: exercises the multi-depth-block
-            // fallback, with a ragged N of 49.
-            (8, 8, 8, 4, 6, 1, 2),
-        ] {
-            let frames: Vec<Tensor3> = (0..4)
-                .map(|f| seq_input(c, h, w).map(|v| (v + f as f32 * 0.37).sin()))
-                .collect();
-            let (weights, bias) = weights_for(oc, c, k);
-            let batched = conv2d_forward_batch(&frames, &weights, &bias, oc, k, s, p, &mut scratch);
-            assert_eq!(batched.len(), frames.len());
-            for (frame, got) in frames.iter().zip(&batched) {
-                let want = conv2d_forward(frame, &weights, &bias, oc, k, s, p, &mut scratch);
-                assert_eq!(
-                    got.as_slice(),
-                    want.as_slice(),
-                    "batched conv must be bit-identical (k{k}s{s}p{p})"
-                );
-            }
+    /// Bias-prefilled `gemm_nn` over the im2col matrix: the lowering the
+    /// direct convolution replaced, and must match bit for bit.
+    fn conv_via_im2col_gemm(
+        input: &Tensor3,
+        weights: &[f32],
+        bias: &[f32],
+        (k, s, p): (usize, usize, usize),
+    ) -> Vec<f32> {
+        let mut cols = Vec::new();
+        let (k_dim, n) = im2col_into(input, k, s, p, &mut cols);
+        let mut want = vec![0.0f32; bias.len() * n];
+        for (ch, &b) in bias.iter().enumerate() {
+            want[ch * n..(ch + 1) * n].fill(b);
         }
-        assert!(
-            conv2d_forward_batch(&[], &[], &[], 0, 1, 1, 0, &mut scratch).is_empty(),
-            "empty batch"
-        );
+        gemm_nn(bias.len(), n, k_dim, weights, &cols, &mut want);
+        want
     }
 
     #[test]
     fn direct_single_frame_conv_bit_identical_to_packed_loop() {
-        // conv2d_forward's single-depth-block fast path (unpacked-B kernel
-        // + one-pass bias store) must produce the exact bits of the packed
-        // accumulate loop it bypasses: bias-prefill + gemm_nn over the same
-        // patch matrix.
+        // One scratch across all geometries, so each runs over what the
+        // previous one left in the padded buffer.
         let mut scratch = GemmScratch::new();
         for &(c, h, w, oc, k, s, p) in &[
             (2usize, 6usize, 5usize, 3usize, 3usize, 1usize, 1usize),
             (3, 8, 8, 4, 5, 2, 2),
             (1, 4, 4, 2, 4, 4, 0),
-            // Ragged N (25 = one full NR panel + 9 pad lanes).
+            // Padded row pitch 7 < NR: tiles straddle output rows.
             (2, 5, 5, 3, 3, 1, 1),
-            // N smaller than one NR panel.
+            // Whole output narrower than one NR tile.
             (2, 3, 3, 5, 3, 1, 0),
+            // K_dim = 8·6² = 288 > KC: two depth blocks.
+            (8, 8, 8, 4, 6, 1, 2),
+            // Stride 3 with a kernel that does not fill its last phase.
+            (2, 11, 10, 6, 4, 3, 1),
+            // One output column in a pitch of 5: the fourth tile starts in
+            // the grid's unused columns, past the end of the last channel.
+            (1, 11, 1, 2, 5, 1, 2),
         ] {
             let input = seq_input(c, h, w);
             let (weights, bias) = weights_for(oc, c, k);
-            let got = conv2d_forward(&input, &weights, &bias, oc, k, s, p, &mut scratch);
-            let k_dim = c * k * k;
-            assert!(k_dim <= KC, "test shapes must take the direct path");
-            let mut cols = Vec::new();
-            let (_, n) = im2col_into(&input, k, s, p, &mut cols);
-            let mut want = vec![0.0f32; oc * n];
-            for (ch, &b) in bias.iter().enumerate() {
-                want[ch * n..(ch + 1) * n].fill(b);
-            }
-            gemm_nn(oc, n, k_dim, &weights, &cols, &mut want);
+            let got = conv_forward(&input, &weights, &bias, k, s, p, &mut scratch);
+            let want = conv_via_im2col_gemm(&input, &weights, &bias, (k, s, p));
             assert_eq!(
                 got.as_slice(),
                 want.as_slice(),
-                "direct path must be bit-identical (k{k}s{s}p{p})"
+                "direct conv must be bit-identical (k{k}s{s}p{p})"
             );
         }
+    }
+
+    #[test]
+    fn sparse_fed_conv_bit_identical_to_dense_fed() {
+        let mut scratch = GemmScratch::new();
+        for &(c, h, w, oc, k, s, p) in &[
+            (3usize, 7usize, 6usize, 5usize, 3usize, 1usize, 1usize),
+            (2, 9, 8, 3, 5, 2, 2),
+            (2, 6, 6, 4, 1, 1, 0),
+        ] {
+            let dense = seq_input(c, h, w).map(|v| if v > 1.0 { v } else { 0.0 });
+            let sparse = SparseActivation::from_dense(&dense, 0.0);
+            let (weights, bias) = weights_for(oc, c, k);
+            let mut panels = Vec::new();
+            pack_conv_weights(&weights, oc, c * k * k, &mut panels);
+            // A dense call first fills every interior cell; the sparse call
+            // must not see any of it.
+            let _ = conv2d_forward(&seq_input(c, h, w), &panels, &bias, k, s, p, &mut scratch);
+            let want = conv2d_forward(&dense, &panels, &bias, k, s, p, &mut scratch);
+            let got = conv2d_forward_sparse(&sparse, &panels, &bias, k, s, p, &mut scratch);
+            assert_eq!(got.as_slice(), want.as_slice(), "k{k}s{s}p{p}");
+        }
+    }
+
+    #[test]
+    fn degenerate_convs_return_the_bias() {
+        let mut scratch = GemmScratch::new();
+        // Kernel larger than the padded input: empty output.
+        let (weights, bias) = weights_for(2, 1, 5);
+        let out = conv_forward(&seq_input(1, 2, 2), &weights, &bias, 5, 1, 0, &mut scratch);
+        assert_eq!(out.shape(), Shape3::new(2, 0, 0));
+        // No input channels: nothing to sum, the bias alone.
+        let out = conv_forward(
+            &seq_input(0, 3, 3),
+            &[],
+            &[0.5, -1.0],
+            3,
+            1,
+            1,
+            &mut scratch,
+        );
+        assert_eq!(out.channel(0), &[0.5; 9]);
+        assert_eq!(out.channel(1), &[-1.0; 9]);
     }
 
     #[test]
@@ -1294,10 +1252,10 @@ mod tests {
         // Large then small: stale tail data must not leak into results.
         let big = seq_input(3, 10, 10);
         let (wb, bb) = weights_for(4, 3, 3);
-        let _ = conv2d_forward(&big, &wb, &bb, 4, 3, 1, 1, &mut scratch);
+        let _ = conv_forward(&big, &wb, &bb, 3, 1, 1, &mut scratch);
         let small = seq_input(1, 4, 4);
         let (ws, bs) = weights_for(2, 1, 3);
-        let got = conv2d_forward(&small, &ws, &bs, 2, 3, 1, 0, &mut scratch);
+        let got = conv_forward(&small, &ws, &bs, 3, 1, 0, &mut scratch);
         let want = conv_reference(&small, &ws, &bs, 2, 3, 1, 0);
         for (a, b) in got.iter().zip(want.iter()) {
             assert!((a - b).abs() < 1e-4);

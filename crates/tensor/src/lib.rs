@@ -12,9 +12,10 @@
 //!   datapath width of the EVA² warp engine ("shifts the final result back to
 //!   a 16-bit fixed-point representation", §III-B of the paper).
 //! * [`interp`] — bilinear sampling used by activation warping (§II-C3).
-//! * [`gemm`] — im2col packing and a packed, register-blocked f32 GEMM
-//!   (4×16 FMA micro-kernel), the convolution engine behind
-//!   `eva2_cnn::Conv2d`.
+//! * [`gemm`] — the convolution engine behind `eva2_cnn::Conv2d`: a
+//!   padded-domain direct convolution for the forward pass and a packed,
+//!   register-blocked f32 GEMM over im2col for training, both on one
+//!   4×16 micro-kernel.
 //! * [`sparse`] — [`SparseActivation`], the non-zero view the sparse-aware
 //!   CNN suffix consumes (the software analogue of the Fig 10 decoder-lane
 //!   output).

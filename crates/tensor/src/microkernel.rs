@@ -1,18 +1,34 @@
-//! The register-blocked [`MR`]`×`[`NR`] GEMM micro-kernel.
+//! The register-blocked [`MR`]`×`[`NR`] micro-kernel, in its two operand
+//! forms.
 //!
 //! One invocation computes a full `MR × NR` tile of `A·B` for one depth
-//! block, reading the kernel-ordered panels produced by [`crate::pack`] and
-//! keeping all `MR·NR` partial sums in an accumulator array that lives in
-//! registers for the whole depth loop. With `MR = 4`, `NR = 16` the tile is
-//! 64 `f32` accumulators — 8 YMM registers under AVX2 (or 4 ZMM under
-//! AVX-512), leaving room for the B row and the A broadcasts, which is why
-//! the shape is FMA-friendly: every depth step issues `MR` independent
-//! 16-wide multiply-adds with no loads from `C`.
+//! block, keeping all `MR·NR` partial sums in an accumulator array that
+//! lives in registers for the whole depth loop. With `MR = 4`, `NR = 16`
+//! the tile is 64 `f32` accumulators — 8 YMM registers under AVX2, leaving
+//! room for the B row and the A broadcasts: every depth step issues `MR`
+//! independent 16-wide multiply-adds with no loads from `C`.
 //!
-//! The kernel itself is branch-free over ragged edges: packing zero-pads
-//! partial panels, so partial tiles cost a few wasted lanes instead of a
-//! second code path. The caller stores only the valid `mr × nr` region of
-//! the returned tile ([`add_tile`]).
+//! `A` always arrives as a kernel-ordered panel from [`crate::pack`].
+//! [`microkernel`] reads `B` from a packed panel too (the GEMM driver);
+//! [`microkernel_taps`] reads each depth step's `NR` values at an offset
+//! into a padded input buffer (the direct convolution, which packs no `B`
+//! at all). Both run the same arithmetic in the same order.
+//!
+//! **What it compiles to.** The nested `[[f32; NR]; MR]` accumulator with
+//! `row[j] += ai * bp[j]` becomes `ymm` `vmulps` + `vaddps` — a separate
+//! multiply and add, not an FMA: Rust never contracts `a*b + c`, and the
+//! disassembled serving benchmark counts 0 `vfmadd`. The tile's ceiling is
+//! therefore the mul+add port limit (23–27 GMAC/s measured on the
+//! development host), half the FMA units' rate. The form is fragile in the
+//! other direction as well: a flat `[f32; MR*NR]` accumulator walked with
+//! `chunks_exact_mut(NR).zip(..)` compiled to scalar code (1.5 GMAC/s).
+//! `f32::mul_add` would need exactly such a re-shaping *and* changes every
+//! output bit, so it is left to a change of its own.
+//!
+//! The kernel is branch-free over ragged edges: packing zero-pads partial
+//! `A` panels (and `B` panels in the GEMM driver), so partial tiles cost a
+//! few wasted lanes instead of a second code path; the caller stores only
+//! the valid region of the returned tile.
 
 // lint: hot-path
 
@@ -71,32 +87,23 @@ pub(crate) fn add_tile(
     }
 }
 
-/// [`microkernel`] over an *unpacked* `B`: reads each depth step's [`NR`]
-/// values straight from a row-major matrix with leading dimension `ldb`
-/// (`b[p*ldb..p*ldb+NR]`), skipping the B-panel repack entirely.
+/// [`microkernel`] for the direct convolution: depth step `p` reads its
+/// [`NR`] `B` values at `b[taps[p]..][..NR]` — one contiguous load from the
+/// padded input buffer instead of a packed panel row. The depth is
+/// `taps.len()`; `a_panel` holds that many groups of `MR` weights.
 ///
-/// The packed layout exists to keep huge `B` blocks streaming-friendly;
-/// at the batched-convolution shapes (`kc ≤ KC`, `N` a few hundred) the
-/// tile's `B` slab is `kc` cache lines and stays L1-resident across the
-/// whole `M` loop, so the strided loads cost nothing and the pack pass is
-/// pure overhead. Accumulation order is identical to [`microkernel`] on
-/// the packed bytes, so results are bit-identical.
+/// Same operands in the same order as [`microkernel`] over the im2col rows
+/// the taps stand for, hence the same bits. Returns the tile as rows.
 ///
 /// # Panics
 ///
-/// Panics when `b` is shorter than `(kc-1)·ldb + NR`.
+/// Panics when a tap's `NR`-wide window leaves `b`.
 #[inline]
-pub(crate) fn microkernel_direct(
-    kc: usize,
-    a_panel: &[f32],
-    b: &[f32],
-    ldb: usize,
-) -> [f32; MR * NR] {
-    debug_assert!(a_panel.len() >= kc * MR);
+pub(crate) fn microkernel_taps(a_panel: &[f32], taps: &[usize], b: &[f32]) -> [[f32; NR]; MR] {
+    debug_assert_eq!(a_panel.len(), taps.len() * MR);
     let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kc {
-        let ap = &a_panel[p * MR..(p + 1) * MR];
-        let bp = &b[p * ldb..p * ldb + NR];
+    for (ap, &tap) in a_panel.chunks_exact(MR).zip(taps) {
+        let bp = &b[tap..tap + NR];
         for i in 0..MR {
             let ai = ap[i];
             let row = &mut acc[i];
@@ -105,40 +112,7 @@ pub(crate) fn microkernel_direct(
             }
         }
     }
-    let mut out = [0.0f32; MR * NR];
-    for i in 0..MR {
-        out[i * NR..(i + 1) * NR].copy_from_slice(&acc[i]);
-    }
-    out
-}
-
-/// Stores the valid `mr × nr` region of a micro-kernel tile as
-/// `C = bias[row] + tile` — the single-depth-block epilogue of the batched
-/// convolution path, which skips `C`'s zero/bias pre-init and the
-/// read-modify-write of [`add_tile`] entirely.
-///
-/// Bit-identical to bias-init + [`add_tile`] when the whole depth fits one
-/// block: both compute exactly `bias + tile` per element.
-#[inline]
-#[allow(clippy::too_many_arguments)] // add_tile's signature plus the bias row
-pub(crate) fn store_tile_bias(
-    tile: &[f32; MR * NR],
-    c: &mut [f32],
-    ldc: usize,
-    i0: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
-    bias: &[f32],
-) {
-    for i in 0..mr {
-        let b = bias[i0 + i];
-        let dst = &mut c[(i0 + i) * ldc + j0..(i0 + i) * ldc + j0 + nr];
-        let src = &tile[i * NR..i * NR + nr];
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = b + s;
-        }
-    }
+    acc
 }
 
 #[cfg(test)]

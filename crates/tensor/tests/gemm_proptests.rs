@@ -6,9 +6,7 @@
 //! (zero-padded B panels, `NR`-column granularity), and K tails (shortened
 //! depth loops). The dimension strategies below therefore sample exactly
 //! the values that straddle those boundaries — `1`, `MR±1`, `MR`, `NR±1`,
-//! `NR`, and odd K values — for all three transpose variants, plus (with
-//! the `parallel` feature) the N-split path at sizes straddling the
-//! auto-split threshold.
+//! `NR`, and odd K values — for all three transpose variants.
 
 use eva2_tensor::gemm::{gemm_nn, gemm_nn_axpy, gemm_nt, gemm_tn, MR, NR};
 use proptest::prelude::*;
@@ -150,31 +148,5 @@ proptest! {
         let mut axpy = c0;
         gemm_nn_axpy(m, n, k, &a, &b, &mut axpy);
         assert_close(&micro, &axpy, "micro vs axpy");
-    }
-}
-
-/// The N-split parallel path must agree with the serial path regardless of
-/// worker count, at sizes on both sides of the auto-split threshold
-/// ([`eva2_tensor::gemm::PAR_THRESHOLD`] = 2¹⁸ = `8·64·{below,above}`).
-/// `gemm_nn_threads` forces the split so this holds even on single-CPU
-/// hosts where `available_parallelism` is 1.
-#[cfg(feature = "parallel")]
-#[test]
-fn parallel_split_matches_serial_across_threshold() {
-    use eva2_tensor::gemm::gemm_nn_threads;
-    let (m, k) = (8usize, 64usize);
-    // 8·64·400 < PAR_THRESHOLD ≤ 8·64·600, plus an N narrower than one
-    // NR panel per worker to exercise the worker-count clamp.
-    for n in [24usize, 400, 600] {
-        let a = fill(m * k, 11);
-        let b = fill(k * n, 13);
-        let c0 = fill(m * n, 17);
-        let mut serial = c0.clone();
-        gemm_nn(m, n, k, &a, &b, &mut serial);
-        for threads in [1usize, 2, 3, 4, 7] {
-            let mut par = c0.clone();
-            gemm_nn_threads(threads, m, n, k, &a, &b, &mut par);
-            assert_close(&par, &serial, &format!("threads={threads} n={n}"));
-        }
     }
 }

@@ -10,7 +10,7 @@
 //! policy, and statistics; every simulation tick submits one frame per
 //! stream through `Engine::process_batch`, which classifies each frame
 //! with its own session's RFBME + policy and then executes all key-frame
-//! prefixes in one batched im2col + packed-GEMM pass. Outputs are
+//! prefixes in one batched, layer-by-layer pass. Outputs are
 //! bit-identical to running each stream through its own serial
 //! `AmcExecutor` — batching is invisible except in wall-clock time.
 
@@ -25,7 +25,7 @@ const TICKS: usize = 24;
 
 fn main() {
     // 1. One network serves every stream; the engine owns it (Arc) plus
-    //    the shared im2col/packing scratch pools.
+    //    the per-worker convolution scratch.
     let workload = zoo::tiny_fasterm(42);
     let net = Arc::new(workload.network);
     let config = AmcConfig::builder().build().expect("defaults are valid");
