@@ -57,23 +57,33 @@
 //!
 //! The direct convolution's loop nest is: for each `NR`-wide tile of the
 //! padded grid, for each `MR`-row weight panel, for each [`KC`]-deep block
-//! of taps — one micro-kernel run (`microkernel.rs`) with `MR·NR = 64`
+//! of taps — one micro-kernel run (`microkernel.rs`) with `MR·NR = 96`
 //! accumulators in registers, summed across depth blocks in registers and
 //! stored once. A tile's operands are `C_in` short runs of `K` input rows,
 //! L1-resident while every weight panel streams against them.
 //!
-//! The micro-kernel compiles to `ymm` `vmulps` + `vaddps` — **no FMA**:
-//! Rust never contracts `a*b + c`, and the disassembled serving benchmark
-//! holds 0 `vfmadd`. Its ceiling is therefore the mul+add port limit,
-//! measured at 23–27 GMAC/s on the development host
-//! (`tensor.gemm.peak_gmacs_per_s`), half of what the FMA units could do.
-//! `f32::mul_add` changes every output bit, so it is a step of its own.
+//! The micro-kernel is a fused multiply-add: per depth step 12
+//! `vfmadd231ps` on `ymm` (the 4×24 tile), 3 loads of `B`, 4 broadcasts of
+//! `A`. The depth loop is FMA-bound at 6 cycles a step; the zoo's
+//! convolutions run at 30–36 GMAC/s on the development host
+//! (`tensor.gemm.peak_gmacs_per_s` ≈ 36 through [`gemm_nn`]). What is left
+//! between that and the kernel's own rate is per-tile overhead, not
+//! arithmetic: a few tens of ns a kernel call of loop exit and set-up, and
+//! [`store_grid_tile`]'s row-straddling path, where the tile goes through
+//! memory — about 8 % of the `tiny_faster16` prefix, measured by storing
+//! every tile through the fixed-width path (and equally by not storing at
+//! all). Three cheaper-looking epilogues were measured and are **not** worth
+//! their code: inline 8/4/2/1-lane moves instead of the per-run `memcpy`
+//! (1.02× slower), fixed 8-lane groups with a per-lane tail (1.005×), and
+//! adding the bias after the first depth block instead of pre-filling the
+//! tile with it (0.99×, noise). What would remove the straddle is a tile
+//! walk anchored to output rows, which is a different lowering.
 //!
 //! The GEMM transpose variants ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) run
 //! one BLIS-style nest: `A` is packed once into `MR`-row kernel-order
 //! panels (`pack.rs`); for each [`NC`]-wide column block and `KC`-deep
-//! depth block, `B` is packed into `NR`-column panels (`KC × NC × 4 B ≈
-//! 256 KB`, L2-resident while `A`'s panels stream against it); the inner
+//! depth block, `B` is packed into `NR`-column panels (`KC × NC × 4 B =
+//! 264 KiB`, L2-resident while `A`'s panels stream against it); the inner
 //! loops walk `MR × NR` tiles of `C`. Ragged `M`/`N` edges are zero-padded
 //! during packing; ragged `K` tails shorten the depth loop. Transposed
 //! operands are handled by the *packers* through strided views, so no
@@ -123,10 +133,12 @@ pub use crate::pack::{MR, NR};
 /// one micro-kernel accumulation run).
 pub const KC: usize = 256;
 
-/// Column-blocking factor: the `N` extent of one packed `B` panel.
-/// `KC × NC` f32 ≈ 256 KB, sized to stay L2-resident while every `MR`-row
+/// Column-blocking factor: the `N` extent of one packed `B` block — the
+/// multiple of [`NR`] nearest 256, so no block ends in a ragged panel.
+/// `KC × NC` f32 = 264 KiB, sized to stay L2-resident while every `MR`-row
 /// panel of `A` streams against it.
-pub const NC: usize = 256;
+pub const NC: usize = 264;
+const _: () = assert!(NC.is_multiple_of(NR));
 
 /// Output spatial length of a convolution along one axis (floor convention,
 /// matching `LayerGeometry::output_len` in `eva2-cnn`).
@@ -1190,6 +1202,15 @@ mod tests {
             // One output column in a pitch of 5: the fourth tile starts in
             // the grid's unused columns, past the end of the last channel.
             (1, 11, 1, 2, 5, 1, 2),
+            // The zoo's pitches. 50: tiles alternate between one output row
+            // and two; 26: every tile but a row's first straddles; 14: a
+            // tile covers parts of three rows.
+            (2, 5, 48, 5, 3, 1, 1),
+            (2, 5, 24, 5, 3, 1, 1),
+            (2, 5, 12, 5, 3, 1, 1),
+            // Pitch 33, between NR and 2·NR: a row is one whole tile and a
+            // part of the next.
+            (2, 4, 31, 5, 3, 1, 1),
         ] {
             let input = seq_input(c, h, w);
             let (weights, bias) = weights_for(oc, c, k);

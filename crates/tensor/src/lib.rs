@@ -15,7 +15,7 @@
 //! * [`gemm`] — the convolution engine behind `eva2_cnn::Conv2d`: a
 //!   padded-domain direct convolution for the forward pass and a packed,
 //!   register-blocked f32 GEMM over im2col for training, both on one
-//!   4×16 micro-kernel.
+//!   4×24 fused-multiply-add micro-kernel.
 //! * [`sparse`] — [`SparseActivation`], the non-zero view the sparse-aware
 //!   CNN suffix consumes (the software analogue of the Fig 10 decoder-lane
 //!   output).
