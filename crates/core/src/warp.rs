@@ -25,19 +25,22 @@
 //! directly as a [`SparseActivation`]: zero outputs are skipped at
 //! generation time instead of being materialised into a tensor and
 //! re-scanned by `SparseActivation::from_dense`. The fused functions also
-//! hoist the per-position work (source coordinates, interpolation weights)
-//! out of the channel loop — every channel of one output position shares
-//! the same motion vector, so the weights are computed once instead of
-//! `C` times. Entry values and [`WarpStats`] are **bit-identical** to
-//! dense-then-extract (same operations in the same order per element;
-//! tests pin this), which is what lets `eva2_core::serve` feed the CNN
-//! suffix from the fused output without changing a single output bit.
+//! hoist the per-position work out of the channel loop — every channel of
+//! one output position shares the same motion vector, so the float path
+//! finds the source cells (two `floor`s, four bounds tests) and the
+//! fractions `(u, v)` once instead of `C` times and then evaluates the
+//! reference's bilinear sum verbatim per channel, and the Q8.8 path
+//! computes its four corner weights once. Entry values and [`WarpStats`]
+//! are **bit-identical** to dense-then-extract (same operations in the
+//! same order per element; tests pin this), which is what lets
+//! `eva2_core::serve` feed the CNN suffix from the fused output without
+//! changing a single output bit.
 
 // lint: hot-path
 
 use eva2_motion::field::VectorField;
 use eva2_tensor::interp::{sample, Interpolation};
-use eva2_tensor::{Fixed, SparseActivation, Tensor3};
+use eva2_tensor::{Fixed, Shape3, SparseActivation, Tensor3};
 
 /// Statistics from one warp pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -197,6 +200,66 @@ pub fn warp_activation_fixed(
     (out, stats)
 }
 
+/// What every channel of one output position shares when it samples the
+/// key activation at `(sy, sx)`: where the source cells sit in a channel
+/// plane (`None` outside the frame, which reads as zero) and, for bilinear
+/// sampling, the fractions of the motion vector.
+enum Source {
+    /// The 2×2 neighbourhood `[p00, p01, p10, p11]` and `(u, v)`.
+    Bilinear {
+        cells: [Option<usize>; 4],
+        u: f32,
+        v: f32,
+    },
+    /// The nearest cell.
+    Nearest(Option<usize>),
+}
+
+impl Source {
+    fn new(shape: Shape3, method: Interpolation, sy: f32, sx: f32) -> Self {
+        let cell = |y: isize, x: isize| {
+            shape
+                .contains_spatial(y, x)
+                .then(|| y as usize * shape.width + x as usize)
+        };
+        match method {
+            Interpolation::Bilinear => {
+                let (y0, x0) = (sy.floor(), sx.floor());
+                let (v, u) = (sy - y0, sx - x0);
+                let (y0, x0) = (y0 as isize, x0 as isize);
+                let cells = [
+                    cell(y0, x0),
+                    cell(y0, x0 + 1),
+                    cell(y0 + 1, x0),
+                    cell(y0 + 1, x0 + 1),
+                ];
+                Self::Bilinear { cells, u, v }
+            }
+            Interpolation::NearestNeighbor => {
+                Self::Nearest(cell(sy.round() as isize, sx.round() as isize))
+            }
+        }
+    }
+
+    /// [`sample`]'s value on one channel plane. The bilinear sum is
+    /// `sample_bilinear`'s expression verbatim — same operations, same
+    /// order, no pre-multiplied weights — hence its bits.
+    #[inline]
+    fn sample(&self, plane: &[f32]) -> f32 {
+        let at = |cell: Option<usize>| cell.map_or(0.0, |i| plane[i]);
+        match *self {
+            Self::Bilinear { cells, u, v } => {
+                let [p00, p01, p10, p11] = cells.map(at);
+                p00 * (1.0 - u) * (1.0 - v)
+                    + p01 * u * (1.0 - v)
+                    + p10 * (1.0 - u) * v
+                    + p11 * u * v
+            }
+            Self::Nearest(cell) => at(cell),
+        }
+    }
+}
+
 /// [`warp_activation`] fused with sparse extraction: warps straight into a
 /// [`SparseActivation`], skipping zero outputs at generation time instead
 /// of materialising and re-scanning a dense tensor.
@@ -231,14 +294,14 @@ pub fn warp_activation_sparse(
     for ay in 0..shape.height {
         for ax in 0..shape.width {
             // Per-position work hoisted out of the channel loop: all
-            // channels share this position's motion vector.
+            // channels share this position's motion vector, hence its
+            // source cells and fractions.
             let v = field.get(ay, ax);
-            let sy = ay as f32 + v.dy / s;
-            let sx = ax as f32 + v.dx / s;
+            let source = Source::new(shape, method, ay as f32 + v.dy / s, ax as f32 + v.dx / s);
             let pos = (ay * shape.width + ax) as u32;
             for (c, entries) in channels.iter_mut().enumerate() {
                 stats.interpolations += 1;
-                let val = sample(key, method, c, sy, sx);
+                let val = source.sample(key.channel(c));
                 if val == 0.0 {
                     stats.zero_skipped += 1;
                 } else {
