@@ -62,22 +62,15 @@
 //! stored once. A tile's operands are `C_in` short runs of `K` input rows,
 //! L1-resident while every weight panel streams against them.
 //!
-//! The micro-kernel is a fused multiply-add: per depth step 12
-//! `vfmadd231ps` on `ymm` (the 4×24 tile), 3 loads of `B`, 4 broadcasts of
-//! `A`. The depth loop is FMA-bound at 6 cycles a step; the zoo's
-//! convolutions run at 30–36 GMAC/s on the development host
-//! (`tensor.gemm.peak_gmacs_per_s` ≈ 36 through [`gemm_nn`]). What is left
-//! between that and the kernel's own rate is per-tile overhead, not
-//! arithmetic: a few tens of ns a kernel call of loop exit and set-up, and
-//! [`store_grid_tile`]'s row-straddling path, where the tile goes through
-//! memory — about 8 % of the `tiny_faster16` prefix, measured by storing
-//! every tile through the fixed-width path (and equally by not storing at
-//! all). Three cheaper-looking epilogues were measured and are **not** worth
-//! their code: inline 8/4/2/1-lane moves instead of the per-run `memcpy`
-//! (1.02× slower), fixed 8-lane groups with a per-lane tail (1.005×), and
-//! adding the bias after the first depth block instead of pre-filling the
-//! tile with it (0.99×, noise). What would remove the straddle is a tile
-//! walk anchored to output rows, which is a different lowering.
+//! The micro-kernel is a fused multiply-add — per depth step 12
+//! `vfmadd231ps` on `ymm`, FMA-bound at 6 cycles — and the zoo's
+//! convolutions run at 28–37 GMAC/s on the development host. What is left
+//! is per-tile overhead: a few tens of ns a kernel call, and
+//! `store_grid_tile`'s row-straddling path (≈ 8 % of the `tiny_faster16`
+//! prefix, measured by storing every tile through the fixed-width path).
+//! Inline fixed-width moves in place of its per-run `memcpy` measured
+//! *slower*; removing the straddle takes a tile walk anchored to output
+//! rows (ROADMAP, "FMA micro-kernel").
 //!
 //! The GEMM transpose variants ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) run
 //! one BLIS-style nest: `A` is packed once into `MR`-row kernel-order
@@ -133,10 +126,9 @@ pub use crate::pack::{MR, NR};
 /// one micro-kernel accumulation run).
 pub const KC: usize = 256;
 
-/// Column-blocking factor: the `N` extent of one packed `B` block — the
-/// multiple of [`NR`] nearest 256, so no block ends in a ragged panel.
-/// `KC × NC` f32 = 264 KiB, sized to stay L2-resident while every `MR`-row
-/// panel of `A` streams against it.
+/// Column-blocking factor: the `N` extent of one packed `B` block, a
+/// multiple of [`NR`] so no block ends in a ragged panel. `KC × NC` f32 =
+/// 264 KiB, L2-resident while every `MR`-row panel of `A` streams against it.
 pub const NC: usize = 264;
 const _: () = assert!(NC.is_multiple_of(NR));
 

@@ -4,34 +4,25 @@
 //! One invocation computes a full `MR × NR` tile of `A·B` for one depth
 //! block, keeping all `MR·NR` partial sums in an accumulator array that
 //! lives in registers for the whole depth loop. With `MR = 4`, `NR = 24`
-//! the tile is 96 `f32` accumulators — 12 YMM registers under AVX2, which
-//! with the 3 registers of the B row and 1 for the A broadcast is exactly
-//! the 16-register file: every depth step issues 12 independent 8-wide
-//! FMAs with no loads from `C`, and 12 chains cover the FMA latency × 2
-//! ports that the 8 chains of a 4×16 tile only just reach.
+//! the tile is 12 YMM registers under AVX2, which with 3 for the `B` row
+//! and 1 for the `A` broadcast is exactly the 16-register file; 12
+//! independent chains cover the FMA latency × 2 ports.
 //!
 //! `A` always arrives as a kernel-ordered panel from [`crate::pack`].
 //! [`microkernel`] reads `B` from a packed panel too (the GEMM driver);
 //! [`microkernel_taps`] reads each depth step's `NR` values at an offset
 //! into a padded input buffer (the direct convolution, which packs no `B`
-//! at all). Both are the same rank-1 update ([`rank1`]) per depth step, in
-//! the same order — one `fmac` chain over the depth index per `(i, j)`,
-//! starting from zero — hence the same bits.
+//! at all). Both run [`rank1`] per depth step — one `fmac` chain over the
+//! depth index per `(i, j)`, from zero — hence the same bits.
 //!
-//! **What it compiles to.** The nested `[[f32; NR]; MR]` accumulator with
-//! `row[j] = fmac(ai, bp[j], row[j])` becomes, per depth step, 3 `vmovups`
-//! of `B`, 4 `vbroadcastss` of `A` and 12 `vfmadd231ps` on `ymm`, with no
-//! stack traffic inside the loop (`objdump -d` of the serving benchmark:
-//! the depth loops of `conv_tiles` and `gemm_packed`). That loop is FMA-bound
-//! at 6 cycles a step: 30–36 GMAC/s on the zoo's convolutions on the
-//! development host, against 20–26 for the `vmulps` + `vaddps` 4×16 tile it
-//! replaced. The form is fragile *per tile shape and per target* — read the
-//! disassembly after touching it. Measured while sizing this kernel: 4×16
-//! with `mul_add` compiled the taps form correctly but the packed form to
-//! 13 GMAC/s; stand-alone 8×16 and 8×32 tiles went scalar (2.5–3 GMAC/s)
-//! under `target-cpu=native` on an AVX-512 host while compiling fine for
-//! `haswell`; a flat `[f32; MR*NR]` accumulator walked with
-//! `chunks_exact_mut(NR).zip(..)` went scalar too (1.5 GMAC/s).
+//! **What it compiles to.** Per depth step, 3 `vmovups` of `B`, 4
+//! `vbroadcastss` of `A` and 12 `vfmadd231ps` on `ymm`, no stack traffic
+//! (`objdump -d`: the depth loops of `conv_tiles` and `gemm_packed`) —
+//! FMA-bound at 6 cycles a step. The form is fragile *per tile shape and per
+//! target*: with `mul_add`, 4×16 compiled the taps form but took the packed
+//! form to 13 GMAC/s, 8×16 and 8×32 went scalar under `target-cpu=native`
+//! on an AVX-512 host, and so did a flat `[f32; MR*NR]` accumulator walked
+//! with `chunks_exact_mut(NR).zip(..)`. Read the disassembly after any edit.
 //!
 //! The kernel is branch-free over ragged edges: packing zero-pads partial
 //! `A` panels (and `B` panels in the GEMM driver), so partial tiles cost a
@@ -42,14 +33,9 @@
 
 use crate::pack::{MR, NR};
 
-/// One register tile: `tile[i][j]`, row `i` of the `A` panel against lane
-/// `j` of `B`.
-pub(crate) type Tile = [[f32; NR]; MR];
-
-/// `a·b + c`, fused where the target has an FMA unit. `f32::mul_add`
-/// without one is a libm call per MAC, so the choice is made at build time
-/// from the platform; the kernels' [`rank1`] step and nothing else in the
-/// engine calls this, which keeps every build self-consistent.
+/// `a·b + c`, fused where the target has an FMA unit (`f32::mul_add`
+/// without one is a libm call per MAC). Chosen at build time from the
+/// platform and called by [`rank1`] alone, so each build is self-consistent.
 #[inline(always)]
 fn fmac(a: f32, b: f32, c: f32) -> f32 {
     if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
@@ -61,7 +47,7 @@ fn fmac(a: f32, b: f32, c: f32) -> f32 {
 
 /// One depth step of either kernel: `acc[i][j] = fmac(ap[i], bp[j], acc[i][j])`.
 #[inline(always)]
-fn rank1(acc: &mut Tile, ap: &[f32], bp: &[f32]) {
+fn rank1(acc: &mut [[f32; NR]; MR], ap: &[f32], bp: &[f32]) {
     for i in 0..MR {
         let ai = ap[i];
         let row = &mut acc[i];
@@ -78,7 +64,7 @@ fn rank1(acc: &mut Tile, ap: &[f32], bp: &[f32]) {
 /// [`crate::pack`]. The tile starts from zero — the caller accumulates it
 /// into `C`.
 #[inline]
-pub(crate) fn microkernel(kc: usize, a_panel: &[f32], b_panel: &[f32]) -> Tile {
+pub(crate) fn microkernel(kc: usize, a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
     debug_assert!(a_panel.len() >= kc * MR && b_panel.len() >= kc * NR);
     let mut acc = [[0.0f32; NR]; MR];
     for (ap, bp) in a_panel[..kc * MR]
@@ -97,7 +83,7 @@ pub(crate) fn microkernel(kc: usize, a_panel: &[f32], b_panel: &[f32]) -> Tile {
 /// `C` once per depth *block*, not per depth step) stays simple.
 #[inline]
 pub(crate) fn add_tile(
-    tile: &Tile,
+    tile: &[[f32; NR]; MR],
     c: &mut [f32],
     ldc: usize,
     i0: usize,
@@ -125,7 +111,7 @@ pub(crate) fn add_tile(
 ///
 /// Panics when a tap's `NR`-wide window leaves `b`.
 #[inline]
-pub(crate) fn microkernel_taps(a_panel: &[f32], taps: &[usize], b: &[f32]) -> Tile {
+pub(crate) fn microkernel_taps(a_panel: &[f32], taps: &[usize], b: &[f32]) -> [[f32; NR]; MR] {
     debug_assert_eq!(a_panel.len(), taps.len() * MR);
     let mut acc = [[0.0f32; NR]; MR];
     for (ap, &tap) in a_panel.chunks_exact(MR).zip(taps) {

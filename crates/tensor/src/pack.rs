@@ -19,9 +19,8 @@
 /// Micro-kernel tile height: rows of `C` computed per kernel invocation.
 pub const MR: usize = 4;
 
-/// Micro-kernel tile width: columns of `C` computed per kernel invocation —
-/// three 8-lane `ymm` registers per tile row, so the `MR × NR` accumulator
-/// (12), one `B` row (3) and one `A` broadcast fill the 16-register file.
+/// Micro-kernel tile width: columns of `C` computed per kernel invocation
+/// (three 8-lane `ymm` registers per tile row).
 pub const NR: usize = 24;
 
 /// A read-only strided matrix view: `element(r, c) = data[r*rs + c*cs]`.
