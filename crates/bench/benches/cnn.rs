@@ -5,16 +5,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eva2_cnn::layer::{Conv2d, Layer};
 use eva2_cnn::zoo::{self, Workload};
-use eva2_tensor::gemm::{gemm_nn, gemm_nn_axpy, GemmScratch};
+use eva2_tensor::gemm::{gemm_nn, GemmScratch};
 use eva2_tensor::{Shape3, Tensor3};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
-/// Register-blocked micro-kernel vs the PR-1 AXPY-panel kernel on the
-/// product the conv benchmark lowers to (M=32, N=1024, K=144 — the
-/// key-frame prefix critical-path shape). The trajectory tracks the same
-/// pair as the `gemm_micro_over_axpy` ratio.
+/// The register-blocked micro-kernel on the product the conv benchmark
+/// lowers to (M=32, N=1024, K=144 — the key-frame prefix critical-path
+/// shape). The trajectory records the same entry.
 fn bench_gemm_micro(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_micro");
     group.sample_size(20);
@@ -30,13 +29,6 @@ fn bench_gemm_micro(c: &mut Criterion) {
         bch.iter(|| {
             out.fill(0.0);
             gemm_nn(m, n, k, black_box(&a), black_box(&b), &mut out);
-            black_box(&out);
-        })
-    });
-    group.bench_function("axpy", |bch| {
-        bch.iter(|| {
-            out.fill(0.0);
-            gemm_nn_axpy(m, n, k, black_box(&a), black_box(&b), &mut out);
             black_box(&out);
         })
     });

@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use eva2_cnn::delta::DeltaExecutor;
 use eva2_cnn::zoo;
 use eva2_core::executor::{AmcConfig, AmcExecutor};
-use eva2_core::pipeline::{FrameExecutor, PipelinedExecutor};
 use eva2_core::policy::PolicyConfig;
 use eva2_tensor::GrayImage;
 use std::hint::black_box;
@@ -68,15 +67,6 @@ fn bench_amc_frames(c: &mut Criterion) {
         b.iter(|| black_box(amc.process(&f1)))
     });
 
-    // Streaming pipelined executor in steady state: each push returns the
-    // previous frame's result while the worker estimates the next frame's
-    // motion.
-    group.bench_function("predicted_frame_pipelined", |b| {
-        let mut pipe = PipelinedExecutor::new(AmcExecutor::try_new(&z.network, never_key).unwrap());
-        pipe.push(&f0);
-        b.iter(|| black_box(pipe.push(&f1)))
-    });
-
     // The §II delta-network strawman processes every layer every frame.
     group.bench_function("delta_network_frame", |b| {
         let mut delta = DeltaExecutor::new(1e-4);
@@ -86,34 +76,5 @@ fn bench_amc_frames(c: &mut Criterion) {
     group.finish();
 }
 
-/// Where the overlap actually pays: a mixed key/predicted stream. On a key
-/// frame the pipelined executor runs the full CNN while the worker already
-/// block-matches the next frame; serially those costs add.
-fn bench_pipeline_overlap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pipeline_overlap");
-    group.sample_size(10);
-    let z = zoo::tiny_fasterm(0);
-    let clip: Vec<GrayImage> = (0..12).map(frame).collect();
-    let config = AmcConfig {
-        policy: PolicyConfig::StaticRate { period: 4 },
-        ..Default::default()
-    };
-    group.bench_function("clip12_serial", |b| {
-        let mut amc = AmcExecutor::try_new(&z.network, config).unwrap();
-        b.iter(|| {
-            FrameExecutor::reset(&mut amc);
-            black_box(FrameExecutor::process_clip(&mut amc, &clip).expect("clean clip serves"))
-        })
-    });
-    group.bench_function("clip12_pipelined", |b| {
-        let mut pipe = PipelinedExecutor::new(AmcExecutor::try_new(&z.network, config).unwrap());
-        b.iter(|| {
-            FrameExecutor::reset(&mut pipe);
-            black_box(FrameExecutor::process_clip(&mut pipe, &clip).expect("clean clip serves"))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_amc_frames, bench_pipeline_overlap);
+criterion_group!(benches, bench_amc_frames);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Produces `BENCH_conv.json` — the committed performance trajectory of the
 //! convolution engine (naive vs the direct kernel), the sparse-aware suffix
 //! (skip-zero vs densify-then-dense), the dense RFBME fast path, and
-//! the serial vs pipelined AMC executors.
+//! the AMC executor's key and predicted frames.
 //!
 //! Run from the workspace root:
 //!

@@ -11,13 +11,9 @@
 //! how fast the CI machine happens to be; each ratio pits two in-process
 //! implementations against each other under identical noise.
 //!
-//! Ratios flagged *advisory* (machine-topology-dependent, e.g. the serial
-//! vs pipelined executor ratio, whose committed value depends on the
-//! measuring host's core count) are reported but never fail the gate
-//! unless the `EVA2_BENCH_STRICT=1` environment variable is set — a
-//! multi-core CI runner comparing against a trajectory committed from a
-//! single-CPU container (or vice versa) would otherwise trip the tolerance
-//! with no code change at all.
+//! Figures flagged *advisory* (toolchain-dependent: the session-memory
+//! footprint) are reported but never fail the gate unless the
+//! `EVA2_BENCH_STRICT=1` environment variable is set.
 //!
 //! ```text
 //! cargo run --release -p eva2-bench --bin bench_gate [-- OPTIONS]
@@ -41,7 +37,7 @@
 //! serial oracles) on any host, independent of the committed baseline.
 //!
 //! The full-sampling trajectory writers are `bench_conv` and `bench_serve`;
-//! see `eva2_core::pipeline` for when to regenerate the committed files.
+//! regenerate the committed files after touching a measured kernel.
 
 use eva2_bench::serve_load::{self, STRICT_OVERHEAD_FLOOR};
 use eva2_bench::trajectory::{extract_number, measure, Mode, TrackedRatio};

@@ -13,13 +13,12 @@
 use eva2_cnn::layer::{Conv2d, Layer};
 use eva2_cnn::zoo;
 use eva2_core::executor::{AmcConfig, AmcExecutor};
-use eva2_core::pipeline::PipelinedExecutor;
 use eva2_core::policy::PolicyConfig;
 use eva2_core::serve::Engine;
 use eva2_core::sparse::RleActivation;
 use eva2_core::warp::{warp_activation, warp_activation_sparse};
 use eva2_motion::rfbme::{Rfbme, SearchParams};
-use eva2_tensor::gemm::{gemm_nn, gemm_nn_axpy, GemmScratch};
+use eva2_tensor::gemm::{gemm_nn, GemmScratch};
 use eva2_tensor::interp::Interpolation;
 use eva2_tensor::{GrayImage, Shape3, SparseActivation, Tensor3};
 use rand::SeedableRng;
@@ -80,9 +79,6 @@ pub struct Measurements {
     pub entries: Vec<Entry>,
     /// Conv forward: naive over the direct kernel (scratch path).
     pub conv_speedup: f64,
-    /// Raw GEMM on the key-frame prefix critical-path shape: AXPY-panel
-    /// kernel over the register-blocked micro-kernel.
-    pub gemm_micro_over_axpy: f64,
     /// Suffix-from-RLE: densify-then-dense over sparse-aware, per sparsity.
     pub suffix_speedups: Vec<(f32, f64)>,
     /// End-to-end AMC: key frame over predicted frame (serial executor).
@@ -94,8 +90,6 @@ pub struct Measurements {
     /// (warp → dense tensor → `from_dense` → suffix) over the fused
     /// warp→sparse path the serving engine runs.
     pub predicted_frame_fused_over_dense: f64,
-    /// Predicted frame: serial executor over the streaming pipeline.
-    pub predicted_serial_over_pipelined: f64,
     /// Audited heap footprint (bytes) of one serving session holding key
     /// state for the FasterM analogue — the figure the serving engine's
     /// memory budgets ([`EngineLimits::max_session_bytes`] /
@@ -113,13 +107,11 @@ pub struct TrackedRatio {
     pub key: String,
     /// The freshly measured value.
     pub value: f64,
-    /// Host-marginal ratios are *advisory*: `bench_gate` warns on
-    /// regression instead of failing unless `EVA2_BENCH_STRICT=1` is set.
-    /// That is the machine-topology-dependent ratio (serial vs pipelined
-    /// executor — the committed value depends on the measuring host's core
-    /// count) and the session-memory capacity figure. In-process
-    /// algorithm-vs-algorithm ratios with real separation divide out the
-    /// host and stay strict.
+    /// *Advisory* figures make `bench_gate` warn on regression instead of
+    /// failing unless `EVA2_BENCH_STRICT=1` is set. Only the session-memory
+    /// capacity figure is one (it moves with the toolchain, not the code);
+    /// in-process algorithm-vs-algorithm ratios divide out the host and
+    /// stay strict.
     pub advisory: bool,
 }
 
@@ -190,9 +182,8 @@ pub fn measure(mode: Mode) -> Measurements {
     println!("conv speedup (naive / gemm_scratch): {conv_speedup:.2}x");
 
     // ------------------------------------------------------------------
-    // Raw GEMM: register-blocked micro-kernel vs the PR-1 AXPY-panel
-    // kernel, on the exact product the conv benchmark lowers to (the
-    // key-frame prefix critical-path shape).
+    // Raw GEMM: the register-blocked micro-kernel on the exact product the
+    // conv benchmark lowers to (the key-frame prefix critical-path shape).
     // ------------------------------------------------------------------
     let (gm, gn, gk) = (32usize, 1024usize, 144usize);
     let ga: Vec<f32> = (0..gm * gk)
@@ -208,15 +199,8 @@ pub fn measure(mode: Mode) -> Measurements {
         black_box(&gc);
     });
     record("gemm_micro/microkernel/32x1024x144", micro_ns);
-    let axpy_ns = time_ns(mode, || {
-        gc.fill(0.0);
-        gemm_nn_axpy(gm, gn, gk, black_box(&ga), black_box(&gb), &mut gc);
-        black_box(&gc);
-    });
-    record("gemm_micro/axpy/32x1024x144", axpy_ns);
-    let gemm_micro_over_axpy = axpy_ns / micro_ns;
     let gflops = (2 * gm * gn * gk) as f64 / micro_ns;
-    println!("gemm speedup (axpy / microkernel): {gemm_micro_over_axpy:.2}x ({gflops:.1} GFLOP/s)");
+    println!("gemm microkernel: {gflops:.1} GFLOP/s");
 
     // A strided large-kernel geometry (AlexNet-like first layer shape).
     let conv2 = Conv2d::new("bench2", 3, 24, 5, 2, 2, &mut rng);
@@ -337,7 +321,7 @@ pub fn measure(mode: Mode) -> Measurements {
     };
 
     // ------------------------------------------------------------------
-    // End-to-end AMC frames (FasterM analogue), serial and pipelined.
+    // End-to-end AMC frames (FasterM analogue).
     // ------------------------------------------------------------------
     let always_key = AmcConfig {
         policy: PolicyConfig::AlwaysKey,
@@ -364,17 +348,6 @@ pub fn measure(mode: Mode) -> Measurements {
     record("pipeline/predicted_frame/fasterm", pred_ns);
     println!("key/predicted frame ratio: {:.2}x", key_ns / pred_ns);
 
-    // Steady-state streaming throughput: each push returns the previous
-    // frame's result while the worker estimates the next frame's motion.
-    let mut pipe = PipelinedExecutor::new(AmcExecutor::try_new(&z.network, never_key).unwrap());
-    pipe.push(&f0);
-    let pred_pipe_ns = time_ns(mode, || {
-        black_box(pipe.push(black_box(&f1)));
-    });
-    record("pipeline/predicted_frame/pipelined", pred_pipe_ns);
-    let predicted_serial_over_pipelined = pred_ns / pred_pipe_ns;
-    println!("predicted frame serial/pipelined: {predicted_serial_over_pipelined:.2}x");
-
     // ------------------------------------------------------------------
     // Serving-session memory: the audited footprint one stream holds in
     // steady state (struct + key image + RLE/sparse/decoded activations +
@@ -398,12 +371,10 @@ pub fn measure(mode: Mode) -> Measurements {
     Measurements {
         entries,
         conv_speedup,
-        gemm_micro_over_axpy,
         suffix_speedups,
         key_over_predicted: key_ns / pred_ns,
         rfbme_reference_over_fast,
         predicted_frame_fused_over_dense,
-        predicted_serial_over_pipelined,
         session_memory_footprint,
     }
 }
@@ -426,8 +397,8 @@ impl Measurements {
         }
         let _ = write!(
             body,
-            "  ],\n  \"conv_speedup_naive_over_gemm\": {:.2},\n  \"gemm_micro_over_axpy\": {:.2},\n  \"suffix_speedup_sparse_over_densify\": {{\n",
-            self.conv_speedup, self.gemm_micro_over_axpy
+            "  ],\n  \"conv_speedup_naive_over_gemm\": {:.2},\n  \"suffix_speedup_sparse_over_densify\": {{\n",
+            self.conv_speedup
         );
         for (i, (s, x)) in self.suffix_speedups.iter().enumerate() {
             let _ = write!(body, "    \"{:.0}pct\": {x:.2}", s * 100.0);
@@ -439,11 +410,10 @@ impl Measurements {
         }
         let _ = write!(
             body,
-            "  }},\n  \"key_over_predicted_frame\": {:.2},\n  \"rfbme_reference_over_fast\": {:.2},\n  \"predicted_frame_fused_over_dense\": {:.2},\n  \"predicted_serial_over_pipelined\": {:.2},\n  \"session_memory_footprint\": {:.0}\n}}\n",
+            "  }},\n  \"key_over_predicted_frame\": {:.2},\n  \"rfbme_reference_over_fast\": {:.2},\n  \"predicted_frame_fused_over_dense\": {:.2},\n  \"session_memory_footprint\": {:.0}\n}}\n",
             self.key_over_predicted,
             self.rfbme_reference_over_fast,
             self.predicted_frame_fused_over_dense,
-            self.predicted_serial_over_pipelined,
             self.session_memory_footprint
         );
         body
@@ -451,18 +421,15 @@ impl Measurements {
 
     /// The speedup ratios the CI gate tracks. Ratios (not absolute times)
     /// are tracked because they divide out the host machine's speed; the
-    /// ones that *don't* fully divide it out (they depend on the host's
-    /// core topology) carry `advisory: true` — see [`TrackedRatio`].
+    /// one figure that is not a ratio carries `advisory: true` — see
+    /// [`TrackedRatio`].
     pub fn tracked_ratios(&self) -> Vec<TrackedRatio> {
         let strict = |key: &str, value: f64| TrackedRatio {
             key: key.to_string(),
             value,
             advisory: false,
         };
-        let mut v = vec![
-            strict("conv_speedup_naive_over_gemm", self.conv_speedup),
-            strict("gemm_micro_over_axpy", self.gemm_micro_over_axpy),
-        ];
+        let mut v = vec![strict("conv_speedup_naive_over_gemm", self.conv_speedup)];
         for (s, x) in &self.suffix_speedups {
             v.push(strict(
                 &format!("suffix_speedup_sparse_over_densify.{:.0}pct", s * 100.0),
@@ -478,15 +445,6 @@ impl Measurements {
             "predicted_frame_fused_over_dense",
             self.predicted_frame_fused_over_dense,
         ));
-        // Serial-vs-pipelined pits one thread against two: its committed
-        // value is a property of the measuring machine's core count, not of
-        // the code, so a multi-core↔single-core CI mismatch would trip the
-        // tolerance spuriously.
-        v.push(TrackedRatio {
-            key: "predicted_serial_over_pipelined".to_string(),
-            value: self.predicted_serial_over_pipelined,
-            advisory: true,
-        });
         // A capacity figure, not a speedup: `Vec` growth policy and
         // allocator round-up differ across toolchains, so byte-for-byte
         // bands would flake on a toolchain bump. Advisory keeps bloat
@@ -546,12 +504,10 @@ mod tests {
                 median_ns: 123.4,
             }],
             conv_speedup: 17.25,
-            gemm_micro_over_axpy: 2.4,
             suffix_speedups: vec![(0.5, 4.5), (0.8, 11.0)],
             key_over_predicted: 1.21,
             rfbme_reference_over_fast: 6.8,
             predicted_frame_fused_over_dense: 1.4,
-            predicted_serial_over_pipelined: 1.15,
             session_memory_footprint: 123456.0,
         };
         let json = m.to_json();
@@ -572,12 +528,10 @@ mod tests {
         let m = Measurements {
             entries: Vec::new(),
             conv_speedup: 1.0,
-            gemm_micro_over_axpy: 1.0,
             suffix_speedups: vec![(0.5, 1.0)],
             key_over_predicted: 1.0,
             rfbme_reference_over_fast: 1.0,
             predicted_frame_fused_over_dense: 1.0,
-            predicted_serial_over_pipelined: 1.0,
             session_memory_footprint: 1.0,
         };
         let advisory: Vec<String> = m
@@ -586,12 +540,6 @@ mod tests {
             .filter(|r| r.advisory)
             .map(|r| r.key)
             .collect();
-        assert_eq!(
-            advisory,
-            vec![
-                "predicted_serial_over_pipelined",
-                "session_memory_footprint"
-            ]
-        );
+        assert_eq!(advisory, vec!["session_memory_footprint"]);
     }
 }

@@ -70,34 +70,16 @@ pub trait Layer: fmt::Debug + Send + Sync {
         self.forward(input)
     }
 
-    /// Runs the layer forward consuming an owned input — the single-frame
-    /// companion of [`Layer::forward_batch`], used by
-    /// `Network::forward_prefix_scratch` so layers that can work in place
-    /// skip the per-frame allocate-and-copy entirely.
+    /// Runs the layer forward consuming an owned input — used by
+    /// `Network::forward_prefix_scratch` and `forward_prefix_batched` so
+    /// layers that can work in place skip the per-frame allocate-and-copy
+    /// entirely.
     ///
     /// The contract is **bit-identity** with [`Layer::forward_scratch`] on
     /// the same input (the default is exactly that call). [`Relu`]
     /// overrides it to rectify in place.
     fn forward_owned(&self, input: Tensor3, scratch: &mut GemmScratch) -> Tensor3 {
         self.forward_scratch(&input, scratch)
-    }
-
-    /// Runs the layer forward over a batch of same-shape frames, consuming
-    /// the inputs — the cross-stream key-frame seam of the serving engine
-    /// (`eva2_core::serve`).
-    ///
-    /// The contract is **bit-identity** with mapping
-    /// [`Layer::forward_scratch`] over the batch; implementations may only
-    /// reorganise work that cannot change any output bit. The default does
-    /// exactly that mapping — a batch is a loop over frames for
-    /// [`Conv2d`] (its weights are packed when they change, so nothing is
-    /// left to amortise) and [`MaxPool2d`]. [`Relu`] overrides it to
-    /// rectify in place (no per-frame allocation).
-    fn forward_batch(&self, batch: Vec<Tensor3>, scratch: &mut GemmScratch) -> Vec<Tensor3> {
-        batch
-            .iter()
-            .map(|x| self.forward_scratch(x, scratch))
-            .collect()
     }
 
     /// Runs the layer forward directly from a sparse activation (the
@@ -758,17 +740,6 @@ impl Layer for Relu {
             *v = v.max(0.0);
         }
         input
-    }
-
-    fn forward_batch(&self, mut batch: Vec<Tensor3>, _scratch: &mut GemmScratch) -> Vec<Tensor3> {
-        // The batch owns its tensors, so rectify in place: no per-frame
-        // allocation + copy, identical bits.
-        for t in &mut batch {
-            for v in t.as_mut_slice() {
-                *v = v.max(0.0);
-            }
-        }
-        batch
     }
 
     fn backward(&mut self, input: &Tensor3, grad_out: &Tensor3) -> Tensor3 {

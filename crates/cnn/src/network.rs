@@ -23,9 +23,8 @@ pub struct Network {
 }
 
 // `Layer: Send + Sync` makes networks shareable by reference across
-// threads: the pipelined executor keeps `&Network` on the main thread while
-// a worker estimates motion, and batched executors can fan frames out over
-// scoped threads. Enforce the property where the type is defined.
+// threads: the serving engine's workers all run one `Arc<Network>`.
+// Enforce the property where the type is defined.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Network>();
@@ -169,8 +168,8 @@ impl Network {
     /// (`eva2_core::serve`).
     ///
     /// Outputs are **bit-identical** to calling
-    /// [`Network::forward_prefix_scratch`] once per frame (see
-    /// [`Layer::forward_batch`] for the contract). The batch runs layer by
+    /// [`Network::forward_prefix_scratch`] once per frame (both map
+    /// [`Layer::forward_owned`] over the layers). The batch runs layer by
     /// layer, each layer looping over the frames, so one layer's weight
     /// panels and the shared scratch stay cache-resident across the key
     /// frames of independent streams; there is no per-call packing left to
@@ -198,24 +197,12 @@ impl Network {
         // (ReLU) do, and the engine's key-frame inputs are throwaway.
         let mut batch = inputs;
         for layer in &self.layers[..=target] {
-            batch = layer.forward_batch(batch, scratch);
+            batch = batch
+                .into_iter()
+                .map(|x| layer.forward_owned(x, scratch))
+                .collect();
         }
         batch
-    }
-
-    /// [`Network::forward_suffix`] reusing caller-owned GEMM scratch.
-    pub fn forward_suffix_scratch(
-        &self,
-        activation: &Tensor3,
-        target: usize,
-        scratch: &mut GemmScratch,
-    ) -> Tensor3 {
-        assert!(target < self.layers.len(), "target layer out of range");
-        let mut x = activation.clone();
-        for layer in &self.layers[target + 1..] {
-            x = layer.forward_scratch(&x, scratch);
-        }
-        x
     }
 
     /// Runs the suffix directly from a sparse target activation.

@@ -6,8 +6,8 @@
 //! warped activation data (see [`crate::network::Network::backward_suffix`]).
 
 use crate::network::Network;
-use crate::zoo::{DETECTION_OUTPUTS, NUM_CLASSES};
-use eva2_tensor::{Shape3, Tensor3};
+use crate::zoo::DETECTION_OUTPUTS;
+use eva2_tensor::Tensor3;
 use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
 
@@ -248,15 +248,11 @@ pub fn predicted_detection_class(output: &Tensor3) -> usize {
         .unwrap_or(0)
 }
 
-/// Dummy shape helper for tests: a `NUM_CLASSES × 1 × 1` logits shape.
-pub fn logits_shape() -> Shape3 {
-    Shape3::new(NUM_CLASSES, 1, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::{tiny_alexnet, tiny_fasterm};
+    use crate::zoo::{tiny_alexnet, tiny_fasterm, NUM_CLASSES};
+    use eva2_tensor::Shape3;
     use rand::{Rng, SeedableRng};
 
     #[test]

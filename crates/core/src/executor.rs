@@ -8,7 +8,7 @@
 //! the CNN suffix.
 
 use crate::error::AmcError;
-use crate::policy::{FrameKind, FrameMetrics, PolicyConfig};
+use crate::policy::{FrameMetrics, PolicyConfig};
 use crate::serve::SessionCore;
 use crate::sparse::RleActivation;
 use crate::target::TargetSelection;
@@ -434,8 +434,8 @@ impl<'n> AmcExecutor<'n> {
         self.core.key_image()
     }
 
-    /// The RFBME estimator this executor runs (copied by the pipelined
-    /// executor's worker thread so both compute bit-identical estimates).
+    /// The RFBME estimator this executor runs, for callers that compute
+    /// the estimate themselves and feed [`AmcExecutor::process_with_motion`].
     pub fn rfbme(&self) -> Rfbme {
         self.core.rfbme()
     }
@@ -466,8 +466,8 @@ impl<'n> AmcExecutor<'n> {
     /// `motion` must be what [`AmcExecutor::rfbme`] would produce from the
     /// stored key image to `image` (and `None` exactly when no key state is
     /// stored) for results to match [`AmcExecutor::process`]. This is the
-    /// entry point for executors that compute motion elsewhere — the
-    /// pipelined executor's worker thread, or replayed codec vectors.
+    /// entry point for callers that compute motion elsewhere, e.g.
+    /// replayed codec vectors.
     ///
     /// # Panics
     ///
@@ -479,29 +479,54 @@ impl<'n> AmcExecutor<'n> {
         motion: Option<RfbmeResult>,
     ) -> AmcFrameResult {
         self.core
-            .process_with_motion_hook(self.net, &mut self.scratch, image, motion, |_| {})
+            .process_with_motion(self.net, &mut self.scratch, image, motion)
             .unwrap_or_else(|e| panic!("AMC rejected the frame: {e}"))
     }
+}
 
-    /// [`AmcExecutor::process_with_motion`] with a hook invoked right after
-    /// the key-frame decision, *before* any CNN or warp work. The pipelined
-    /// executor uses the hook to dispatch the next frame's motion estimate
-    /// (whose reference image is final once the decision is known) so it
-    /// overlaps with this frame's execution.
-    pub(crate) fn process_with_motion_hook(
-        &mut self,
-        image: &GrayImage,
-        motion: Option<RfbmeResult>,
-        after_decision: impl FnOnce(FrameKind),
-    ) -> AmcFrameResult {
-        self.core
-            .process_with_motion_hook(self.net, &mut self.scratch, image, motion, after_decision)
-            .unwrap_or_else(|e| panic!("AMC rejected the frame: {e}"))
+/// Common interface over [`AmcExecutor`] and the engine-backed
+/// [`EngineExecutor`](crate::serve::EngineExecutor), so experiment
+/// protocols can drive either interchangeably.
+pub trait FrameExecutor {
+    /// Processes the next frame of the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns the executor's typed refusal (e.g.
+    /// [`AmcError::FrameGeometryMismatch`] for an off-geometry frame, or
+    /// an engine-backed executor's containment errors) instead of
+    /// panicking — a harness must not be able to kill a serving process.
+    fn process_frame(&mut self, frame: &GrayImage) -> Result<AmcFrameResult, AmcError>;
+
+    /// Processes a clip, returning one result per frame in order. Key-frame
+    /// state persists across calls; call [`FrameExecutor::reset`] between
+    /// independent clips.
+    ///
+    /// # Errors
+    ///
+    /// Stops at, and returns, the first frame refusal.
+    fn process_clip(&mut self, frames: &[GrayImage]) -> Result<Vec<AmcFrameResult>, AmcError> {
+        frames.iter().map(|f| self.process_frame(f)).collect()
     }
 
-    /// Convenience: processes a slice of frames, returning per-frame results.
-    pub fn process_clip(&mut self, frames: &[GrayImage]) -> Vec<AmcFrameResult> {
-        frames.iter().map(|f| self.process(f)).collect()
+    /// Aggregate statistics over every frame processed so far.
+    fn stats(&self) -> ExecStats;
+
+    /// Drops stored state, forcing the next frame to be a key frame.
+    fn reset(&mut self);
+}
+
+impl FrameExecutor for AmcExecutor<'_> {
+    fn process_frame(&mut self, frame: &GrayImage) -> Result<AmcFrameResult, AmcError> {
+        self.try_process(frame)
+    }
+
+    fn stats(&self) -> ExecStats {
+        AmcExecutor::stats(self)
+    }
+
+    fn reset(&mut self) {
+        AmcExecutor::reset(self)
     }
 }
 
@@ -786,6 +811,13 @@ mod tests {
         assert!(amc.process(&noise).is_key);
         assert_eq!(amc.stats().forced_keys, 1);
         assert_eq!(amc.stats().key_frames, 2);
+    }
+
+    #[test]
+    fn executors_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<AmcExecutor<'static>>();
+        assert_send::<AmcFrameResult>();
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * §II-C5 target layer choice → [`target`].
 //! * §II-A the full pipeline → [`executor`] ([`AmcExecutor`], a
 //!   single-stream wrapper).
-//! * §III / Fig 6's decoupled EVA² unit, as a software pipeline →
-//!   [`pipeline`] ([`pipeline::PipelinedExecutor`] overlaps the next
-//!   frame's RFBME with the current frame's CNN work on a worker thread).
+//! * §III / Fig 6's decoupled EVA² unit stays hardware-only: on one host a
+//!   worker thread overlapping the next frame's RFBME with this frame's CNN
+//!   work cost more in hand-off than it hid (serial/pipelined 0.89).
 //! * Multi-stream serving → [`serve`] ([`serve::Engine`] owns the network
 //!   and shared scratch; each video stream is a [`serve::StreamSession`],
 //!   and key frames from independent streams share one batched,
@@ -57,7 +57,6 @@
 
 pub mod error;
 pub mod executor;
-pub mod pipeline;
 pub mod policy;
 pub mod serve;
 pub mod sparse;
@@ -65,8 +64,9 @@ pub mod target;
 pub mod warp;
 
 pub use error::AmcError;
-pub use executor::{AmcConfig, AmcConfigBuilder, AmcExecutor, AmcFrameResult, WarpMode};
-pub use pipeline::{FrameExecutor, PipelinedExecutor};
+pub use executor::{
+    AmcConfig, AmcConfigBuilder, AmcExecutor, AmcFrameResult, FrameExecutor, WarpMode,
+};
 pub use policy::{FrameMetrics, KeyFramePolicy};
 pub use serve::{Engine, EngineLimits, StreamSession};
 pub use sparse::RleActivation;

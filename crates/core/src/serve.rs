@@ -212,16 +212,15 @@
 //!
 //! # The single-stream wrapper guarantee
 //!
-//! `AmcExecutor` (and therefore `PipelinedExecutor`) is a thin wrapper
-//! over the same per-session state machine ([`SessionCore`]) this module
-//! runs: one session, one borrowed network, private GEMM and RFBME
-//! scratch. Every
-//! output, decision, and statistic is **bit-identical** across all three
-//! entry points — serial executor, pipelined executor, and engine sessions
+//! `AmcExecutor` is a thin wrapper over the same per-session state machine
+//! ([`SessionCore`]) this module runs: one session, one borrowed network,
+//! private GEMM and RFBME scratch. Every output, decision, and statistic
+//! is **bit-identical** across both entry points — the serial executor
+//! (fed its own or an external motion estimate) and engine sessions
 //! (single or batched) — which `crates/core/tests/serve_interleaved.rs`
-//! and `pipeline_bitident.rs` enforce. Existing single-stream callers keep
-//! working unchanged; multi-stream callers get batching by switching to
-//! the engine.
+//! and `external_motion_bitident.rs` enforce. Existing single-stream
+//! callers keep working unchanged; multi-stream callers get batching by
+//! switching to the engine.
 //!
 //! # Example
 //!
@@ -1173,25 +1172,21 @@ impl SessionCore {
         // EVA² always runs RFBME — its block errors drive the key-frame
         // choice module even when warping is disabled (memoization mode).
         let motion = self.estimate_motion(image, motion_scratch);
-        self.process_with_motion_hook(net, scratch, image, motion, |_| {})
+        self.process_with_motion(net, scratch, image, motion)
     }
 
     /// [`SessionCore::process`] with an externally computed motion
-    /// estimate and a hook invoked right after the key-frame decision,
-    /// *before* any CNN or warp work — the pipelined executor's dispatch
-    /// point for the next frame's estimate.
-    pub(crate) fn process_with_motion_hook(
+    /// estimate: decide, execute.
+    pub(crate) fn process_with_motion(
         &mut self,
         net: &Network,
         scratch: &mut GemmScratch,
         image: &GrayImage,
         motion: Option<RfbmeResult>,
-        after_decision: impl FnOnce(FrameKind),
     ) -> Result<AmcFrameResult, AmcError> {
         self.check_geometry(image)?;
         let plan = self.classify(&motion);
         self.commit_frame(&plan);
-        after_decision(plan.kind);
         match plan.kind {
             FrameKind::Key => {
                 let input = image.to_tensor();
@@ -2530,18 +2525,17 @@ const _: () = {
     assert_send::<Engine>();
 };
 
-/// The serving [`Engine`] speaking the
-/// [`FrameExecutor`](crate::pipeline::FrameExecutor) protocol: one unlimited
-/// engine driving one stream.
+/// The serving [`Engine`] behind the
+/// [`FrameExecutor`](crate::executor::FrameExecutor) interface: one
+/// unlimited engine driving one stream.
 ///
 /// This is the adapter the experiment protocols
-/// (`eva2_experiments::run_policy_with`) use so every executor flavour —
-/// serial, pipelined, worker-pool — funnels through the same serving entry
-/// point. The engine is opened with [`EngineLimits::unlimited`] (plus the
-/// forced `worker_threads` count), so every frame is admitted and
-/// [`FrameOutcome::into_result`] cannot refuse; outputs are bit-identical to
-/// the serial [`AmcExecutor`](crate::executor::AmcExecutor) for any worker
-/// count.
+/// (`eva2_experiments::run_policy_with`) use so protocol runs funnel
+/// through the serving entry point. The engine is opened with
+/// [`EngineLimits::unlimited`] (plus the forced `worker_threads` count), so
+/// every frame is admitted and [`FrameOutcome::into_result`] cannot refuse;
+/// outputs are bit-identical to the serial
+/// [`AmcExecutor`](crate::executor::AmcExecutor) for any worker count.
 pub struct EngineExecutor {
     engine: Engine,
     session: StreamSession,
@@ -2569,25 +2563,13 @@ impl EngineExecutor {
     }
 }
 
-impl crate::pipeline::FrameExecutor for EngineExecutor {
-    fn name(&self) -> &'static str {
-        "engine"
-    }
-
-    fn push_frame(&mut self, frame: &GrayImage) -> Result<Option<AmcFrameResult>, AmcError> {
+impl crate::executor::FrameExecutor for EngineExecutor {
+    fn process_frame(&mut self, frame: &GrayImage) -> Result<AmcFrameResult, AmcError> {
         // An unlimited engine sheds nothing, so any refusal here (a bad
         // frame, a contained panic) surfaces as its typed error for the
         // caller to stop on — never as a panic that could kill a process
         // serving other streams.
-        Ok(Some(
-            self.engine
-                .process(&mut self.session, frame)
-                .into_result()?,
-        ))
-    }
-
-    fn finish(&mut self) -> Option<AmcFrameResult> {
-        None
+        self.engine.process(&mut self.session, frame).into_result()
     }
 
     fn stats(&self) -> ExecStats {
@@ -3526,17 +3508,16 @@ mod tests {
         // Regression for the removed `.expect("an unlimited engine serves
         // every frame")`: a bad frame through the FrameExecutor seam must
         // come back as a typed error, not a harness-killing panic.
-        use crate::pipeline::FrameExecutor;
+        use crate::executor::FrameExecutor;
         let net = Arc::new(zoo::tiny_fasterm(0).network);
         let mut exec = EngineExecutor::new(net, AmcConfig::default(), 1).unwrap();
-        let served = exec.push_frame(&frame(0)).unwrap();
-        assert!(served.unwrap().is_key);
+        assert!(exec.process_frame(&frame(0)).unwrap().is_key);
         let small = GrayImage::from_fn(24, 24, |y, x| ((y * 7 + x) % 199) as u8);
-        match exec.push_frame(&small) {
+        match exec.process_frame(&small) {
             Err(AmcError::FrameGeometryMismatch { got_height: 24, .. }) => {}
             other => panic!("expected a typed geometry refusal, got {other:?}"),
         }
         // The refusal cost nothing: the stream keeps serving.
-        assert!(!exec.push_frame(&frame(1)).unwrap().unwrap().is_key);
+        assert!(!exec.process_frame(&frame(1)).unwrap().is_key);
     }
 }

@@ -1,11 +1,11 @@
-//! The pipelined executor's contract: over a synthetic 20-frame sequence
-//! with pans, a scene cut, and policy-forced key frames, every output
-//! tensor, frame kind, and statistic is bit-identical to the serial
-//! executor's — threading must be invisible except in wall-clock time.
+//! The external-motion seam's contract: over a synthetic 20-frame sequence
+//! with pans, a scene cut, and policy-forced key frames, an executor fed
+//! motion estimates computed outside it (`AmcExecutor::process_with_motion`,
+//! the entry point for replayed codec vectors) produces every output
+//! tensor, frame kind, and statistic bit-identical to `AmcExecutor::process`.
 
 use eva2_cnn::zoo;
-use eva2_core::executor::{AmcConfig, AmcExecutor, WarpMode};
-use eva2_core::pipeline::{FrameExecutor, PipelinedExecutor};
+use eva2_core::executor::{AmcConfig, AmcExecutor, FrameExecutor, WarpMode};
 use eva2_core::policy::PolicyConfig;
 use eva2_tensor::GrayImage;
 
@@ -32,12 +32,18 @@ fn sequence() -> Vec<GrayImage> {
 fn assert_bit_identical(config: AmcConfig, label: &str) {
     let z = zoo::tiny_fasterm(3);
     let frames = sequence();
-    let mut serial = AmcExecutor::try_new(&z.network, config).unwrap();
-    let mut pipelined = PipelinedExecutor::new(AmcExecutor::try_new(&z.network, config).unwrap());
-    let a = FrameExecutor::process_clip(&mut serial, &frames).expect("clean clip serves");
-    let b = FrameExecutor::process_clip(&mut pipelined, &frames).expect("clean clip serves");
-    assert_eq!(a.len(), 20, "{label}: serial result count");
-    assert_eq!(b.len(), 20, "{label}: pipelined result count");
+    let mut internal = AmcExecutor::try_new(&z.network, config).unwrap();
+    let mut external = AmcExecutor::try_new(&z.network, config).unwrap();
+    let rfbme = internal.rfbme();
+    let a = FrameExecutor::process_clip(&mut internal, &frames).expect("clean clip serves");
+    let b: Vec<_> = frames
+        .iter()
+        .map(|f| {
+            // `None` exactly when no key state is stored (the first frame).
+            let motion = external.key_image().map(|key| rfbme.estimate(key, f));
+            external.process_with_motion(f, motion)
+        })
+        .collect();
     for (t, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(x.is_key, y.is_key, "{label}: frame {t} kind");
         assert_eq!(
@@ -53,8 +59,8 @@ fn assert_bit_identical(config: AmcConfig, label: &str) {
         );
     }
     assert_eq!(
-        FrameExecutor::stats(&serial),
-        FrameExecutor::stats(&pipelined),
+        FrameExecutor::stats(&internal),
+        external.stats(),
         "{label}: aggregate stats"
     );
     // The sequence must actually exercise both frame kinds for the
@@ -67,12 +73,12 @@ fn assert_bit_identical(config: AmcConfig, label: &str) {
 }
 
 #[test]
-fn pipelined_bit_identical_over_20_frames_default_policy() {
+fn external_motion_bit_identical_over_20_frames_default_policy() {
     assert_bit_identical(AmcConfig::default(), "default");
 }
 
 #[test]
-fn pipelined_bit_identical_with_fixed_point_warp() {
+fn external_motion_bit_identical_with_fixed_point_warp() {
     assert_bit_identical(
         AmcConfig {
             fixed_point: true,
@@ -83,7 +89,7 @@ fn pipelined_bit_identical_with_fixed_point_warp() {
 }
 
 #[test]
-fn pipelined_bit_identical_with_memoize_and_static_rate() {
+fn external_motion_bit_identical_with_memoize_and_static_rate() {
     assert_bit_identical(
         AmcConfig {
             warp: WarpMode::Memoize,

@@ -3,8 +3,7 @@
 use eva2_cnn::metrics::{self, Detection, DetectionResult, NormBox};
 use eva2_cnn::network::Network;
 use eva2_cnn::zoo::{Task, Workload, ZooNet};
-use eva2_core::executor::{AmcConfig, AmcExecutor, WarpMode};
-use eva2_core::pipeline::{FrameExecutor, PipelinedExecutor};
+use eva2_core::executor::{AmcConfig, AmcExecutor, FrameExecutor, WarpMode};
 use eva2_core::policy::PolicyConfig;
 use eva2_core::serve::EngineExecutor;
 use eva2_core::target::TargetSelection;
@@ -226,11 +225,9 @@ pub struct PolicyOutcome {
     pub frames: usize,
 }
 
-/// Which frame executor a protocol drives. All variants produce
-/// bit-identical outputs (see `eva2_core::pipeline` and the
-/// `eva2_core::serve` threading-model docs): pipelined overlaps each
-/// frame's RFBME with its predecessor's CNN work on a worker thread, and
-/// the engine funnels frames through the worker-pool serving
+/// Which frame executor a protocol drives. Both variants produce
+/// bit-identical outputs (see the `eva2_core::serve` threading-model
+/// docs): the engine funnels frames through the worker-pool serving
 /// [`Engine`](eva2_core::serve::Engine) — the production entry point to
 /// serving, and the default here so protocol runs exercise it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,8 +241,6 @@ pub enum ExecutorKind {
     },
     /// The serial [`AmcExecutor`], kept as the bit-identity oracle.
     Serial,
-    /// The two-thread streaming [`PipelinedExecutor`].
-    Pipelined,
 }
 
 impl Default for ExecutorKind {
@@ -269,9 +264,6 @@ impl ExecutorKind {
             ExecutorKind::Serial => {
                 Box::new(AmcExecutor::try_new(net, config).expect("valid AMC config"))
             }
-            ExecutorKind::Pipelined => Box::new(PipelinedExecutor::new(
-                AmcExecutor::try_new(net, config).expect("valid AMC config"),
-            )),
         }
     }
 }
@@ -299,15 +291,10 @@ pub fn run_policy_with(
     for clip in clips {
         // A fresh executor per clip, like the paper's per-video evaluation.
         let mut exec = kind.build(&zoo.network, config);
-        let mut results = Vec::with_capacity(clip.len());
         for frame in &clip.frames {
-            results.extend(
-                exec.push_frame(&frame.image)
-                    .expect("executor refused a clean experiment frame"),
-            );
-        }
-        results.extend(exec.finish());
-        for (r, frame) in results.into_iter().zip(&clip.frames) {
+            let r = exec
+                .process_frame(&frame.image)
+                .expect("executor refused a clean experiment frame");
             keys += r.is_key as usize;
             frames += 1;
             outputs.push((r.output, frame));
@@ -392,15 +379,6 @@ mod tests {
             out.key_fraction >= 3.0 / 24.0 - 1e-6,
             "each clip starts with a key"
         );
-    }
-
-    #[test]
-    fn pipelined_executor_reproduces_serial_policy_outcome() {
-        let tw = train_workload(Workload::FasterM, &tiny_budget());
-        let cfg = amc_config_for(Workload::FasterM);
-        let serial = run_policy_with(&tw.zoo, &tw.test, cfg, ExecutorKind::Serial);
-        let pipelined = run_policy_with(&tw.zoo, &tw.test, cfg, ExecutorKind::Pipelined);
-        assert_eq!(serial, pipelined, "executors must be interchangeable");
     }
 
     #[test]

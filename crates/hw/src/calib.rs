@@ -1,7 +1,7 @@
 //! Calibration constants for the cost model.
 //!
 //! The paper gathers "published per-layer results from each paper" — Eyeriss
-//! from the JSSC'17 journal version [33] and EIE from ISCA'16 [6] — and
+//! from the JSSC'17 journal version \[33\] and EIE from ISCA'16 \[6\] — and
 //! scales other layers by MAC count (§IV-B). The same anchors are encoded
 //! here once; **every** experiment derives from these constants, never from
 //! per-experiment tuning.

@@ -4,7 +4,7 @@
 //! deep learning accelerator based on recent architecture papers… Eyeriss for
 //! convolutional layers and EIE for fully-connected layers", gathering
 //! *published* per-network results and scaling layers by their
-//! multiply–accumulate counts (§IV-B — their FODLAM model, ref [36]). This
+//! multiply–accumulate counts (§IV-B — their FODLAM model, ref \[36\]). This
 //! crate reimplements that methodology:
 //!
 //! * [`descriptor`] — layer-shape descriptors for *full-scale* networks, so

@@ -1,12 +1,12 @@
 //! Full-scale descriptors for the paper's three workloads.
 //!
-//! * [`alexnet`] — AlexNet as in Krizhevsky et al. [35], with the original
+//! * [`alexnet`] — AlexNet as in Krizhevsky et al. \[35\], with the original
 //!   grouped conv2/4/5 (so conv MACs come out at the canonical ≈666 M).
 //! * [`faster16`] — Faster R-CNN with the VGG-16 feature extractor at the
 //!   paper's detection resolution of 1000×562 (§IV-A uses exactly this
 //!   configuration for its 1.7 × 10¹¹-MAC prefix example).
 //! * [`fasterm`] — Faster R-CNN with the CNN-M "medium" extractor of
-//!   Chatfield et al. [38].
+//!   Chatfield et al. \[38\].
 
 use crate::descriptor::NetDescriptor;
 

@@ -9,8 +9,8 @@
 //!   and anchors on the receptive-field grid this is the *unoptimized
 //!   RFBME* variant of the §IV-A analysis (no tile reuse).
 //! * [`SearchStrategy::ThreeStep`] — the three-step search of Li, Zeng &
-//!   Liou [20].
-//! * [`SearchStrategy::Diamond`] — the diamond search of Zhu & Ma [19].
+//!   Liou \[20\].
+//! * [`SearchStrategy::Diamond`] — the diamond search of Zhu & Ma \[19\].
 
 use crate::field::{MotionVector, VectorField};
 use crate::{MotionEstimator, MotionResult};

@@ -3,7 +3,7 @@
 //! Stands in for the paper's FlowNet2-s baseline in the Fig 14 comparison.
 //! FlowNet2-s is a *learned dense flow network*; its role in the paper's
 //! experiment is "an expensive method that produces a dense, globally
-//! smooth, high-quality field". Horn–Schunck [23] is the classical
+//! smooth, high-quality field". Horn–Schunck \[23\] is the classical
 //! variational method with exactly those properties (global smoothness
 //! regularisation, dense output, iterative and costly), making it the
 //! closest reproducible substitute without ImageNet-scale training

@@ -1,6 +1,6 @@
 //! Pyramidal Lucas–Kanade optical flow.
 //!
-//! The classic iterative registration technique of Lucas & Kanade [22],
+//! The classic iterative registration technique of Lucas & Kanade \[22\],
 //! used as a pixel-level baseline in the paper's Fig 14 comparison. This
 //! implementation uses a small image pyramid with iterative refinement per
 //! level, producing a dense (`cell = 1`) vector field that the harness

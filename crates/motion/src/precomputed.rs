@@ -2,7 +2,7 @@
 //!
 //! The paper's related-work and future-work sections point at reusing "the
 //! motion vectors stored in compressed video data" (§II-C1, §VI, citing
-//! Zhang & Sze's FAST [26]): when the camera pipeline already ran a video
+//! Zhang & Sze's FAST \[26\]): when the camera pipeline already ran a video
 //! encoder, its block motion vectors come for free and could replace RFBME.
 //! [`PrecomputedField`] adapts such an externally-supplied field to the
 //! [`MotionEstimator`] interface so the Fig 14 harness and the AMC executor

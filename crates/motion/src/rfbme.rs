@@ -645,12 +645,11 @@ fn sum_lane_rows(rows: &[u32], count: usize, out: &mut [u32]) {
 /// Reusable buffers for [`Rfbme::estimate_with`].
 ///
 /// A frame-loop caller (each worker of the serving engine, the
-/// single-stream executor, the pipelined executor's `rfbme-worker` thread)
-/// holds one scratch so steady-state estimation allocates nothing but the
-/// returned [`RfbmeResult`]. Buffer contents never influence results —
-/// every value is rewritten before it is read — so sharing a scratch
-/// across streams, key images or geometries, or none at all, is purely a
-/// performance choice.
+/// single-stream executor) holds one scratch so steady-state estimation
+/// allocates nothing but the returned [`RfbmeResult`]. Buffer contents
+/// never influence results — every value is rewritten before it is read —
+/// so sharing a scratch across streams, key images or geometries, or none
+/// at all, is purely a performance choice.
 #[derive(Debug, Clone, Default)]
 pub struct RfbmeScratch {
     /// The search along each axis.

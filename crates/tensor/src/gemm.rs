@@ -80,9 +80,7 @@
 //! loops walk `MR × NR` tiles of `C`. Ragged `M`/`N` edges are zero-padded
 //! during packing; ragged `K` tails shorten the depth loop. Transposed
 //! operands are handled by the *packers* through strided views, so no
-//! transpose is ever materialised. The PR-1 AXPY-panel kernel survives as
-//! [`gemm_nn_axpy`]: the measured baseline for the `gemm_micro_over_axpy`
-//! trajectory ratio and an independent reference for equivalence tests.
+//! transpose is ever materialised.
 //!
 //! # Scratch reuse
 //!
@@ -98,7 +96,7 @@
 //! # Reproducing the benchmarks
 //!
 //! ```text
-//! cargo bench -p eva2-bench --bench cnn -- gemm_micro   # micro-kernel vs AXPY
+//! cargo bench -p eva2-bench --bench cnn -- gemm_micro   # packed GEMM, prefix shape
 //! cargo bench -p eva2-bench --bench cnn -- conv_paths   # naive vs direct conv
 //! cargo bench -p eva2-bench --bench sparse -- suffix    # sparse suffix
 //! cargo run --release -p eva2-bench --bin bench_conv    # BENCH_conv.json
@@ -106,9 +104,8 @@
 //!
 //! GFLOP/s for a `M×N×K` product is `2·M·N·K / median_ns`; the committed
 //! `BENCH_conv.json` at the repository root records the `gemm_micro/*`
-//! entries (micro-kernel vs AXPY on the key-frame prefix GEMM shape) and
-//! the `gemm_micro_over_axpy` ratio the CI gate tracks. Re-measure after
-//! touching this module — the numbers depend on `.cargo/config.toml`'s
+//! entry (the key-frame prefix GEMM shape). Re-measure after touching this
+//! module — the numbers depend on `.cargo/config.toml`'s
 //! `target-cpu=native`.
 
 // lint: hot-path
@@ -287,12 +284,6 @@ fn gemm_packed(
     }
 }
 
-fn assert_nn_dims(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32], who: &str) {
-    assert_eq!(a.len(), m * k, "{who}: A is not M×K");
-    assert_eq!(b.len(), k * n, "{who}: B is not K×N");
-    assert_eq!(c.len(), m * n, "{who}: C is not M×N");
-}
-
 /// `C += A · B` for row-major `A: M×K`, `B: K×N`, `C: M×N`, through the
 /// packed [`MR`]`×`[`NR`] micro-kernel.
 ///
@@ -300,34 +291,11 @@ fn assert_nn_dims(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32],
 ///
 /// Panics when a buffer length does not match its matrix dimensions.
 pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_nn_dims(m, n, k, a, b, c, "gemm_nn");
+    assert_eq!(a.len(), m * k, "gemm_nn: A is not M×K");
+    assert_eq!(b.len(), k * n, "gemm_nn: B is not K×N");
+    assert_eq!(c.len(), m * n, "gemm_nn: C is not M×N");
     let (a, b) = (MatRef::new(a, k, 1), MatRef::new(b, n, 1));
     with_thread_scratch(|s| gemm_packed(m, n, k, a, b, c, &mut s.packs));
-}
-
-/// The PR-1 AXPY-panel `C += A·B` kernel.
-///
-/// Kept (single-threaded, unchanged) as the measured baseline for the
-/// `gemm_micro_over_axpy` trajectory ratio and as an independent reference
-/// implementation for equivalence tests. The innermost operation is
-/// `c_row += a[i][p] * b_row`, a unit-stride AXPY the compiler
-/// auto-vectorizes, with the depth dimension blocked by [`KC`].
-///
-/// # Panics
-///
-/// Panics when a buffer length does not match its matrix dimensions.
-pub fn gemm_nn_axpy(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_nn_dims(m, n, k, a, b, c, "gemm_nn_axpy");
-    for kb in (0..k).step_by(KC) {
-        let kend = (kb + KC).min(k);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for p in kb..kend {
-                axpy(a_row[p], &b[p * n..(p + 1) * n], c_row);
-            }
-        }
-    }
 }
 
 /// `C += A · Bᵀ` for row-major `A: M×K`, `B: N×K`, `C: M×N`.
@@ -981,6 +949,16 @@ mod tests {
         (weights, bias)
     }
 
+    fn schoolbook_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..k {
+                    c[i * n + j] += a[i * k + p] * b[p * n + j];
+                }
+            }
+        }
+    }
+
     #[test]
     fn gemm_nn_matches_schoolbook() {
         let (m, n, k) = (5, 7, 9);
@@ -988,13 +966,7 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 * 0.5 - 1.0).collect();
         let mut c = vec![0.5f32; m * n];
         let mut expect = c.clone();
-        for i in 0..m {
-            for j in 0..n {
-                for p in 0..k {
-                    expect[i * n + j] += a[i * k + p] * b[p * n + j];
-                }
-            }
-        }
+        schoolbook_nn(m, n, k, &a, &b, &mut expect);
         gemm_nn(m, n, k, &a, &b, &mut c);
         for (got, want) in c.iter().zip(&expect) {
             assert!((got - want).abs() < 1e-4, "{got} vs {want}");
@@ -1004,7 +976,8 @@ mod tests {
     #[test]
     fn gemm_nn_matches_axpy_reference_across_blocks() {
         // Spans multiple KC depth blocks and NC column blocks plus ragged
-        // tails in every dimension.
+        // tails in every dimension. (The name dates from when the reference
+        // was a second, AXPY-panel kernel; it is the schoolbook loop now.)
         let (m, n, k) = (MR + 3, NC + NR + 5, KC + 17);
         let a: Vec<f32> = (0..m * k)
             .map(|i| ((i * 7) % 23) as f32 * 0.1 - 1.0)
@@ -1013,10 +986,10 @@ mod tests {
             .map(|i| ((i * 5) % 19) as f32 * 0.1 - 0.9)
             .collect();
         let mut c_micro = vec![0.25f32; m * n];
-        let mut c_axpy = c_micro.clone();
+        let mut c_ref = c_micro.clone();
         gemm_nn(m, n, k, &a, &b, &mut c_micro);
-        gemm_nn_axpy(m, n, k, &a, &b, &mut c_axpy);
-        for (got, want) in c_micro.iter().zip(&c_axpy) {
+        schoolbook_nn(m, n, k, &a, &b, &mut c_ref);
+        for (got, want) in c_micro.iter().zip(&c_ref) {
             assert!(
                 (got - want).abs() < 2e-2 * (1.0 + want.abs()),
                 "{got} vs {want}"

@@ -79,9 +79,8 @@ impl<'a> IntoIterator for &'a Clip {
     }
 }
 
-// Frames move across threads in the pipelined executor (main thread →
-// RFBME worker) and in any future batched/sharded front-end; keep the
-// hand-off types thread-safe by construction.
+// Frames move across threads on their way to the serving engine's worker
+// pool; keep the hand-off types thread-safe by construction.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<GrayImage>();
