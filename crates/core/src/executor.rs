@@ -446,7 +446,7 @@ impl<'n> AmcExecutor<'n> {
     ///
     /// Panics when the frame is rejected with a typed error — today only
     /// [`AmcError::FrameGeometryMismatch`], a frame whose resolution
-    /// differs from the stored key frame's. Use
+    /// differs from the network's input shape. Use
     /// [`AmcExecutor::try_process`] to handle rejection instead.
     pub fn process(&mut self, image: &GrayImage) -> AmcFrameResult {
         self.try_process(image)

@@ -5,7 +5,7 @@
 //! decisions, and statistics **bit-identical** to N independent serial
 //! [`AmcExecutor`] runs. Batching and threading must be invisible except
 //! in wall-clock time (the cross-stream analogue of
-//! `pipeline_bitident.rs`).
+//! `external_motion_bitident.rs`).
 //!
 //! Worker counts here are *forced* ([`EngineLimits::worker_threads`]), so
 //! the fan-out code path is exercised even on a single-CPU container.

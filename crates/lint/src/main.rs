@@ -17,8 +17,8 @@
 //! 3. **`must-use-builder`** — every `pub struct *Builder` must be
 //!    `#[must_use]`: a dropped builder is always a bug.
 //! 4. **`contained-unwind`** — `catch_unwind` may appear only inside the
-//!    block marked `// lint: containment` in `serve.rs` (the serving
-//!    engine's per-frame containment seam). Panic-swallowing anywhere
+//!    block marked `// lint: containment` in `serve/contain.rs` (the
+//!    serving engine's per-frame containment seam). Panic-swallowing anywhere
 //!    else — kernels, analysis passes, harnesses — hides real bugs
 //!    instead of containing them per session.
 //!
@@ -352,14 +352,14 @@ fn scan_file(label: &str, source: &str, is_crate_root: bool) -> Vec<Finding> {
             }
         }
         if line.contains("catch_unwind")
-            && !(label.ends_with("serve.rs") && containment[idx])
+            && !(label.ends_with("serve/contain.rs") && containment[idx])
             && !allowed(&raw_lines, idx, "contained-unwind")
         {
             findings.push(Finding {
                 file: label.to_string(),
                 line: idx + 1,
                 rule: "contained-unwind",
-                message: "`catch_unwind` outside serve.rs's `// lint: containment` module; \
+                message: "`catch_unwind` outside serve/contain.rs's `// lint: containment` block; \
                           panic-swallowing belongs only at the serving per-frame boundary"
                     .into(),
             });
@@ -530,11 +530,11 @@ fn self_test() -> bool {
             !scan_file("kernel.rs", seeded_unwind, false).is_empty(),
         ),
         (
-            // In serve.rs the containment block is sanctioned but a
+            // In serve/contain.rs the containment block is sanctioned but a
             // catch_unwind outside it is still a violation — exactly one
             // finding, on the `outside` line.
-            "seeded contained-unwind (outside serve.rs's seam)",
-            scan_file("serve.rs", contained_unwind, false).len() == 1,
+            "seeded contained-unwind (outside serve/contain.rs's seam)",
+            scan_file("serve/contain.rs", contained_unwind, false).len() == 1,
         ),
         (
             "compliant file stays clean",
@@ -650,18 +650,20 @@ mod tests {
 
     #[test]
     fn catch_unwind_is_flagged_outside_the_containment_seam() {
-        // Any file other than serve.rs: flagged even inside a marked block
-        // (there is exactly one sanctioned seam, and it lives in serve.rs).
+        // Any file other than serve/contain.rs: flagged even inside a marked
+        // block (there is exactly one sanctioned seam, and it lives there).
         let elsewhere =
             "// lint: containment\nmod contain {\n    use std::panic::catch_unwind;\n}\n";
         let findings = scan_file("crates/cnn/src/gemm.rs", elsewhere, false);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "contained-unwind");
-        // serve.rs: clean inside the marked block, flagged outside it.
+        // serve/contain.rs: clean inside the marked block, flagged outside it.
         let serve = "// lint: containment\nmod contain {\n    use std::panic::catch_unwind;\n}\nfn f() { let _ = std::panic::catch_unwind(|| ()); }\n";
-        let findings = scan_file("crates/core/src/serve.rs", serve, false);
+        let findings = scan_file("crates/core/src/serve/contain.rs", serve, false);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].line, 5);
+        // Nowhere else is the marked block sanctioned.
+        assert_eq!(scan_file("crates/core/src/serve.rs", serve, false).len(), 2);
         // The escape hatch still works, with a justification.
         let allowed = "// lint:allow(contained-unwind) — test fixture\nfn f() { let _ = std::panic::catch_unwind(|| ()); }\n";
         assert!(scan_file("crates/cnn/src/gemm.rs", allowed, false).is_empty());
