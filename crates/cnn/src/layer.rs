@@ -84,12 +84,14 @@ pub trait Layer: fmt::Debug + Send + Sync {
 
     /// Runs the layer forward directly from a sparse activation (the
     /// software analogue of the EVA² skip-zero suffix feed, §IV of the
-    /// paper). [`FullyConnected`] skips the zero entries' work entirely;
-    /// [`Conv2d`] skips only the dense intermediate, scattering the
-    /// non-zeros into its padded input copy and running the dense kernel.
+    /// paper). [`FullyConnected`] skips the zero entries' work entirely,
+    /// one AXPY per non-zero; it is the one layer with such a path.
     ///
     /// Returns `None` when the layer has no sparse-fed path; the caller
-    /// then densifies and uses [`Layer::forward_scratch`].
+    /// then densifies and uses [`Layer::forward_scratch`]. [`Conv2d`] is
+    /// fed that way: its dense kernel reads a padded copy of the input
+    /// anyway, and scattering the non-zeros into that copy measured slower
+    /// than densifying first.
     fn forward_sparse(
         &self,
         input: &SparseActivation,
@@ -416,24 +418,6 @@ impl Layer for Conv2d {
             g.padding,
             scratch,
         )
-    }
-
-    fn forward_sparse(
-        &self,
-        input: &SparseActivation,
-        scratch: &mut GemmScratch,
-    ) -> Option<Tensor3> {
-        self.check_input(input.shape());
-        let g = self.geom;
-        Some(gemm::conv2d_forward_sparse(
-            input,
-            &self.panels,
-            &self.bias,
-            g.kernel,
-            g.stride,
-            g.padding,
-            scratch,
-        ))
     }
 
     fn backward(&mut self, input: &Tensor3, grad_out: &Tensor3) -> Tensor3 {

@@ -1,13 +1,16 @@
 //! Golden-equivalence property tests for the convolution engine.
 //!
-//! The kernel path ([`Conv2d::forward`]/[`Layer::backward`]) and the
-//! sparse suffix path ([`Layer::forward_sparse`]) must agree with the naive
-//! reference loops ([`Conv2d::forward_naive`]/[`Conv2d::backward_naive`])
-//! within 1e-4 across random shapes, strides, and paddings — the two
-//! implementations may only differ by floating-point summation order.
+//! The kernel path ([`Conv2d::forward`]/[`Layer::backward`]) must agree
+//! with the naive reference loops
+//! ([`Conv2d::forward_naive`]/[`Conv2d::backward_naive`]) within 1e-4
+//! across random shapes, strides, and paddings — the two implementations
+//! may only differ by floating-point summation order. The sparse suffix
+//! path ([`Layer::forward_sparse`], [`Network::forward_suffix_sparse`])
+//! must agree with the dense one.
 
 use eva2_cnn::layer::{Conv2d, FullyConnected, Layer, MaxPool2d, Relu};
 use eva2_cnn::network::Network;
+use eva2_cnn::zoo::{tiny_alexnet, tiny_faster16, tiny_fasterm};
 use eva2_tensor::gemm::GemmScratch;
 use eva2_tensor::{Shape3, SparseActivation, Tensor3};
 use proptest::prelude::*;
@@ -102,29 +105,6 @@ proptest! {
         }
     }
 
-    /// Sparse conv forward == dense forward on the densified input.
-    #[test]
-    fn sparse_conv_matches_dense(
-        (c, h, w, oc, k, s, p) in arb_geometry(),
-        seed in 0u64..1000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let conv = Conv2d::new("eq", c, oc, k, s, p, &mut rng);
-        let input = Tensor3::from_fn(Shape3::new(c, h, w), |ci, y, x| {
-            if (ci + 2 * y + 3 * x + seed as usize).is_multiple_of(3) {
-                (((ci * 7 + y * 5 + x) % 19) as f32 - 9.0) * 0.1
-            } else {
-                0.0
-            }
-        });
-        let sparse = SparseActivation::from_dense(&input, 0.0);
-        let mut scratch = GemmScratch::new();
-        let via_sparse = conv
-            .forward_sparse(&sparse, &mut scratch)
-            .expect("conv has a sparse path");
-        assert_close(&via_sparse, &conv.forward_naive(&input), "sparse conv");
-    }
-
     /// Sparse FC forward == dense FC forward.
     #[test]
     fn sparse_fc_matches_dense(x in arb_sparse_input(3, 4, 4), seed in 0u64..1000) {
@@ -160,6 +140,35 @@ proptest! {
             let sparse = SparseActivation::from_dense(&act, 0.0);
             let sparse_out = net.forward_suffix_sparse(&sparse, target, &mut scratch);
             assert_close(&sparse_out, &dense_out, "suffix split");
+        }
+    }
+}
+
+/// The served suffixes: at both of every zoo network's targets the sparse
+/// suffix entry point — an AXPY-fed FC head late, a densified conv head
+/// early — equals the dense suffix on the densified activation, bit for
+/// bit.
+#[test]
+fn zoo_suffix_sparse_bit_identical_to_dense() {
+    let mut scratch = GemmScratch::new();
+    for zoo in [tiny_fasterm(11), tiny_faster16(12), tiny_alexnet(13)] {
+        let net = &zoo.network;
+        for seed in 0..3usize {
+            let frame = Tensor3::from_fn(net.input_shape(), |_, y, x| {
+                ((y * 7 + x * 13 + seed * 5) % 31) as f32 / 31.0
+            });
+            for target in [zoo.early_target, zoo.late_target] {
+                let sparse = SparseActivation::from_dense(&net.forward_prefix(&frame, target), 0.0);
+                let got = net.forward_suffix_sparse(&sparse, target, &mut scratch);
+                let want = net.forward_suffix(&sparse.to_dense(), target);
+                let bits = |t: &Tensor3| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} target {target} seed {seed}",
+                    net.name()
+                );
+            }
         }
     }
 }

@@ -45,11 +45,17 @@
 //!   The lanes at which a tile row is valid, and those at which a field
 //!   row is admitted, are contiguous ranges derived once per call from the
 //!   per-axis `AxisSpan`s (one per offset per axis, not one per offset
-//!   pair). Each field takes the minimum over its admitted lanes first and
-//!   enters the scalar min-check only when that minimum can still win.
-//! * **Min-check without a visit order.** Fields now see offsets
-//!   `dx`-major, not in the reference's row-major order, so the register
-//!   applies the reference's rule in its order-free form
+//!   pair).
+//! * **A deferred, lane-wise min-check.** Each field keeps one `u64` key
+//!   per lane, `(error << 32) | rank(dx)` with `rank(dx) = 2·|dx| +
+//!   (dx > 0)`, and every `dx` folds its field sums in with a lane-wise
+//!   `min` (`vpminuq`) in the same loop that sums them. Inside a lane `dy`
+//!   is fixed, so the reference's order — error, then `dy² + dx²`, then
+//!   `(dy, dx)` — reduces to error, `|dx|`, `dx`, which is the key's
+//!   order. After the last `dx`, one pass per field takes the smallest key
+//!   over the field's admitted lanes; the lanes that share its error meet
+//!   the register in lane order, not the reference's row-major order, so
+//!   it applies the reference's rule in its order-free form
 //!   (`RfMatch::yields_to`): smaller error, then smaller `dy² + dx²`,
 //!   then lexicographically smaller `(dy, dx)` — exactly "first visited in
 //!   row-major order".
@@ -61,11 +67,22 @@
 //! loop. Sums are exact in `u32` for frames below [`Rfbme::MAX_PIXELS`],
 //! which [`Rfbme::estimate_with`] checks.
 //!
+//! Where a call's time goes (48×48 frames of the synthetic streaming
+//! scenes, min-of-300 per stage, found by deleting stages from the back on
+//! an AVX-512 host): at RF 27/8/10, radius 8 (the late target), ≈ 28 µs —
+//! tile SADs ≈ 13, tile-row sums ≈ 4, field sums folded into the keys ≈ 7,
+//! the per-field pass under 1, strip copies, per-call planning and the
+//! returned result ≈ 4.5; at RF 7/4/2, radius 4 (the early target), ≈ 32
+//! µs — SADs ≈ 10.5, tile-row sums ≈ 5, field sums and keys ≈ 8, the
+//! per-field pass ≈ 3, the rest ≈ 5. The eager min-check this replaced
+//! (a horizontal minimum and a scalar register test per `dx` and field)
+//! cost ≈ 18 µs of a ≈ 46 µs call at radius 4, where each field covers
+//! about one tile and the consumer did as much work per tile as the
+//! producer; the whole call was 30–31 µs at radius 8.
+//!
 //! Measured on the way here, so nobody re-tries them blind (48×48, RF
 //! 27/8/10, radius 8, interleaved min-of-60 against the per-row `psadbw`
-//! search this replaced at 69 µs a call; this one runs 27–28 µs, of which
-//! the tile SADs are ≈ 12, the lane sums and min-checks ≈ 9, and the strip
-//! copies, per-call planning and the returned result ≈ 6):
+//! search this replaced at 69 µs a call, unless stated):
 //!
 //! * Making `dx` the lane instead, with the per-row 8-byte kernel, took
 //!   the producer from 35 to 55 µs: per-lane bounds checks and spilled row
@@ -80,6 +97,10 @@
 //!   the 9–17 admitted lanes) costs a `memcpy` call and a scalar epilogue
 //!   per row; whole padded rows in register-wide blocks, with zero in the
 //!   lanes a tile is not searched at, are what made the consumer cheap.
+//! * The key's rank must be the closed form above. Ranking the offsets by
+//!   a table or a sort built on every call measured slower (43 µs a call
+//!   against 29 at radius 8), and a sort of more than 20 offsets
+//!   allocates, which the serving engine's warmed estimate may not.
 
 // lint: hot-path
 
@@ -275,8 +296,8 @@ impl RfMatch {
     /// a strictly smaller error, or an equal error and a strictly smaller
     /// `dy² + dx²` — so of several offsets equal in both it keeps the first
     /// visited, which is the lexicographically smallest `(dy, dx)`. The
-    /// dense search visits offsets `dx`-major and needs that third clause
-    /// spelled out.
+    /// dense search meets a field's per-lane winners in `dy` order, each
+    /// at its own `dx`, and needs that third clause spelled out.
     fn yields_to(&self, error: u32, dy: isize, dx: isize) -> bool {
         if error != self.error {
             return error < self.error;
@@ -623,22 +644,52 @@ fn tile_lane_sads<const S: usize>(tile: &[u8], windows: &[u8], pitch: usize, out
     }
 }
 
-/// Writes into `out` the lane-wise sum of `count` lane rows, the first at
-/// the start of `rows` and each next one `out.len()` lanes further on.
-/// `out.len()` is a multiple of [`LANE_BLOCK`]; each block is summed in a
-/// register.
+/// The lane-wise sum of block `b` of `count` lane rows, the first at the
+/// start of `rows` and each next one `pitch` lanes further on: one
+/// [`LANE_BLOCK`] of lanes, summed in a register.
 #[inline(always)]
-fn sum_lane_rows(rows: &[u32], count: usize, out: &mut [u32]) {
-    let pitch = out.len();
-    for (b, out) in out.chunks_exact_mut(LANE_BLOCK).enumerate() {
-        let mut acc = [0u32; LANE_BLOCK];
-        for row in 0..count {
-            let block = &rows[row * pitch + b * LANE_BLOCK..][..LANE_BLOCK];
-            for (a, &v) in acc.iter_mut().zip(block) {
-                *a += v;
-            }
+fn lane_block_sum(rows: &[u32], pitch: usize, b: usize, count: usize) -> [u32; LANE_BLOCK] {
+    let mut acc = [0u32; LANE_BLOCK];
+    for row in 0..count {
+        let block = &rows[row * pitch + b * LANE_BLOCK..][..LANE_BLOCK];
+        for (a, &v) in acc.iter_mut().zip(block) {
+            *a += v;
         }
-        out.copy_from_slice(&acc);
+    }
+    acc
+}
+
+/// Folds one candidate per lane into a field's min-check keys: the
+/// lane-wise sum of `count` lane rows `keys.len()` lanes apart, packed as
+/// `(sum << 32) | rank`, replaces a lane's key when smaller.
+#[inline(always)]
+fn min_lane_keys(rows: &[u32], count: usize, rank: u64, keys: &mut [u64]) {
+    let pitch = keys.len();
+    for (b, keys) in keys.chunks_exact_mut(LANE_BLOCK).enumerate() {
+        let sums = lane_block_sum(rows, pitch, b, count);
+        for (key, &sum) in keys.iter_mut().zip(&sums) {
+            *key = (*key).min(u64::from(sum) << 32 | rank);
+        }
+    }
+}
+
+/// The rank of horizontal offset `dx` among the offsets of one lane, where
+/// `dy` is fixed: the reference's tie-break after the error, smaller
+/// `dy² + dx²` and then smaller `(dy, dx)`, is smaller `|dx|` and then
+/// negative before positive.
+#[inline]
+fn dx_rank(dx: isize) -> u64 {
+    2 * dx.unsigned_abs() as u64 + u64::from(dx > 0)
+}
+
+/// The offset [`dx_rank`] ranked.
+#[inline]
+fn rank_dx(rank: u64) -> isize {
+    let magnitude = (rank >> 1) as isize;
+    if rank & 1 == 1 {
+        magnitude
+    } else {
+        -magnitude
     }
 }
 
@@ -669,8 +720,9 @@ pub struct RfbmeScratch {
     plane: Vec<u32>,
     /// Tile-row sums of one `dx`: `[field row][tile column][lane]`.
     rowsum: Vec<u32>,
-    /// One receptive field's error at every lane.
-    lane_err: Vec<u32>,
+    /// Each receptive field's best candidate so far at every lane, as
+    /// `(error << 32) | dx_rank(dx)`: `[field][lane]`.
+    keys: Vec<u64>,
 }
 
 impl RfbmeScratch {
@@ -697,7 +749,7 @@ impl RfbmeScratch {
             + vec_bytes(&self.strip)
             + vec_bytes(&self.plane)
             + vec_bytes(&self.rowsum)
-            + vec_bytes(&self.lane_err)
+            + vec_bytes(&self.keys)
     }
 }
 
@@ -825,7 +877,7 @@ impl Rfbme {
             strip,
             plane,
             rowsum,
-            lane_err,
+            keys,
         } = scratch;
         let s = if S == 0 { self.rf.stride.max(1) } else { S };
         let s2 = s * s;
@@ -866,7 +918,8 @@ impl Rfbme {
         plane.clear();
         plane.resize(tiles_y * lanes, 0);
         rowsum.resize(grid_h * tiles_x * lanes, 0);
-        lane_err.resize(lanes, 0);
+        keys.clear();
+        keys.resize(grid_h * grid_w * lanes, u64::MAX);
         let column = tiles_y * s2;
         for tx in 0..tiles_x {
             copy_column(
@@ -900,34 +953,49 @@ impl Rfbme {
                         continue;
                     }
                     let sum = &mut rowsum[(ay * tiles_x + tx) * lanes..][..lanes];
-                    sum_lane_rows(&plane[ty0 * lanes..], ty1 - ty0, sum);
+                    let (sads, count) = (&plane[ty0 * lanes..], ty1 - ty0);
+                    for (b, out) in sum.chunks_exact_mut(LANE_BLOCK).enumerate() {
+                        out.copy_from_slice(&lane_block_sum(sads, lanes, b, count));
+                    }
                 }
             }
             // Consumer, second half: the tile columns each field covers,
-            // then the min-check register — entered only when the best lane
-            // can still win.
-            for ((ay, fl), &(ty0, ty1)) in field_lanes.iter().enumerate().zip(&rows.ranges) {
+            // folded into the field's per-lane keys.
+            let rank = dx_rank(dx);
+            for (ay, fl) in field_lanes.iter().enumerate() {
                 if fl.is_empty() {
                     continue;
                 }
                 for ax in xs.fields.clone() {
                     let (tx0, tx1) = cols.ranges[ax];
-                    sum_lane_rows(&rowsum[(ay * tiles_x + tx0) * lanes..], tx1 - tx0, lane_err);
-                    let err = &lane_err[fl.clone()];
-                    let min = err.iter().fold(u32::MAX, |m, &e| m.min(e));
-                    let b = &mut best[ay * grid_w + ax];
-                    if min > b.error {
-                        continue;
-                    }
-                    for (lane, &e) in fl.clone().zip(err) {
-                        let dy = offset(lane);
-                        if e == min && b.yields_to(e, dy, dx) {
-                            *b = RfMatch {
-                                vector: MotionVector::new(dy as f32, dx as f32),
-                                error: e,
-                                pixels: ((ty1 - ty0) * (tx1 - tx0) * s2) as u32,
-                            };
-                        }
+                    let sums = &rowsum[(ay * tiles_x + tx0) * lanes..];
+                    let field_keys = &mut keys[(ay * grid_w + ax) * lanes..][..lanes];
+                    min_lane_keys(sums, tx1 - tx0, rank, field_keys);
+                }
+            }
+        }
+
+        // The min-check register, once per field: the lane winners that
+        // share the smallest error meet the reference's rule. A field no
+        // offset admitted keeps the sentinel.
+        for ((ay, fl), &(ty0, ty1)) in field_lanes.iter().enumerate().zip(&rows.ranges) {
+            for (ax, &(tx0, tx1)) in cols.ranges.iter().enumerate() {
+                let field = ay * grid_w + ax;
+                let field_keys = &keys[field * lanes..][fl.clone()];
+                let min = field_keys.iter().fold(u64::MAX, |m, &k| m.min(k));
+                if min == u64::MAX {
+                    continue;
+                }
+                let error = (min >> 32) as u32;
+                let b = &mut best[field];
+                for (lane, &key) in fl.clone().zip(field_keys) {
+                    let (dy, dx) = (offset(lane), rank_dx(key & u64::from(u32::MAX)));
+                    if key >> 32 == min >> 32 && b.yields_to(error, dy, dx) {
+                        *b = RfMatch {
+                            vector: MotionVector::new(dy as f32, dx as f32),
+                            error,
+                            pixels: ((ty1 - ty0) * (tx1 - tx0) * s2) as u32,
+                        };
                     }
                 }
             }
@@ -990,7 +1058,7 @@ impl Rfbme {
             + bytes::<u8>(h * s) // strip
             + bytes::<u32>(tiles_y * lanes) // plane
             + bytes::<u32>(grid_h * tiles_x * lanes) // rowsum
-            + bytes::<u32>(lanes) // lane_err
+            + bytes::<u64>(grid_h * grid_w * lanes) // keys
     }
 
     /// Finalises per-field matches into an [`RfbmeResult`], mapping fields
@@ -1122,25 +1190,46 @@ mod tests {
         }
     }
 
+    /// The geometry the late target serves (`steady`) and the early one
+    /// (`early_churn`), with their search radii.
+    fn served() -> [(RfGeometry, usize); 2] {
+        let late = RfGeometry {
+            size: 27,
+            stride: 8,
+            padding: 10,
+        };
+        let early = RfGeometry {
+            size: 7,
+            stride: 4,
+            padding: 2,
+        };
+        [(late, 8), (early, 4)]
+    }
+
     #[test]
     fn scratch_bytes_bound_dominates_warmed_heap_bytes() {
-        let rfbme = Rfbme::new(rf_844(), SearchParams { radius: 4, step: 1 });
         let key = textured(48, 48);
         let new = key.translate(2, 1, 0);
-        let mut scratch = RfbmeScratch::new();
-        for _ in 0..3 {
-            let _ = rfbme.estimate_with(&key, &new, &mut scratch);
+        for (rf, radius) in [(rf_844(), 4)].into_iter().chain(served()) {
+            let rfbme = Rfbme::new(rf, SearchParams { radius, step: 1 });
+            let mut scratch = RfbmeScratch::new();
+            for _ in 0..3 {
+                let _ = rfbme.estimate_with(&key, &new, &mut scratch);
+            }
+            let used = scratch.heap_bytes();
+            let bound = rfbme.scratch_bytes_bound(48, 48);
+            assert!(
+                used <= bound,
+                "rf {rf:?}: warmed scratch {used} B > bound {bound} B"
+            );
+            // Tightness: almost every buffer is sized exactly by the
+            // geometry, so the bound should be close — a big gap means the
+            // model and the implementation have drifted apart.
+            assert!(
+                bound <= used * 2,
+                "rf {rf:?}: bound {bound} B is >2x warmed scratch {used} B"
+            );
         }
-        let used = scratch.heap_bytes();
-        let bound = rfbme.scratch_bytes_bound(48, 48);
-        assert!(used <= bound, "warmed scratch {used} B > bound {bound} B");
-        // Tightness: almost every buffer is sized exactly by the geometry,
-        // so the bound should be close — a big gap means the model and the
-        // implementation have drifted apart.
-        assert!(
-            bound <= used * 2,
-            "bound {bound} B is >2x warmed scratch {used} B"
-        );
     }
 
     #[test]
@@ -1484,22 +1573,12 @@ mod tests {
     fn checkerboard_ties_resolve_in_row_major_order() {
         // A checkerboard against its inverse: every offset with odd
         // `dy + dx` matches exactly, so the four unit offsets tie at error 0
-        // and magnitude 1. The reference visits (-1, 0) first. A search
-        // that visits `dx`-major meets (0, -1) first and must still prefer
-        // (-1, 0) — the third clause of `RfMatch::yields_to`.
+        // and magnitude 1. The reference visits (-1, 0) first; the dense
+        // search, which meets them in another order, must still prefer it
+        // — the third clause of `RfMatch::yields_to`.
         let key = GrayImage::from_fn(48, 48, |y, x| 255 * ((y + x) & 1) as u8);
         let new = GrayImage::from_fn(48, 48, |y, x| 255 * ((y + x + 1) & 1) as u8);
-        let steady = RfGeometry {
-            size: 27,
-            stride: 8,
-            padding: 10,
-        };
-        let early = RfGeometry {
-            size: 7,
-            stride: 4,
-            padding: 2,
-        };
-        for (rf, radius) in [(steady, 8), (early, 4)] {
+        for (rf, radius) in served() {
             let rfbme = Rfbme::new(rf, SearchParams { radius, step: 1 });
             let fast = rfbme.estimate(&key, &new);
             let reference = rfbme.estimate_reference(&key, &new);
@@ -1518,6 +1597,40 @@ mod tests {
                         (1.., _) => MotionVector::new(-1.0, 0.0),
                         (0, 1..) => MotionVector::new(0.0, -1.0),
                         (0, 0) => MotionVector::new(0.0, 1.0),
+                    };
+                    assert_eq!(fast.field.get(gy, gx), want, "rf {rf:?} field ({gy},{gx})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn later_visited_smaller_dx_wins_a_lane_tie() {
+        // Horizontal period `radius + 1`, shifted by one: in the `dy = 0`
+        // lane, `dx = -radius` and `dx = +1` both match exactly. `-radius`
+        // is visited first; `+1` must displace it, being the smaller
+        // displacement. Every other row offset mismatches: the rows' term
+        // is quadratic in `y`.
+        for (rf, radius) in served() {
+            let period = radius + 1;
+            let pattern = |y: usize, x: usize| ((x % period * 29 + 3 * y * y + 11 * y) % 256) as u8;
+            let key = GrayImage::from_fn(48, 48, pattern);
+            let new = GrayImage::from_fn(48, 48, |y, x| pattern(y, x + 1));
+            let rfbme = Rfbme::new(rf, SearchParams { radius, step: 1 });
+            let fast = rfbme.estimate(&key, &new);
+            let reference = rfbme.estimate_reference(&key, &new);
+            assert_same_result(&fast, &reference, &format!("period {period} rf {rf:?}"));
+            assert_eq!(fast.total_error, 0);
+            let consumer = DiffTileConsumer { rf };
+            let tiles = 48 / rf.stride;
+            for gy in 0..fast.field.grid_h() {
+                for gx in 0..fast.field.grid_w() {
+                    // A field that covers the last tile column cannot look
+                    // right.
+                    let want = if consumer.tile_range(gx, tiles).1 == tiles {
+                        MotionVector::new(0.0, -(radius as f32))
+                    } else {
+                        MotionVector::new(0.0, 1.0)
                     };
                     assert_eq!(fast.field.get(gy, gx), want, "rf {rf:?} field ({gy},{gx})");
                 }

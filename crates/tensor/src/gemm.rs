@@ -39,9 +39,12 @@
 //!
 //! The weights are packed into `MR`-row kernel-order panels by
 //! [`pack_conv_weights`] — once, when the layer is built or its weights
-//! change, not per call. A sparse activation takes the same road through
-//! [`conv2d_forward_sparse`]: its non-zeros are scattered straight into the
-//! zeroed padded buffer (the densify *is* the padding copy).
+//! change, not per call. A sparse activation is densified first and takes
+//! the same road: scattering its non-zeros straight into the zeroed padded
+//! buffer measured *slower* than densify + [`conv2d_forward`] (12.3 against
+//! 7.1 µs on `tiny_fasterm`'s early-target head, ≈ 735 non-zeros): every
+//! non-zero paid the phase-plane index's four integer divisions, where the
+//! dense copy walks rows.
 //!
 //! Each output sees the operands of row `p` of the im2col matrix in the
 //! same `p` order, with the same [`KC`] depth blocking, as a bias-prefilled
@@ -113,7 +116,6 @@
 use crate::microkernel::{add_tile, microkernel, microkernel_taps};
 use crate::pack::{pack_a_block, pack_b_block, MatRef};
 use crate::shape::Shape3;
-use crate::sparse::SparseActivation;
 use crate::tensor::Tensor3;
 use std::cell::RefCell;
 
@@ -589,26 +591,6 @@ impl PaddedLayout {
             }
         }
     }
-
-    /// Zeroes `buf` and scatters `input`'s non-zeros to their padded
-    /// positions — the densify and the padding copy in one step.
-    fn scatter_sparse(&self, input: &SparseActivation, buf: &mut Vec<f32>) {
-        let shape = input.shape();
-        buf.clear();
-        buf.resize(self.len(shape.channels), 0.0);
-        for ic in 0..shape.channels {
-            // Positions ascend, so the row is tracked without dividing.
-            let (mut iy, mut row_start) = (0, 0);
-            for &(pos, v) in input.channel(ic) {
-                let pos = pos as usize;
-                while pos >= row_start + shape.width {
-                    iy += 1;
-                    row_start += shape.width;
-                }
-                buf[self.index(ic, iy + self.padding, pos - row_start + self.padding)] = v;
-            }
-        }
-    }
 }
 
 /// The direct convolution over a filled padded buffer: see the module docs
@@ -700,19 +682,26 @@ fn store_grid_tile(
     }
 }
 
-/// Shared body of [`conv2d_forward`] and [`conv2d_forward_sparse`]: `fill`
-/// writes the padded input copy, the rest is identical.
-#[allow(clippy::too_many_arguments)] // mirrors the conv geometry verbatim
-fn conv_direct(
-    in_shape: Shape3,
+/// Padded-domain direct convolution forward pass (see the module docs).
+///
+/// `panels` is the filter bank packed by [`pack_conv_weights`], `bias` one
+/// value per output channel. Returns the `C_out × H_out × W_out` output,
+/// bit-identical to a bias-prefilled [`gemm_nn`] over [`im2col_into`].
+///
+/// # Panics
+///
+/// Panics when `panels` is not the packing of a
+/// `bias.len() × (C_in·kernel²)` filter bank.
+pub fn conv2d_forward(
+    input: &Tensor3,
     panels: &[f32],
     bias: &[f32],
     kernel: usize,
     stride: usize,
     padding: usize,
     scratch: &mut GemmScratch,
-    fill: impl FnOnce(&PaddedLayout, &mut Vec<f32>),
 ) -> Tensor3 {
+    let in_shape = input.shape();
     let out_channels = bias.len();
     let k_dim = in_shape.channels * kernel * kernel;
     assert_eq!(
@@ -734,7 +723,7 @@ fn conv_direct(
         return Tensor3::from_vec(out_shape, out);
     }
     let layout = PaddedLayout::new(in_shape, stride, padding);
-    fill(&layout, &mut scratch.padded);
+    layout.copy_dense(input, &mut scratch.padded);
     // Tap `p = (ic·K + ky)·K + kx` of output (0, 0) reads padded sample
     // `(ic, ky, kx)` — im2col's row order.
     scratch.taps.clear();
@@ -754,65 +743,6 @@ fn conv_direct(
         &mut out,
     );
     Tensor3::from_vec(out_shape, out)
-}
-
-/// Padded-domain direct convolution forward pass (see the module docs).
-///
-/// `panels` is the filter bank packed by [`pack_conv_weights`], `bias` one
-/// value per output channel. Returns the `C_out × H_out × W_out` output,
-/// bit-identical to a bias-prefilled [`gemm_nn`] over [`im2col_into`].
-///
-/// # Panics
-///
-/// Panics when `panels` is not the packing of a
-/// `bias.len() × (C_in·kernel²)` filter bank.
-pub fn conv2d_forward(
-    input: &Tensor3,
-    panels: &[f32],
-    bias: &[f32],
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    scratch: &mut GemmScratch,
-) -> Tensor3 {
-    conv_direct(
-        input.shape(),
-        panels,
-        bias,
-        kernel,
-        stride,
-        padding,
-        scratch,
-        |layout, buf| layout.copy_dense(input, buf),
-    )
-}
-
-/// [`conv2d_forward`] fed from a sparse activation: the non-zeros are
-/// scattered straight into the zeroed padded buffer, so no dense tensor is
-/// built first. Bit-identical to [`conv2d_forward`] on `input.to_dense()`.
-///
-/// # Panics
-///
-/// As [`conv2d_forward`].
-pub fn conv2d_forward_sparse(
-    input: &SparseActivation,
-    panels: &[f32],
-    bias: &[f32],
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    scratch: &mut GemmScratch,
-) -> Tensor3 {
-    conv_direct(
-        input.shape(),
-        panels,
-        bias,
-        kernel,
-        stride,
-        padding,
-        scratch,
-        |layout, buf| layout.scatter_sparse(input, buf),
-    )
 }
 
 /// im2col + GEMM convolution backward pass.
@@ -1186,28 +1116,6 @@ mod tests {
                 want.as_slice(),
                 "direct conv must be bit-identical (k{k}s{s}p{p})"
             );
-        }
-    }
-
-    #[test]
-    fn sparse_fed_conv_bit_identical_to_dense_fed() {
-        let mut scratch = GemmScratch::new();
-        for &(c, h, w, oc, k, s, p) in &[
-            (3usize, 7usize, 6usize, 5usize, 3usize, 1usize, 1usize),
-            (2, 9, 8, 3, 5, 2, 2),
-            (2, 6, 6, 4, 1, 1, 0),
-        ] {
-            let dense = seq_input(c, h, w).map(|v| if v > 1.0 { v } else { 0.0 });
-            let sparse = SparseActivation::from_dense(&dense, 0.0);
-            let (weights, bias) = weights_for(oc, c, k);
-            let mut panels = Vec::new();
-            pack_conv_weights(&weights, oc, c * k * k, &mut panels);
-            // A dense call first fills every interior cell; the sparse call
-            // must not see any of it.
-            let _ = conv2d_forward(&seq_input(c, h, w), &panels, &bias, k, s, p, &mut scratch);
-            let want = conv2d_forward(&dense, &panels, &bias, k, s, p, &mut scratch);
-            let got = conv2d_forward_sparse(&sparse, &panels, &bias, k, s, p, &mut scratch);
-            assert_eq!(got.as_slice(), want.as_slice(), "k{k}s{s}p{p}");
         }
     }
 
