@@ -13,7 +13,8 @@ use std::hint::black_box;
 
 /// The register-blocked micro-kernel on the product the conv benchmark
 /// lowers to (M=32, N=1024, K=144 — the key-frame prefix critical-path
-/// shape). The trajectory records the same entry.
+/// shape), the shape the serving benchmark's
+/// `tensor.gemm.peak_gmacs_per_s` probe times.
 fn bench_gemm_micro(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_micro");
     group.sample_size(20);
@@ -39,7 +40,7 @@ fn bench_gemm_micro(c: &mut Criterion) {
 /// layer (16→32 channels, 3×3, 32×32 spatial); the bench ids keep their
 /// historical `gemm` label. The acceptance bar for the convolution engine
 /// is a ≥ 5× speedup here (release build).
-fn bench_conv_paths(c: &mut Criterion) {
+fn bench_naive_vs_direct_conv(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_paths");
     group.sample_size(20);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -106,7 +107,7 @@ fn bench_training_step(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gemm_micro,
-    bench_conv_paths,
+    bench_naive_vs_direct_conv,
     bench_prefix_vs_suffix,
     bench_training_step
 );

@@ -93,7 +93,8 @@ fn bench_fig14_estimators(c: &mut Criterion) {
 /// benchmark's workloads (`steady`/`mixed_fleet`/`cut_storm_deep` search a
 /// late target's 27/8/10 fields at radius 8, `early_churn` an early
 /// target's 7/4/2 fields at radius 4) over 48×48 frames, through a held
-/// scratch as a worker holds one.
+/// scratch as a worker holds one. The late geometry also times the
+/// two-stage reference model the fast path is bit-identical to.
 fn bench_serving_geometries(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_geometries_48x48");
     let (key, new) = frames(48, 48);
@@ -111,6 +112,11 @@ fn bench_serving_geometries(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| black_box(rfbme.estimate_with(&key, &new, &mut scratch)))
         });
+        if name == "late_27_8_10_r8" {
+            group.bench_function(format!("{name}_reference"), |b| {
+                b.iter(|| black_box(rfbme.estimate_reference(&key, &new)))
+            });
+        }
     }
     group.finish();
 }

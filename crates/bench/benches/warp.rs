@@ -1,12 +1,19 @@
 //! Warp-engine benchmarks: bilinear vs nearest interpolation, float
 //! reference vs the bit-accurate Q8.8 datapath, dense vs sparse
-//! activations (the §V claim that zero skipping cuts compensation cost).
+//! activations (the §V claim that zero skipping cuts compensation cost),
+//! and the predicted-frame tail the serving engine runs against its
+//! dense-intermediate alternative.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eva2_core::warp::{warp_activation, warp_activation_fixed};
+use eva2_cnn::zoo;
+use eva2_core::executor::{AmcConfig, AmcExecutor};
+use eva2_core::sparse::RleActivation;
+use eva2_core::warp::{warp_activation, warp_activation_fixed, warp_activation_sparse};
 use eva2_motion::field::{MotionVector, VectorField};
+use eva2_motion::rfbme::{Rfbme, SearchParams};
+use eva2_tensor::gemm::GemmScratch;
 use eva2_tensor::interp::Interpolation;
-use eva2_tensor::{Shape3, Tensor3};
+use eva2_tensor::{GrayImage, Shape3, SparseActivation, Tensor3};
 use std::hint::black_box;
 
 fn activation(c: usize, hw: usize, sparsity: f32) -> Tensor3 {
@@ -58,5 +65,50 @@ fn bench_warp_sparsity(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_warp_methods, bench_warp_sparsity);
+/// Warp + sparse suffix at `tiny_fasterm`'s late target: `dense` warps into
+/// a dense tensor and re-sparsifies it with `from_dense`; `fused` is what
+/// the serving engine runs, `warp_activation_sparse` straight into the
+/// sparse suffix. Key state is prepared outside the timed bodies, as a
+/// session holds it.
+fn bench_predicted_tail(c: &mut Criterion) {
+    let mut group = c.benchmark_group("predicted_tail_fasterm");
+    group.sample_size(20);
+    let z = zoo::tiny_fasterm(0);
+    let (net, target, config) = (&z.network, z.late_target, AmcConfig::default());
+    let rf = AmcExecutor::try_new(net, config).unwrap().rf_geometry();
+    let f0 = GrayImage::from_fn(48, 48, |y, x| {
+        (125.0 + 50.0 * ((y as f32 * 0.29).sin() + (x as f32 * 0.21).cos())) as u8
+    });
+    let f1 = f0.translate(0, 1, 0);
+    let mut scratch = GemmScratch::new();
+    let act = net.forward_prefix_scratch(&f0.to_tensor(), target, &mut scratch);
+    let key = RleActivation::encode(&act, config.sparsity_threshold)
+        .to_sparse()
+        .to_dense();
+    let field = Rfbme::new(rf, SearchParams { radius: 8, step: 1 })
+        .estimate(&f0, &f1)
+        .field;
+    let bilinear = Interpolation::Bilinear;
+    group.bench_function("dense", |b| {
+        b.iter(|| {
+            let (warped, _) = warp_activation(&key, &field, rf.stride, bilinear);
+            let sparse = SparseActivation::from_dense(&warped, 0.0);
+            black_box(net.forward_suffix_sparse(&sparse, target, &mut scratch))
+        })
+    });
+    group.bench_function("fused", |b| {
+        b.iter(|| {
+            let (sparse, _) = warp_activation_sparse(&key, &field, rf.stride, bilinear);
+            black_box(net.forward_suffix_sparse(&sparse, target, &mut scratch))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_warp_methods,
+    bench_warp_sparsity,
+    bench_predicted_tail
+);
 criterion_main!(benches);

@@ -1,8 +1,6 @@
-//! Criterion micro-benchmarks (see `benches/`) and the shared measurement
-//! suite behind the committed `BENCH_conv.json` trajectory and the CI
-//! bench-regression gate (see [`trajectory`]).
+//! Criterion micro-benchmarks under `benches/` (`cargo bench -p eva2-bench`):
+//! each retained kernel choice is timed against its alternative. End-to-end
+//! performance is measured by the serving benchmark in `benchmark/`. The
+//! library itself is empty; Cargo needs one lib or bin target per package.
 
 #![forbid(unsafe_code)]
-
-pub mod serve_load;
-pub mod trajectory;

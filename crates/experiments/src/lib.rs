@@ -11,10 +11,12 @@
 //! * [`report`] — plain-text tables matching the paper's rows plus JSON
 //!   dumps under `results/`.
 //!
-//! Binaries (see DESIGN.md §5 for the full index):
+//! Binaries:
 //!
 //! | binary | paper artifact |
 //! |---|---|
+//! | `train_cache` | trains and caches the three workloads (no artifact) |
+//! | `analyze_zoo` | static-verification report of the zoo (no artifact) |
 //! | `fig12_area` | Fig 12 area comparison |
 //! | `fig13_energy_latency` | Fig 13 energy & latency bars |
 //! | `table1_tradeoff` | Table I accuracy/efficiency trade-off |

@@ -17,8 +17,8 @@
 //! * [`precomputed`] — codec-supplied motion vectors (the paper's §VI
 //!   future-work direction), replayed through the same interface.
 //! * [`hornschunck`] — dense variational optical flow, standing in for the
-//!   FlowNet2-s learned-flow baseline of Fig 14 (see DESIGN.md §2 for the
-//!   substitution argument).
+//!   FlowNet2-s learned-flow baseline of Fig 14: no learned-flow weights
+//!   are available offline, so the classical dense method takes its place.
 //!
 //! Every estimator reports an arithmetic **operation count** so the
 //! first-order efficiency model of §IV-A can be evaluated empirically.

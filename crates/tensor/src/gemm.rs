@@ -102,13 +102,10 @@
 //! cargo bench -p eva2-bench --bench cnn -- gemm_micro   # packed GEMM, prefix shape
 //! cargo bench -p eva2-bench --bench cnn -- conv_paths   # naive vs direct conv
 //! cargo bench -p eva2-bench --bench sparse -- suffix    # sparse suffix
-//! cargo run --release -p eva2-bench --bin bench_conv    # BENCH_conv.json
 //! ```
 //!
-//! GFLOP/s for a `M×N×K` product is `2·M·N·K / median_ns`; the committed
-//! `BENCH_conv.json` at the repository root records the `gemm_micro/*`
-//! entry (the key-frame prefix GEMM shape). Re-measure after touching this
-//! module — the numbers depend on `.cargo/config.toml`'s
+//! GFLOP/s for a `M×N×K` product is `2·M·N·K / median_ns`. Re-measure after
+//! touching this module — the numbers depend on `.cargo/config.toml`'s
 //! `target-cpu=native`.
 
 // lint: hot-path

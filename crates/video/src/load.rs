@@ -1,11 +1,11 @@
 //! Closed-loop serving load: many decorrelated streams with staggered,
 //! heavy-tailed scene cuts.
 //!
-//! The serving benchmark (`BENCH_serve.json`) needs traffic that looks like
-//! "heavy traffic from millions of users" scaled down: hundreds of
-//! independent camera streams whose key frames do *not* arrive in
-//! lock-step. [`LoadGenerator`] synthesizes that from the existing
-//! [`Scene`] machinery:
+//! The serving benchmark's `mixed_fleet` workload uses this traffic. It
+//! needs traffic that looks like "heavy traffic from millions of users"
+//! scaled down: hundreds of independent camera streams whose key frames do
+//! *not* arrive in lock-step. [`LoadGenerator`] synthesizes that from the
+//! existing [`Scene`] machinery:
 //!
 //! - **Decorrelation.** Stream `s` uses [`SceneConfig::streaming`] variant
 //!   `s`, so neighbouring streams differ in motion regime, camera pan, and

@@ -10,8 +10,7 @@
 //! are then timed and the **median** per-iteration time is reported (median
 //! is robust to scheduler noise). Results print to stdout as
 //! `<group>/<id> ... median <t>` lines, and are written as JSON to the path
-//! in the `EVA2_CRITERION_JSON` environment variable when set — which is how
-//! the committed `BENCH_*.json` trajectories are produced.
+//! in the `EVA2_CRITERION_JSON` environment variable when set.
 //!
 //! A positional command-line filter (as passed by `cargo bench -- <filter>`)
 //! restricts execution to benchmarks whose `group/id` contains the filter

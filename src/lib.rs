@@ -41,9 +41,10 @@
 //! assert!(amc.stats().key_frames >= 1);
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory, and `EXPERIMENTS.md` for the paper-vs-measured record
-//! of every table and figure.
+//! `ROADMAP.md` records where the system stands and what is open;
+//! `benchmark/README.md` describes the serving benchmark every
+//! performance claim is judged on. The paper's tables and figures are
+//! regenerated by the `eva2-experiments` binaries.
 
 #![forbid(unsafe_code)]
 
