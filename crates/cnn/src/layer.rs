@@ -71,9 +71,8 @@ pub trait Layer: fmt::Debug + Send + Sync {
     }
 
     /// Runs the layer forward consuming an owned input — used by
-    /// `Network::forward_prefix_scratch` and `forward_prefix_batched` so
-    /// layers that can work in place skip the per-frame allocate-and-copy
-    /// entirely.
+    /// `Network::forward_prefix_scratch` so layers that can work in place
+    /// skip the per-frame allocate-and-copy entirely.
     ///
     /// The contract is **bit-identity** with [`Layer::forward_scratch`] on
     /// the same input (the default is exactly that call). [`Relu`]

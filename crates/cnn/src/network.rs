@@ -163,48 +163,6 @@ impl Network {
         x
     }
 
-    /// Runs the AMC prefix over a batch of same-shape frames — the
-    /// cross-stream key-frame path of the serving engine
-    /// (`eva2_core::serve`).
-    ///
-    /// Outputs are **bit-identical** to calling
-    /// [`Network::forward_prefix_scratch`] once per frame (both map
-    /// [`Layer::forward_owned`] over the layers). The batch runs layer by
-    /// layer, each layer looping over the frames, so one layer's weight
-    /// panels and the shared scratch stay cache-resident across the key
-    /// frames of independent streams; there is no per-call packing left to
-    /// amortise.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `target` is out of range or the frames' shapes differ.
-    pub fn forward_prefix_batched(
-        &self,
-        inputs: Vec<Tensor3>,
-        target: usize,
-        scratch: &mut GemmScratch,
-    ) -> Vec<Tensor3> {
-        assert!(target < self.layers.len(), "target layer out of range");
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let shape = inputs[0].shape();
-        assert!(
-            inputs.iter().all(|t| t.shape() == shape),
-            "batched prefix requires same-shape frames"
-        );
-        // The batch is consumed, not cloned: layers that can work in place
-        // (ReLU) do, and the engine's key-frame inputs are throwaway.
-        let mut batch = inputs;
-        for layer in &self.layers[..=target] {
-            batch = batch
-                .into_iter()
-                .map(|x| layer.forward_owned(x, scratch))
-                .collect();
-        }
-        batch
-    }
-
     /// Runs the suffix directly from a sparse target activation.
     ///
     /// The first suffix layer consumes the non-zero entries via
@@ -418,45 +376,6 @@ mod tests {
         let acts = net.forward_collect(&input);
         assert_eq!(acts.len(), net.len() + 1);
         assert_eq!(acts.last().unwrap(), &net.forward(&input));
-    }
-
-    #[test]
-    fn batched_prefix_bit_identical_to_single_runs() {
-        use eva2_tensor::GemmScratch;
-        // Exercises every overriding layer kind: strided conv (crate::zoo's
-        // FasterM opens with one), ReLU, and pooling.
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut net = Network::new("batchy", Shape3::new(1, 12, 12));
-        net.push(Box::new(Conv2d::new("conv1", 1, 4, 5, 2, 2, &mut rng)));
-        net.push(Box::new(Relu::new("relu1")));
-        net.push(Box::new(MaxPool2d::new("pool1", 2, 2)));
-        net.push(Box::new(Conv2d::new("conv2", 4, 8, 3, 1, 1, &mut rng)));
-        net.push(Box::new(Relu::new("relu2")));
-        let target = net.last_spatial_layer().unwrap();
-        let frames: Vec<Tensor3> = (0..4)
-            .map(|f| {
-                Tensor3::from_fn(Shape3::new(1, 12, 12), |_, y, x| {
-                    ((y * 13 + x * 7 + f * 31) as f32 * 0.17).sin()
-                })
-            })
-            .collect();
-        let mut scratch = GemmScratch::new();
-        let batched = net.forward_prefix_batched(frames.clone(), target, &mut scratch);
-        assert_eq!(batched.len(), 4);
-        for (frame, got) in frames.iter().zip(&batched) {
-            let want = net.forward_prefix_scratch(frame, target, &mut scratch);
-            assert_eq!(got.as_slice(), want.as_slice(), "batched prefix bits");
-        }
-        // Batch of one and the empty batch are fine too.
-        let one = net.forward_prefix_batched(vec![frames[0].clone()], target, &mut scratch);
-        assert_eq!(
-            one[0].as_slice(),
-            net.forward_prefix_scratch(&frames[0], target, &mut scratch)
-                .as_slice()
-        );
-        assert!(net
-            .forward_prefix_batched(Vec::new(), target, &mut scratch)
-            .is_empty());
     }
 
     #[test]

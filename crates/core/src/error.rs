@@ -39,8 +39,9 @@ pub enum AmcError {
         reason: &'static str,
     },
     /// A session was opened with a configuration that resolves to a
-    /// different target layer than its engine's, so its key-frame state
-    /// could not share the engine's batched prefix.
+    /// different target layer than its engine's. Sessions share the
+    /// engine's target, prefix MACs and session memory bound, so the
+    /// session is refused.
     SessionTargetMismatch {
         /// The engine's resolved target layer.
         engine: usize,

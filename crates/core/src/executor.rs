@@ -152,7 +152,12 @@ impl AmcConfig {
     /// for `net` — resolution failures precede analysis.
     pub fn analyze(&self, net: &Network) -> Result<eva2_analysis::AnalysisReport, AmcError> {
         let (target, _) = self.target.geometry(net)?;
-        Ok(eva2_analysis::analyze(
+        Ok(self.analyze_resolved(net, target))
+    }
+
+    /// [`AmcConfig::analyze`] at an already resolved `target`.
+    fn analyze_resolved(&self, net: &Network, target: usize) -> eva2_analysis::AnalysisReport {
+        eva2_analysis::analyze(
             net,
             &eva2_analysis::AnalysisOptions {
                 target,
@@ -162,7 +167,7 @@ impl AmcConfig {
                 // Frames enter through `GrayImage::to_tensor`: u8 / 255.
                 input_range: (0.0, 1.0),
             },
-        ))
+        )
     }
 
     /// The construction-time gate: refuses error-severity analysis
@@ -172,17 +177,7 @@ impl AmcConfig {
         if self.allow_unverified {
             return Ok(());
         }
-        let report = eva2_analysis::analyze(
-            net,
-            &eva2_analysis::AnalysisOptions {
-                target,
-                search_radius: self.search.radius,
-                search_step: self.search.step,
-                fixed_point: self.fixed_point,
-                input_range: (0.0, 1.0),
-            },
-        );
-        match report.first_error() {
+        match self.analyze_resolved(net, target).first_error() {
             Some(d) => Err(AmcError::AnalysisRejected {
                 code: d.code.as_str(),
                 layer: d.layer,
@@ -344,10 +339,12 @@ impl ExecStats {
 ///
 /// This is a thin single-stream wrapper over the same per-session state
 /// machine the serving engine runs (see [`crate::serve`]): one
-/// [`SessionCore`] plus a borrowed network and a private GEMM scratch.
-/// Outputs, decisions, and statistics are bit-identical to a one-session
-/// [`crate::serve::Engine`] — multi-stream callers should use the engine
-/// directly and gain cross-stream key-frame batching.
+/// `SessionCore` plus a borrowed network and private GEMM and RFBME
+/// scratch. Outputs, decisions, and statistics are bit-identical to a
+/// [`crate::serve::Engine`] session, which makes this the serial oracle
+/// the engine's tests compare against. Multi-stream callers should use the
+/// engine directly: it adds admission, budgets, eviction, panic
+/// containment and a worker pool.
 pub struct AmcExecutor<'n> {
     net: &'n Network,
     core: SessionCore,
@@ -481,52 +478,6 @@ impl<'n> AmcExecutor<'n> {
         self.core
             .process_with_motion(self.net, &mut self.scratch, image, motion)
             .unwrap_or_else(|e| panic!("AMC rejected the frame: {e}"))
-    }
-}
-
-/// Common interface over [`AmcExecutor`] and the engine-backed
-/// [`EngineExecutor`](crate::serve::EngineExecutor), so experiment
-/// protocols can drive either interchangeably.
-pub trait FrameExecutor {
-    /// Processes the next frame of the stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the executor's typed refusal (e.g.
-    /// [`AmcError::FrameGeometryMismatch`] for an off-geometry frame, or
-    /// an engine-backed executor's containment errors) instead of
-    /// panicking — a harness must not be able to kill a serving process.
-    fn process_frame(&mut self, frame: &GrayImage) -> Result<AmcFrameResult, AmcError>;
-
-    /// Processes a clip, returning one result per frame in order. Key-frame
-    /// state persists across calls; call [`FrameExecutor::reset`] between
-    /// independent clips.
-    ///
-    /// # Errors
-    ///
-    /// Stops at, and returns, the first frame refusal.
-    fn process_clip(&mut self, frames: &[GrayImage]) -> Result<Vec<AmcFrameResult>, AmcError> {
-        frames.iter().map(|f| self.process_frame(f)).collect()
-    }
-
-    /// Aggregate statistics over every frame processed so far.
-    fn stats(&self) -> ExecStats;
-
-    /// Drops stored state, forcing the next frame to be a key frame.
-    fn reset(&mut self);
-}
-
-impl FrameExecutor for AmcExecutor<'_> {
-    fn process_frame(&mut self, frame: &GrayImage) -> Result<AmcFrameResult, AmcError> {
-        self.try_process(frame)
-    }
-
-    fn stats(&self) -> ExecStats {
-        AmcExecutor::stats(self)
-    }
-
-    fn reset(&mut self) {
-        AmcExecutor::reset(self)
     }
 }
 

@@ -22,9 +22,9 @@
 //!   worker thread overlapping the next frame's RFBME with this frame's CNN
 //!   work cost more in hand-off than it hid (serial/pipelined 0.89).
 //! * Multi-stream serving → [`serve`] ([`serve::Engine`] owns the network
-//!   and shared scratch; each video stream is a [`serve::StreamSession`],
-//!   and key frames from independent streams share one batched,
-//!   layer-by-layer prefix pass).
+//!   and per-worker scratch; each video stream is a
+//!   [`serve::StreamSession`], and each key frame runs its own prefix on
+//!   the worker that completes it).
 //!
 //! Configuration errors are typed ([`AmcError`]); build configurations
 //! through [`executor::AmcConfig::builder`].
@@ -64,9 +64,7 @@ pub mod target;
 pub mod warp;
 
 pub use error::AmcError;
-pub use executor::{
-    AmcConfig, AmcConfigBuilder, AmcExecutor, AmcFrameResult, FrameExecutor, WarpMode,
-};
+pub use executor::{AmcConfig, AmcConfigBuilder, AmcExecutor, AmcFrameResult, WarpMode};
 pub use policy::{FrameMetrics, KeyFramePolicy};
 pub use serve::{Engine, EngineLimits, StreamSession};
 pub use sparse::RleActivation;

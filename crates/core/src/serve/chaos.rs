@@ -100,7 +100,7 @@ pub enum EnginePhase {
     Estimate,
     /// The serial admission walk's classify/commit steps.
     Admit,
-    /// A key-frame batched-prefix bucket.
+    /// A key frame's prefix, the first step of its completion.
     Prefix,
     /// Per-frame completion (sparse encode + suffix, or warp + suffix).
     Complete,

@@ -1,7 +1,5 @@
 //! The [`Engine`]: one network, per-worker scratch, session admission and
-//! housekeeping — plus [`EngineExecutor`], the engine behind the
-//! single-stream [`FrameExecutor`](crate::executor::FrameExecutor)
-//! interface. A tick itself runs in the `tick` module.
+//! housekeeping. A tick itself runs in the `tick` module.
 
 // lint: hot-path
 
@@ -10,7 +8,7 @@ use super::health::{EngineHealth, HealthState};
 use super::session::{SessionCore, SessionSlot, StreamSession};
 use super::{EngineLimits, FrameOutcome};
 use crate::error::AmcError;
-use crate::executor::{AmcConfig, AmcFrameResult, ExecStats};
+use crate::executor::AmcConfig;
 use eva2_cnn::network::Network;
 use eva2_motion::rfbme::{RfGeometry, RfbmeScratch};
 use eva2_tensor::{GemmScratch, GrayImage};
@@ -23,7 +21,7 @@ pub struct Engine {
     pub(super) net: Arc<Network>,
     base: AmcConfig,
     pub(super) limits: EngineLimits,
-    pub(super) target: usize,
+    target: usize,
     rf: RfGeometry,
     prefix_macs: u64,
     total_macs: u64,
@@ -250,8 +248,8 @@ impl Engine {
     /// Returns [`AmcError`] when the configuration fails validation or is
     /// refused by the static verifier ([`AmcError::AnalysisRejected`]),
     /// [`AmcError::SessionTargetMismatch`] when it resolves to a different
-    /// target layer than the engine's (all sessions must share the
-    /// engine's batched prefix split point), or
+    /// target layer than the engine's (all sessions share the engine's
+    /// prefix split point, prefix MACs and session memory bound), or
     /// [`AmcError::EngineAtCapacity`] when the session cap is reached.
     pub fn open_session_with(&mut self, config: AmcConfig) -> Result<StreamSession, AmcError> {
         self.slots.retain(|w| w.strong_count() > 0);
@@ -377,61 +375,5 @@ impl Engine {
             self.health.totals.evicted_sessions += 1;
         }
         Ok(())
-    }
-}
-
-/// The serving [`Engine`] behind the
-/// [`FrameExecutor`](crate::executor::FrameExecutor) interface: one
-/// unlimited engine driving one stream.
-///
-/// This is the adapter the experiment protocols
-/// (`eva2_experiments::run_policy_with`) use so protocol runs funnel
-/// through the serving entry point. The engine is opened with
-/// [`EngineLimits::unlimited`] (plus the forced `worker_threads` count), so
-/// every frame is admitted and [`FrameOutcome::into_result`] cannot refuse;
-/// outputs are bit-identical to the serial
-/// [`AmcExecutor`](crate::executor::AmcExecutor) for any worker count.
-pub struct EngineExecutor {
-    engine: Engine,
-    session: StreamSession,
-}
-
-impl EngineExecutor {
-    /// Builds an unlimited single-stream engine over `net` with a forced
-    /// `worker_threads` count.
-    pub fn new(
-        net: Arc<Network>,
-        config: AmcConfig,
-        worker_threads: usize,
-    ) -> Result<Self, AmcError> {
-        let limits = EngineLimits::builder()
-            .worker_threads(worker_threads)
-            .build()?;
-        let mut engine = Engine::with_limits(net, config, limits)?;
-        let session = engine.open_session()?;
-        Ok(Self { engine, session })
-    }
-
-    /// The engine driving this executor.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-impl crate::executor::FrameExecutor for EngineExecutor {
-    fn process_frame(&mut self, frame: &GrayImage) -> Result<AmcFrameResult, AmcError> {
-        // An unlimited engine sheds nothing, so any refusal here (a bad
-        // frame, a contained panic) surfaces as its typed error for the
-        // caller to stop on — never as a panic that could kill a process
-        // serving other streams.
-        self.engine.process(&mut self.session, frame).into_result()
-    }
-
-    fn stats(&self) -> ExecStats {
-        self.session.stats()
-    }
-
-    fn reset(&mut self) {
-        self.session.reset();
     }
 }

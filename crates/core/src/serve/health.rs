@@ -17,8 +17,8 @@ pub struct EngineHealth {
     /// Frames served across all sessions (key, forced-key, or predicted).
     pub frames_served: u64,
     /// Frame jobs that failed with a contained panic
-    /// ([`AmcError::WorkerPanicked`]). A single prefix-bucket panic fails
-    /// every frame in its bucket, so this counts frames lost, not unwinds.
+    /// ([`AmcError::WorkerPanicked`]): one unwind costs exactly one frame,
+    /// so this counts both.
     pub panics_caught: u64,
     /// Sessions quarantined so far (each panic outcome quarantines its
     /// owning session; a session re-poisoned after recovery counts again).

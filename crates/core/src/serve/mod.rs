@@ -1,5 +1,5 @@
 //! Session-based serving: one [`Engine`] per network, one
-//! [`StreamSession`] per video stream, cross-stream batched key frames.
+//! [`StreamSession`] per video stream, a worker pool across streams.
 //!
 //! The paper's EVA² unit sits in front of *shared* layer accelerators and
 //! serves a stream of frames; a deployment serves many such streams from
@@ -20,24 +20,6 @@
 //! `engine` (admission, housekeeping), `tick` (one
 //! [`Engine::process_batch`]), `health`, `chaos` (the injectable clock and
 //! failure seams) and `contain` (the one `catch_unwind`).
-//!
-//! # The batching seam
-//!
-//! Key frames are where the money is: a key frame runs the full CNN
-//! prefix, a predicted frame only warps and runs the suffix. Key frames
-//! from *independent* streams arrive decorrelated — one stream's scene cut
-//! does not align with another's — so a serving process regularly holds
-//! several key frames at once. [`Engine::process_batch`] classifies every
-//! submitted frame with its own session's RFBME + policy (bit-identical to
-//! serial processing), then executes all key-frame prefixes through
-//! `Network::forward_prefix_batched`, which runs the batch layer by layer:
-//! each layer's weight panels (packed once, when the network is built) and
-//! the worker's convolution scratch stay cache-resident across the key
-//! frames of independent streams. Batching across streams is strictly
-//! better than within one stream — it adds no latency, because no stream
-//! waits on its own future frames. Every frame is checked against the
-//! network's input shape before any work touches it, so a tick's key frames
-//! always form one same-shape batch.
 //!
 //! # The predicted-frame fast path
 //!
@@ -65,18 +47,16 @@
 //! 3. **Admit** — a serial walk in submission order: budget shedding, the
 //!    key-frame decision, counter commits. Serial is what keeps budget
 //!    semantics independent of the worker count.
-//! 4. **Prefix** — the admitted key frames in `min(workers, keys)`
-//!    buckets, frame-per-thread (one frame per thread beats splitting one
-//!    48×48 frame's convolution across cores), each bucket one
-//!    layer-by-layer `forward_prefix_batched` sub-batch.
-//! 5. **Complete** — sparse store refresh + suffix for keys, warp + suffix
-//!    for predicted, stream-per-worker.
+//! 4. **Complete** — for a key frame the CNN prefix, then sparse store
+//!    refresh + suffix; for a predicted frame warp + suffix;
+//!    stream-per-worker (one frame per thread beats splitting one 48×48
+//!    frame's convolution across cores).
 //!
 //! **Outputs are bit-identical for every worker count.** Sessions are
-//! independent (no phase shares mutable state across streams), the batched
-//! prefix is bit-identical to the per-frame prefix *for any partition of
-//! the batch*, and every result lands in its job's own record, so
-//! scheduling cannot reorder anything. `serve_interleaved.rs` pins N-worker
+//! independent (no phase shares mutable state across streams), every
+//! frame runs the same per-frame calls the serial executor makes, and
+//! every result lands in its job's own record, so scheduling cannot
+//! reorder anything. `serve_interleaved.rs` pins N-worker
 //! vs 1-worker vs serial-executor equality under random interleavings,
 //! evictions, and fault storms.
 //!
@@ -138,10 +118,10 @@
 //! rather than per process:
 //!
 //! * **Panic isolation.** Every per-frame job — the RFBME estimate, the
-//!   walk's classify and commit, each prefix bucket, each completion — runs
-//!   inside the engine's one `catch_unwind` seam (the `contain` module; the
-//!   `eva2-lint` rule `contained-unwind` keeps `catch_unwind` out of every
-//!   other file). A panic costs exactly that frame, as
+//!   walk's classify and commit, each key frame's prefix, each completion
+//!   — runs inside the engine's one `catch_unwind` seam (the `contain`
+//!   module; the `eva2-lint` rule `contained-unwind` keeps `catch_unwind`
+//!   out of every other file). A panic costs exactly that frame, as
 //!   [`AmcError::WorkerPanicked`](crate::AmcError::WorkerPanicked) naming
 //!   the phase (`"estimate"`, `"admit"`, `"prefix"`, or `"complete"`), and
 //!   every other job completes bit-identically to a run without it. One
@@ -155,8 +135,8 @@
 //!   rehydrates bit-identically to a fresh session.
 //! * **Tick deadline.** [`EngineLimits::tick_deadline_ms`] is a soft
 //!   budget read from an injectable [`TickClock`] ([`FakeClock`] in tests),
-//!   checked at each key-frame admission, each prefix bucket, and before
-//!   completion. Past it, remaining *key-frame upgrades* are shed
+//!   checked at each key-frame admission, each key frame's prefix, and
+//!   before completion. Past it, remaining *key-frame upgrades* are shed
 //!   (`what: "tick deadline"`); predicted frames still serve and committed
 //!   work always finishes.
 //!
@@ -171,9 +151,9 @@
 //! `AmcExecutor` wraps the same per-session state machine (`SessionCore`)
 //! with one borrowed network and private scratch. Every output, decision,
 //! and statistic is **bit-identical** across the serial executor (fed its
-//! own or an external motion estimate) and engine sessions (single or
-//! batched), which `serve_interleaved.rs` and `external_motion_bitident.rs`
-//! enforce.
+//! own or an external motion estimate) and engine sessions (submitted alone
+//! or several to a tick), which `serve_interleaved.rs` and
+//! `external_motion_bitident.rs` enforce.
 //!
 //! # Example
 //!
@@ -191,8 +171,8 @@
 //! let frame = GrayImage::from_fn(48, 48, |y, x| {
 //!     (120 + ((y * 7 + x * 3) % 64)) as u8
 //! });
-//! // Batched submission: both streams' first frames are key frames and
-//! // share one batched prefix pass.
+//! // One tick, two streams: both first frames are key frames, each
+//! // running its own prefix.
 //! let results = engine.process_batch([(&mut cam_a, &frame), (&mut cam_b, &frame)]);
 //! assert!(results.iter().all(|r| r.is_key()));
 //! // Streams advance independently; each result is typed by how the frame
@@ -222,7 +202,7 @@ mod tick;
 pub use chaos::{
     EnginePhase, FailureAction, FailureInjector, FakeClock, MonotonicClock, SeededChaos, TickClock,
 };
-pub use engine::{Engine, EngineExecutor};
+pub use engine::Engine;
 pub use health::{EngineHealth, TICK_RING};
 pub use limits::{session_memory_bound, EngineLimits, EngineLimitsBuilder};
 pub(crate) use session::SessionCore;

@@ -10,8 +10,10 @@ use crate::error::AmcError;
 use crate::executor::{AmcConfig, AmcExecutor, ExecStats, WarpMode};
 use crate::policy::PolicyConfig;
 use crate::target::TargetSelection;
+use eva2_cnn::layer::{Layer, LayerGeometry};
+use eva2_cnn::network::Network;
 use eva2_cnn::zoo;
-use eva2_tensor::GrayImage;
+use eva2_tensor::{GrayImage, Shape3, Tensor3};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -47,7 +49,7 @@ fn batched_keys_match_serial_executor_bits() {
     let mut engine = Engine::new(net, AmcConfig::default()).unwrap();
     let mut sessions: Vec<StreamSession> = (0..3).map(|_| engine.open_session().unwrap()).collect();
     let frames: Vec<GrayImage> = (0..3).map(|i| frame(i * 5)).collect();
-    // All three first frames are key frames → batched prefix.
+    // All three first frames are key frames in one tick.
     let jobs = sessions.iter_mut().zip(frames.iter());
     let results = engine.process_batch(jobs);
     for (f, r) in frames.iter().zip(&results) {
@@ -822,7 +824,7 @@ fn prefix_phase_panic_quarantines_the_key_frame_owner() {
             session: a.id(),
         }));
         // Both first frames are key frames; only a's job panics in its
-        // prefix bucket, b's key frame completes normally.
+        // prefix, b's key frame completes normally.
         let f = frame(0);
         let results = engine.process_batch([(&mut a, &f), (&mut b, &f)]);
         match &results[0] {
@@ -834,6 +836,91 @@ fn prefix_phase_panic_quarantines_the_key_frame_owner() {
         assert!(a.is_quarantined());
         assert!(results[1].frame().unwrap().is_key);
         assert!(!b.is_quarantined());
+    }
+}
+
+/// A pass-through prefix layer (kernel 1, stride 1) that really panics —
+/// no injector involved — when pixel (0, 0) of its input is white.
+#[derive(Debug, Clone)]
+struct PanicOnWhiteCorner;
+
+impl Layer for PanicOnWhiteCorner {
+    fn name(&self) -> &str {
+        "panic_on_white_corner"
+    }
+
+    fn output_shape(&self, input: Shape3) -> Shape3 {
+        input
+    }
+
+    fn forward(&self, input: &Tensor3) -> Tensor3 {
+        // Frames enter through `GrayImage::to_tensor`: 255 maps to 1.0.
+        // The `chaos:` prefix only keeps the test's panic hook quiet.
+        assert!(input.get(0, 0, 0) < 1.0, "chaos: white corner pixel");
+        input.clone()
+    }
+
+    fn backward(&mut self, _input: &Tensor3, grad_out: &Tensor3) -> Tensor3 {
+        grad_out.clone()
+    }
+
+    fn apply_grads(&mut self, _lr: f32, _batch: usize) {}
+
+    fn geometry(&self) -> Option<LayerGeometry> {
+        Some(LayerGeometry::IDENTITY)
+    }
+
+    fn macs(&self, _input: Shape3) -> u64 {
+        0
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn real_prefix_panic_costs_only_its_own_key_frame() {
+    quiet_chaos_panics();
+    let zoo_net = zoo::tiny_fasterm(3).network;
+    let mut net = Network::new("panic_on_white_corner", zoo_net.input_shape());
+    net.push(Box::new(PanicOnWhiteCorner));
+    for layer in zoo_net.layers() {
+        net.push(layer.clone());
+    }
+    // The opaque test layer is outside the verified envelope.
+    let config = AmcConfig::builder().allow_unverified().build().unwrap();
+    let clean = frame(0);
+    let mut marked = frame(5);
+    marked.set(0, 0, 255);
+    let want = AmcExecutor::try_new(&net, config).unwrap().process(&clean);
+    let net = Arc::new(net);
+    for workers in [1usize, 3] {
+        let limits = EngineLimits::builder()
+            .worker_threads(workers)
+            .build()
+            .unwrap();
+        let mut engine = Engine::with_limits(Arc::clone(&net), config, limits).unwrap();
+        let mut a = engine.open_session().unwrap();
+        let mut b = engine.open_session().unwrap();
+        // Both first frames are key frames in one tick; only b's prefix
+        // panics.
+        let results = engine.process_batch([(&mut a, &clean), (&mut b, &marked)]);
+        let got = results[0].frame().expect("a's key frame is served");
+        assert!(got.is_key);
+        assert_eq!(got.output.as_slice(), want.output.as_slice());
+        assert_eq!(got.compression, want.compression);
+        assert_eq!(got.macs_executed, want.macs_executed);
+        assert!(!a.is_quarantined());
+        match &results[1] {
+            FrameOutcome::Rejected(AmcError::WorkerPanicked { phase, .. }) => {
+                assert_eq!(*phase, "prefix", "{workers} workers");
+            }
+            other => panic!("{workers} workers: expected a contained prefix panic, got {other:?}"),
+        }
+        assert!(b.is_quarantined());
+        let health = engine.health();
+        assert_eq!((health.panics_caught, health.quarantines), (1, 1));
     }
 }
 
@@ -982,22 +1069,4 @@ fn zero_tick_deadline_is_rejected() {
     // u64::MAX (the default) means "no deadline" and is valid.
     let limits = EngineLimits::builder().build().unwrap();
     assert_eq!(limits.tick_deadline_ms, u64::MAX);
-}
-
-#[test]
-fn engine_executor_surfaces_refusals_as_typed_errors() {
-    // Regression for the removed `.expect("an unlimited engine serves
-    // every frame")`: a bad frame through the FrameExecutor seam must
-    // come back as a typed error, not a harness-killing panic.
-    use crate::executor::FrameExecutor;
-    let net = Arc::new(zoo::tiny_fasterm(0).network);
-    let mut exec = EngineExecutor::new(net, AmcConfig::default(), 1).unwrap();
-    assert!(exec.process_frame(&frame(0)).unwrap().is_key);
-    let small = GrayImage::from_fn(24, 24, |y, x| ((y * 7 + x) % 199) as u8);
-    match exec.process_frame(&small) {
-        Err(AmcError::FrameGeometryMismatch { got_height: 24, .. }) => {}
-        other => panic!("expected a typed geometry refusal, got {other:?}"),
-    }
-    // The refusal cost nothing: the stream keeps serving.
-    assert!(!exec.process_frame(&frame(1)).unwrap().is_key);
 }

@@ -1,7 +1,8 @@
 //! One tick: [`Engine::process_batch`] as a short sequence of phase
 //! functions over one record per submitted job — screen → estimate → admit
-//! → prefix → complete → health epilogue. Every worker count runs this same
-//! code; only the width [`fan_out`] splits a phase across changes (see the
+//! → complete → health epilogue, where a key frame's completion runs its
+//! own CNN prefix first. Every worker count runs this same code; only the
+//! width [`fan_out`] splits a phase across changes (see the
 //! [threading model](crate::serve#threading-model--determinism)).
 
 // lint: hot-path
@@ -15,7 +16,7 @@ use crate::executor::{AmcFrameResult, ExecStats};
 use crate::policy::FrameKind;
 use eva2_cnn::network::Network;
 use eva2_motion::rfbme::{RfbmeResult, RfbmeScratch};
-use eva2_tensor::{GemmScratch, GrayImage, Tensor3};
+use eva2_tensor::{GemmScratch, GrayImage};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// The typed outcome of one submitted frame — what
@@ -179,8 +180,8 @@ enum Stage {
 
 /// What an admitted frame still needs.
 enum Work {
-    /// A key frame; the prefix phase fills in its target activation.
-    Key(Option<Tensor3>),
+    /// A key frame: the full prefix, then sparse encode + suffix.
+    Key,
     /// A predicted frame and the motion it warps by.
     Predicted(RfbmeResult),
 }
@@ -241,10 +242,6 @@ impl<'a> Job<'a> {
             frame,
             stage,
         }
-    }
-
-    fn is_key(&self) -> bool {
-        matches!(&self.stage, Stage::Admitted { work, .. } if matches!(work, Work::Key(_)))
     }
 
     /// Ends the job with `e`. A contained panic may have left the session's
@@ -329,7 +326,7 @@ impl<'a> Job<'a> {
         let work = match plan.kind {
             FrameKind::Key => {
                 admitted.1 += 1;
-                Work::Key(None)
+                Work::Key
             }
             FrameKind::Predicted => Work::Predicted(motion.take().ok_or(AmcError::Internal {
                 what: "predicted frame requires a motion estimate",
@@ -343,46 +340,54 @@ impl<'a> Job<'a> {
         Ok(())
     }
 
-    /// Completes an admitted frame: key sparse-encode + suffix, or warp +
-    /// suffix.
+    /// Completes an admitted frame: for a key frame the CNN prefix, then
+    /// sparse encode + suffix; for a predicted frame warp + suffix. A key
+    /// frame's prefix is contained as a step of its own, so a panic there
+    /// is reported in the `"prefix"` phase and costs only this frame.
     fn complete(&mut self, tick: &Tick<'_>, net: &Network, scratch: &mut GemmScratch) {
         let Stage::Admitted {
             plan,
             stats_before,
             work,
-        } = &mut self.stage
+        } = &self.stage
         else {
             return;
         };
         let (plan, before) = (*plan, *stats_before);
         let (session, frame) = (&mut *self.session, self.frame);
-        let core = &mut session.core;
+        let (id, core) = (session.id, &mut session.core);
         let max_bytes = tick.limits.max_session_bytes;
-        let outcome = tick.run(EnginePhase::Complete, session.id, || match work {
-            Work::Key(act) => {
-                let Some(act) = act.take() else {
-                    return FrameOutcome::Rejected(AmcError::Internal {
-                        what: "one prefix activation per key frame",
-                    });
-                };
-                let frame =
-                    core.finish_key_frame(net, scratch, frame, act, plan.metrics, plan.rfbme_ops);
-                // Per-session budget: rather than grow past its allowance,
-                // the stream degrades to bounded-memory all-key serving.
-                if core.memory_footprint() > max_bytes {
-                    core.evict_state();
-                }
-                let stats = core.stats().delta_since(&before);
-                match (plan.forced, plan.metrics) {
-                    (true, Some(m)) => FrameOutcome::ForcedKey {
-                        residual: m.block_error_per_pixel,
-                        frame,
-                        stats,
-                    },
-                    _ => FrameOutcome::Key { frame, stats },
-                }
+        let outcome = match work {
+            Work::Key => {
+                // A checkpoint only records an overrun: committed frames finish.
+                tick.checkpoint();
+                let target = core.target();
+                let prefix = tick.run(EnginePhase::Prefix, id, || {
+                    net.forward_prefix_scratch(&frame.to_tensor(), target, scratch)
+                });
+                prefix.and_then(|act| {
+                    tick.run(EnginePhase::Complete, id, || {
+                        let (metrics, ops) = (plan.metrics, plan.rfbme_ops);
+                        let frame = core.finish_key_frame(net, scratch, frame, act, metrics, ops);
+                        // Per-session budget: rather than grow past its
+                        // allowance, the stream degrades to bounded-memory
+                        // all-key serving.
+                        if core.memory_footprint() > max_bytes {
+                            core.evict_state();
+                        }
+                        let stats = core.stats().delta_since(&before);
+                        match (plan.forced, plan.metrics) {
+                            (true, Some(m)) => FrameOutcome::ForcedKey {
+                                residual: m.block_error_per_pixel,
+                                frame,
+                                stats,
+                            },
+                            _ => FrameOutcome::Key { frame, stats },
+                        }
+                    })
+                })
             }
-            Work::Predicted(motion) => {
+            Work::Predicted(motion) => tick.run(EnginePhase::Complete, id, || {
                 match core.finish_predicted(net, scratch, motion, plan.metrics, plan.rfbme_ops) {
                     Ok(frame) => FrameOutcome::Predicted {
                         stats: core.stats().delta_since(&before),
@@ -390,8 +395,8 @@ impl<'a> Job<'a> {
                     },
                     Err(e) => FrameOutcome::from_error(e),
                 }
-            }
-        });
+            }),
+        };
         match outcome {
             Ok(outcome) => self.stage = Stage::Done(outcome),
             Err(e) => self.refuse(e),
@@ -437,60 +442,9 @@ fn admit(tick: &Tick<'_>, jobs: &mut [Job<'_>], scratch: &mut RfbmeScratch) {
     }
 }
 
-/// Prefix phase: the admitted key frames in `min(workers, keys)` buckets,
-/// each one `forward_prefix_batched` sub-batch on its worker's scratch —
-/// bit-identical for any partition of the batch. The screen guarantees
-/// every input has the network's input shape, as the batch requires.
-fn prefix(
-    tick: &Tick<'_>,
-    jobs: &mut [Job<'_>],
-    net: &Network,
-    target: usize,
-    scratches: &mut [GemmScratch],
-) {
-    if !jobs.iter().any(Job::is_key) {
-        return; // nothing to batch, and no buckets to allocate
-    }
-    let buckets = deal(jobs.iter_mut().filter(|job| job.is_key()), scratches.len());
-    let buckets = buckets.into_iter().filter(|bucket| !bucket.is_empty());
-    fan_out(scratches, buckets, |scratch, mut bucket| {
-        // A checkpoint only records an overrun: committed frames finish.
-        tick.checkpoint();
-        // The chaos hook runs per frame, so injection stays pure in
-        // `(tick, session)`; a real panic inside the batched pass cannot
-        // name a frame, so it costs — and quarantines — the whole bucket.
-        bucket.retain_mut(
-            |job| match tick.run(EnginePhase::Prefix, job.session.id, || ()) {
-                Ok(()) => true,
-                Err(e) => {
-                    job.refuse(e);
-                    false
-                }
-            },
-        );
-        if bucket.is_empty() {
-            return;
-        }
-        let inputs = bucket.iter().map(|job| job.frame.to_tensor()).collect();
-        match contain::run(EnginePhase::Prefix, || {
-            net.forward_prefix_batched(inputs, target, scratch)
-        }) {
-            // A short result leaves an activation unset, which completion
-            // reports as a typed `AmcError::Internal`.
-            Ok(activations) => {
-                for (job, act) in bucket.into_iter().zip(activations) {
-                    if let Stage::Admitted { work, .. } = &mut job.stage {
-                        *work = Work::Key(Some(act));
-                    }
-                }
-            }
-            Err(e) => bucket.into_iter().for_each(|job| job.refuse(e.clone())),
-        }
-    });
-}
-
 /// Complete phase: per-session work on distinct sessions (`&mut`
-/// exclusivity), stream-per-worker.
+/// exclusivity), stream-per-worker — a key frame's prefix included, on the
+/// same worker's scratch as the rest of its frame.
 fn complete(tick: &Tick<'_>, jobs: &mut [Job<'_>], net: &Network, scratches: &mut [GemmScratch]) {
     tick.checkpoint();
     let jobs = jobs
@@ -553,8 +507,8 @@ impl Engine {
     /// idle-eviction clock.
     ///
     /// Every frame is classified by its own session's RFBME estimate and
-    /// policy, in submission order; the frames decided *key* share batched
-    /// prefix passes before each session completes its frame. Results come
+    /// policy, in submission order; then each session completes its frame,
+    /// a key frame running its own CNN prefix first. Results come
     /// back in submission order, bit-identical to processing each
     /// `(session, frame)` pair serially through [`Engine::process`], at any
     /// [`EngineLimits::worker_threads`] (see the
@@ -593,11 +547,9 @@ impl Engine {
             .into_iter()
             .map(|(session, frame)| Job::screen(session, frame, self.engine_id))
             .collect();
-        let (net, target) = (&*self.net, self.target);
         estimate(&tick, &mut jobs, &mut self.motion_scratches);
         admit(&tick, &mut jobs, &mut self.motion_scratches[0]);
-        prefix(&tick, &mut jobs, net, target, &mut self.scratches);
-        complete(&tick, &mut jobs, net, &mut self.scratches);
+        complete(&tick, &mut jobs, &self.net, &mut self.scratches);
         let results: Vec<FrameOutcome> = jobs.into_iter().map(Job::finish).collect();
         // The health epilogue: serial, after every worker has finished.
         let (elapsed_us, overran) = tick.checkpoint();

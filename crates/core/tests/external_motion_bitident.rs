@@ -5,7 +5,7 @@
 //! tensor, frame kind, and statistic bit-identical to `AmcExecutor::process`.
 
 use eva2_cnn::zoo;
-use eva2_core::executor::{AmcConfig, AmcExecutor, FrameExecutor, WarpMode};
+use eva2_core::executor::{AmcConfig, AmcExecutor, WarpMode};
 use eva2_core::policy::PolicyConfig;
 use eva2_tensor::GrayImage;
 
@@ -35,7 +35,10 @@ fn assert_bit_identical(config: AmcConfig, label: &str) {
     let mut internal = AmcExecutor::try_new(&z.network, config).unwrap();
     let mut external = AmcExecutor::try_new(&z.network, config).unwrap();
     let rfbme = internal.rfbme();
-    let a = FrameExecutor::process_clip(&mut internal, &frames).expect("clean clip serves");
+    let a: Vec<_> = frames
+        .iter()
+        .map(|f| internal.try_process(f).expect("clean clip serves"))
+        .collect();
     let b: Vec<_> = frames
         .iter()
         .map(|f| {
@@ -59,7 +62,7 @@ fn assert_bit_identical(config: AmcConfig, label: &str) {
         );
     }
     assert_eq!(
-        FrameExecutor::stats(&internal),
+        internal.stats(),
         external.stats(),
         "{label}: aggregate stats"
     );

@@ -1,11 +1,10 @@
 //! The serving engine's contract: N independent streams fed round-robin
-//! through one [`Engine`] — with key-frame prefixes batched across streams
-//! whenever several streams' key frames coincide, and every per-stream
-//! phase optionally fanned out over a worker pool — produce outputs,
-//! decisions, and statistics **bit-identical** to N independent serial
-//! [`AmcExecutor`] runs. Batching and threading must be invisible except
-//! in wall-clock time (the cross-stream analogue of
-//! `external_motion_bitident.rs`).
+//! through one [`Engine`] — several streams' frames, key frames included,
+//! submitted in one tick, and every per-stream phase optionally fanned out
+//! over a worker pool — produce outputs, decisions, and statistics
+//! **bit-identical** to N independent serial [`AmcExecutor`] runs. Sharing
+//! a tick and threading must be invisible except in wall-clock time (the
+//! cross-stream analogue of `external_motion_bitident.rs`).
 //!
 //! Worker counts here are *forced* ([`EngineLimits::worker_threads`]), so
 //! the fan-out code path is exercised even on a single-CPU container.
@@ -150,8 +149,8 @@ fn assert_interleaved_bit_identical(config: AmcConfig, workers: usize, label: &s
             assert_result_eq(r, &want, &format!("{label}: stream {s} frame {t}"));
         }
     }
-    // A batch of one (still the batched prefix code path) and a serial
-    // `Engine::process` submission must both match too.
+    // A batch of one and a serial `Engine::process` submission must both
+    // match too.
     for (s, (session, serial)) in sessions.iter_mut().zip(&mut serials).enumerate() {
         let frame = stream_frame(s, FRAMES);
         let r = engine
@@ -178,11 +177,12 @@ fn assert_interleaved_bit_identical(config: AmcConfig, workers: usize, label: &s
             "{label}: stream {s} degenerate ({keys} keys)"
         );
     }
-    // The scenario must actually exercise cross-stream batching: at least
-    // one round (the first, if nothing else) ran >1 key frame per batch.
+    // The scenario must actually put several streams' key frames in one
+    // tick: at least one round (the first, if nothing else) ran >1 key
+    // frame.
     assert!(
         batched_keys >= 1,
-        "{label}: no round ever batched multiple key frames"
+        "{label}: no tick ever held multiple key frames"
     );
 }
 

@@ -3,9 +3,9 @@
 use eva2_cnn::metrics::{self, Detection, DetectionResult, NormBox};
 use eva2_cnn::network::Network;
 use eva2_cnn::zoo::{Task, Workload, ZooNet};
-use eva2_core::executor::{AmcConfig, AmcExecutor, FrameExecutor, WarpMode};
+use eva2_core::executor::{AmcConfig, AmcExecutor, WarpMode};
 use eva2_core::policy::PolicyConfig;
-use eva2_core::serve::EngineExecutor;
+use eva2_core::serve::Engine;
 use eva2_core::target::TargetSelection;
 use eva2_core::warp::warp_activation;
 use eva2_motion::hornschunck::HornSchunck;
@@ -225,76 +225,28 @@ pub struct PolicyOutcome {
     pub frames: usize,
 }
 
-/// Which frame executor a protocol drives. Both variants produce
-/// bit-identical outputs (see the `eva2_core::serve` threading-model
-/// docs): the engine funnels frames through the worker-pool serving
-/// [`Engine`](eva2_core::serve::Engine) — the production entry point to
-/// serving, and the default here so protocol runs exercise it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// The worker-pool serving engine ([`EngineExecutor`]) with a forced
-    /// thread count. The default (with one worker) — experiments and the
-    /// serving path share a single entry point.
-    Engine {
-        /// Forced worker-thread count (cf. `EngineLimits::worker_threads`).
-        worker_threads: usize,
-    },
-    /// The serial [`AmcExecutor`], kept as the bit-identity oracle.
-    Serial,
-}
-
-impl Default for ExecutorKind {
-    fn default() -> Self {
-        ExecutorKind::Engine { worker_threads: 1 }
-    }
-}
-
-impl ExecutorKind {
-    /// Builds the chosen executor over `net`.
-    ///
-    /// The engine variant needs an owned network (`Arc<Network>`), so it
-    /// deep-copies `net` — zoo networks are small, and protocols build one
-    /// executor per clip at most.
-    pub fn build<'n>(self, net: &'n Network, config: AmcConfig) -> Box<dyn FrameExecutor + 'n> {
-        match self {
-            ExecutorKind::Engine { worker_threads } => Box::new(
-                EngineExecutor::new(Arc::new(net.clone()), config, worker_threads)
-                    .expect("valid AMC config"),
-            ),
-            ExecutorKind::Serial => {
-                Box::new(AmcExecutor::try_new(net, config).expect("valid AMC config"))
-            }
-        }
-    }
-}
-
 /// Runs the full AMC stack over each clip (state resets between clips,
 /// like the paper's per-video evaluation) and scores every frame's output.
 ///
-/// Frames flow through the serving engine ([`ExecutorKind::default`]), the
-/// same entry point production serving uses; outputs are bit-identical to
-/// the serial executor.
+/// Frames flow through the serving [`Engine`], the same entry point
+/// production serving uses, one fresh session per clip; outputs are
+/// bit-identical to the serial [`AmcExecutor`].
 pub fn run_policy(zoo: &ZooNet, clips: &[Clip], config: AmcConfig) -> PolicyOutcome {
-    run_policy_with(zoo, clips, config, ExecutorKind::default())
-}
-
-/// [`run_policy`] parameterised on the executor implementation.
-pub fn run_policy_with(
-    zoo: &ZooNet,
-    clips: &[Clip],
-    config: AmcConfig,
-    kind: ExecutorKind,
-) -> PolicyOutcome {
+    // The engine needs an owned network; zoo networks are small.
+    let mut engine = Engine::new(Arc::new(zoo.network.clone()), config).expect("valid AMC config");
     let mut outputs: Vec<(Tensor3, &Frame)> = Vec::new();
     let mut keys = 0usize;
     let mut frames = 0usize;
     for clip in clips {
-        // A fresh executor per clip, like the paper's per-video evaluation.
-        let mut exec = kind.build(&zoo.network, config);
+        // A fresh session per clip, like the paper's per-video evaluation.
+        let mut session = engine
+            .open_session()
+            .expect("an unlimited engine has capacity");
         for frame in &clip.frames {
-            let r = exec
-                .process_frame(&frame.image)
-                .expect("executor refused a clean experiment frame");
+            let r = engine
+                .process(&mut session, &frame.image)
+                .into_result()
+                .expect("engine refused a clean experiment frame");
             keys += r.is_key as usize;
             frames += 1;
             outputs.push((r.output, frame));
@@ -385,26 +337,25 @@ mod tests {
     fn engine_executor_reproduces_serial_policy_outcome() {
         let tw = train_workload(Workload::FasterM, &tiny_budget());
         let cfg = amc_config_for(Workload::FasterM);
-        let serial = run_policy_with(&tw.zoo, &tw.test, cfg, ExecutorKind::Serial);
-        for worker_threads in [1, 3] {
-            let engine = run_policy_with(
-                &tw.zoo,
-                &tw.test,
-                cfg,
-                ExecutorKind::Engine { worker_threads },
-            );
-            assert_eq!(
-                serial, engine,
-                "serving engine ({worker_threads} workers) must match the serial oracle"
-            );
+        let mut outputs: Vec<(Tensor3, &Frame)> = Vec::new();
+        let mut keys = 0usize;
+        for clip in &tw.test {
+            let mut amc = AmcExecutor::try_new(&tw.zoo.network, cfg).unwrap();
+            for frame in &clip.frames {
+                let r = amc.process(&frame.image);
+                keys += r.is_key as usize;
+                outputs.push((r.output, frame));
+            }
         }
-    }
-
-    #[test]
-    fn default_executor_is_the_serving_engine() {
+        let serial = PolicyOutcome {
+            accuracy: score(tw.zoo.task, &outputs),
+            key_fraction: keys as f32 / outputs.len() as f32,
+            frames: outputs.len(),
+        };
         assert_eq!(
-            ExecutorKind::default(),
-            ExecutorKind::Engine { worker_threads: 1 }
+            run_policy(&tw.zoo, &tw.test, cfg),
+            serial,
+            "the serving engine must match the serial oracle"
         );
     }
 

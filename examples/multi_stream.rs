@@ -1,5 +1,5 @@
-//! Multi-stream serving: one `Engine`, many camera sessions, cross-stream
-//! batched key frames.
+//! Multi-stream serving: one `Engine`, many camera sessions, one tick per
+//! round of frames.
 //!
 //! ```sh
 //! cargo run --release --example multi_stream
@@ -9,10 +9,10 @@
 //! streams. Each stream is a `StreamSession` with its own key-frame state,
 //! policy, and statistics; every simulation tick submits one frame per
 //! stream through `Engine::process_batch`, which classifies each frame
-//! with its own session's RFBME + policy and then executes all key-frame
-//! prefixes in one batched, layer-by-layer pass. Outputs are
-//! bit-identical to running each stream through its own serial
-//! `AmcExecutor` — batching is invisible except in wall-clock time.
+//! with its own session's RFBME + policy and then completes each frame, a
+//! key frame running its own CNN prefix first. Outputs are bit-identical
+//! to running each stream through its own serial `AmcExecutor` — sharing
+//! a tick is invisible except in wall-clock time.
 
 use eva2::amc::executor::AmcConfig;
 use eva2::amc::serve::{Engine, EngineLimits, FrameOutcome};
@@ -30,8 +30,8 @@ fn main() {
     let net = Arc::new(workload.network);
     let config = AmcConfig::builder().build().expect("defaults are valid");
     // Fan each tick out over a small worker pool (per-stream RFBME and
-    // completion run stream-per-worker, coinciding key prefixes
-    // frame-per-thread) — outputs are bit-identical to worker_threads: 1.
+    // completion, key prefixes included, run stream-per-worker) — outputs
+    // are bit-identical to worker_threads: 1.
     let limits = EngineLimits::builder()
         .worker_threads(2)
         .build()
@@ -48,8 +48,8 @@ fn main() {
     // 2. One synthetic scene per stream, each with different content and
     //    motion. Streams *join* at different ticks (cameras come online
     //    independently), so their key-frame schedules decorrelate — some
-    //    batches mix key and predicted frames, and several still batch
-    //    multiple key prefixes.
+    //    ticks mix key and predicted frames, and several hold more than
+    //    one key frame.
     let mut scenes: Vec<Scene> = (0..STREAMS)
         .map(|s| Scene::new(SceneConfig::detection(48, 48), 7 + s as u64 * 13))
         .collect();
@@ -57,12 +57,11 @@ fn main() {
         .map(|_| engine.open_session().expect("engine has capacity"))
         .collect();
     // Cameras come online in pairs: coinciding joins show multi-key
-    // batches, staggered pairs show mixed batches.
+    // ticks, staggered pairs show mixed ticks.
     let join_tick = |s: usize| (s / 2) * 5;
 
-    // 3. Serve: every tick, each live stream submits its next frame; the
-    //    batch runs all coinciding key frames through one shared prefix
-    //    pass.
+    // 3. Serve: every tick, each live stream submits its next frame in one
+    //    `process_batch` call.
     println!("\ntick  per-stream frame kinds (K = key, . = predicted, ' ' = not joined)");
     for t in 0..TICKS {
         let mut frames = Vec::new();
@@ -81,7 +80,7 @@ fn main() {
             .zip(frames.iter());
         let results = engine.process_batch(jobs);
         let mut kinds = [' '; STREAMS];
-        let mut batched_keys = 0;
+        let mut keys = 0;
         for (&s, outcome) in live.iter().zip(&results) {
             kinds[s] = match outcome {
                 FrameOutcome::Predicted { .. } => '.',
@@ -89,12 +88,12 @@ fn main() {
                 FrameOutcome::ForcedKey { .. } => 'F',
                 refused => panic!("unlimited engine admits every frame: {refused:?}"),
             };
-            batched_keys += usize::from(outcome.is_key());
+            keys += usize::from(outcome.is_key());
         }
         println!(
-            "{t:4}  {}   ({batched_keys} key prefix{} batched)",
+            "{t:4}  {}   ({keys} key frame{})",
             kinds.iter().collect::<String>(),
-            if batched_keys == 1 { "" } else { "es" }
+            if keys == 1 { "" } else { "s" }
         );
     }
 

@@ -9,8 +9,7 @@
 //! the work saved relative to running the full CNN every frame.
 //!
 //! This is the single-stream path; see `examples/multi_stream.rs` for
-//! serving many concurrent streams through one `Engine` with cross-stream
-//! batched key frames.
+//! serving many concurrent streams through one `Engine`.
 
 use eva2::amc::executor::{AmcConfig, AmcExecutor};
 use eva2::cnn::zoo;

@@ -18,8 +18,8 @@
 //!   diagnostic codes. `Engine`/`AmcExecutor` construction consults it.
 //! * [`amc`] — the AMC executor: warp engine, sparse activation store,
 //!   key-frame policies, and the multi-stream serving engine
-//!   (`amc::serve::Engine` / `StreamSession`, with cross-stream batched
-//!   key frames) — crate `eva2-core`.
+//!   (`amc::serve::Engine` / `StreamSession`, a worker pool over
+//!   independent streams) — crate `eva2-core`.
 //! * [`hw`] — the Eyeriss + EIE + EVA² energy/latency/area model.
 //!
 //! ## Quick start
