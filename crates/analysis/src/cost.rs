@@ -72,8 +72,9 @@ pub struct CostSummary {
     pub warp_interpolations_bound: u64,
     /// Total predicted-frame op bound: suffix MACs + RFBME + warp.
     pub predicted_ops_bound: u64,
-    /// Dense size of the target activation (f32) — the tensor stored,
-    /// warped, and RLE-encoded per session.
+    /// Dense size of the target activation (f32) — the tensor the prefix
+    /// hands the suffix; a session stores it quantized to Q8.8, at half
+    /// this size.
     pub target_activation_bytes: u64,
 }
 

@@ -442,7 +442,7 @@ fn range_pass(infos: &[LayerInfo], opts: &AnalysisOptions, report: &mut Analysis
 
 /// Pass 4: sparsity flow across the prefix/suffix seam.
 ///
-/// The RLE activation store thresholds near-zero values, which is lossless
+/// The key activation store thresholds near-zero values, which is lossless
 /// in spirit only when the stored activation is ReLU-derived (non-negative,
 /// mostly zero); and skip-zero execution only pays off when the first
 /// suffix layer can consume sparse input (conv or FC).

@@ -57,8 +57,8 @@ fn bench_amc_frames(c: &mut Criterion) {
         b.iter(|| black_box(amc.process(&f1)))
     });
 
-    // Memoized predicted frame: suffix fed straight from the RLE store's
-    // non-zero runs (no warp, no densify).
+    // Memoized predicted frame: suffix fed the Q8.8 key store's non-zeros
+    // (no warp, no densify).
     let mut memo = never_key;
     memo.warp = eva2_core::executor::WarpMode::Memoize;
     group.bench_function("predicted_frame_memoize", |b| {

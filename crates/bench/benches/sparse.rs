@@ -1,9 +1,10 @@
-//! Sparse activation store benchmarks: RLE encode/decode at the sparsity
-//! levels the paper reports (≈80% zeros after ReLU) and the 4-lane decoder.
+//! Activation store benchmarks: the Q8.8 quantize a key frame runs beside
+//! the hardware model's RLE encode/decode, at the sparsity levels the paper
+//! reports (≈80% zeros after ReLU), and the 4-lane decoder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eva2_cnn::zoo;
-use eva2_core::sparse::{LaneGroup, RleActivation};
+use eva2_core::sparse::{LaneGroup, QuantizedActivation, RleActivation};
 use eva2_tensor::gemm::GemmScratch;
 use eva2_tensor::{Shape3, Tensor3};
 use std::hint::black_box;
@@ -23,6 +24,11 @@ fn bench_encode_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("rle");
     for sparsity in [0.5f32, 0.8, 0.95] {
         let act = activation(sparsity);
+        group.bench_with_input(
+            BenchmarkId::new("quantize", format!("{:.0}pct", sparsity * 100.0)),
+            &act,
+            |b, act| b.iter(|| black_box(QuantizedActivation::quantize(act, 0.0))),
+        );
         group.bench_with_input(
             BenchmarkId::new("encode", format!("{:.0}pct", sparsity * 100.0)),
             &act,

@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eva2_cnn::zoo;
 use eva2_core::executor::{AmcConfig, AmcExecutor};
-use eva2_core::sparse::RleActivation;
-use eva2_core::warp::{warp_activation, warp_activation_fixed, warp_activation_sparse};
+use eva2_core::sparse::QuantizedActivation;
+use eva2_core::warp::{warp_activation, warp_activation_fixed, warp_quantized_sparse};
 use eva2_motion::field::{MotionVector, VectorField};
 use eva2_motion::rfbme::{Rfbme, SearchParams};
 use eva2_tensor::gemm::GemmScratch;
@@ -65,9 +65,10 @@ fn bench_warp_sparsity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warp + sparse suffix at `tiny_fasterm`'s late target: `dense` warps into
-/// a dense tensor and re-sparsifies it with `from_dense`; `fused` is what
-/// the serving engine runs, `warp_activation_sparse` straight into the
+/// Warp + sparse suffix at `tiny_fasterm`'s late target: `dense` warps the
+/// dequantized key into a dense tensor and re-sparsifies it with
+/// `from_dense`; `fused` is what the serving engine runs,
+/// `warp_quantized_sparse` from the stored Q8.8 key straight into the
 /// sparse suffix. Key state is prepared outside the timed bodies, as a
 /// session holds it.
 fn bench_predicted_tail(c: &mut Criterion) {
@@ -82,9 +83,8 @@ fn bench_predicted_tail(c: &mut Criterion) {
     let f1 = f0.translate(0, 1, 0);
     let mut scratch = GemmScratch::new();
     let act = net.forward_prefix_scratch(&f0.to_tensor(), target, &mut scratch);
-    let key = RleActivation::encode(&act, config.sparsity_threshold)
-        .to_sparse()
-        .to_dense();
+    let stored = QuantizedActivation::quantize(&act, config.sparsity_threshold);
+    let key = stored.dequantize();
     let field = Rfbme::new(rf, SearchParams { radius: 8, step: 1 })
         .estimate(&f0, &f1)
         .field;
@@ -98,7 +98,7 @@ fn bench_predicted_tail(c: &mut Criterion) {
     });
     group.bench_function("fused", |b| {
         b.iter(|| {
-            let (sparse, _) = warp_activation_sparse(&key, &field, rf.stride, bilinear);
+            let (sparse, _) = warp_quantized_sparse(&stored, &field, rf.stride, bilinear);
             black_box(net.forward_suffix_sparse(&sparse, target, &mut scratch))
         })
     });

@@ -52,7 +52,7 @@ pub struct AmcConfig {
     /// Use the bit-accurate Q8.8 warp datapath instead of the `f32`
     /// reference.
     pub fixed_point: bool,
-    /// Near-zero suppression threshold for the sparse activation store.
+    /// Near-zero suppression threshold for the Q8.8 key activation store.
     pub sparsity_threshold: f32,
     /// Confidence bound on the RFBME residual: when a frame the policy
     /// decided *predicted* carries a per-pixel block error above this, the
@@ -228,7 +228,7 @@ impl AmcConfigBuilder {
         self
     }
 
-    /// Sets the near-zero suppression threshold of the sparse store.
+    /// Sets the near-zero suppression threshold of the Q8.8 key store.
     pub fn sparsity_threshold(mut self, threshold: f32) -> Self {
         self.config.sparsity_threshold = threshold;
         self
@@ -279,7 +279,9 @@ pub struct AmcFrameResult {
     pub warp: Option<WarpStats>,
     /// Motion metrics that informed the key-frame decision.
     pub metrics: Option<FrameMetrics>,
-    /// Compression achieved by the sparse activation store (key frames).
+    /// Compression the hardware's RLE activation store would achieve on
+    /// this key frame's activation (key frames; see
+    /// [`QuantizedActivation::compression`](crate::sparse::QuantizedActivation::compression)).
     pub compression: Option<f32>,
 }
 
@@ -419,9 +421,10 @@ impl<'n> AmcExecutor<'n> {
         self.core.reset()
     }
 
-    /// The compressed key activation currently buffered, if any — the
-    /// contents of the hardware's sparse key-frame activation buffer.
-    pub fn key_activation(&self) -> Option<&RleActivation> {
+    /// The buffered key activation as the hardware's sparse key-frame
+    /// activation buffer would hold it (RLE, derived from the stored Q8.8
+    /// copy on each call), if any.
+    pub fn key_activation(&self) -> Option<RleActivation> {
         self.core.key_activation()
     }
 

@@ -9,10 +9,13 @@
 //!
 //! Module map (paper section → module):
 //!
-//! * §II-C2 / §III-B compressed activation storage → [`sparse`]
-//!   (run-length encoding plus the 4-lane sparsity decoder model of Fig 10).
+//! * §II-C2 / §III-B key-activation storage → [`sparse`] (the one dense
+//!   Q8.8 copy a session stores, [`QuantizedActivation`]; the run-length
+//!   encoding derived from it on demand as the hardware model; the 4-lane
+//!   sparsity decoder model of Fig 10).
 //! * §II-C3 / §III-B interpolated warping → [`warp`] (float reference and a
-//!   bit-accurate Q8.8 model of the Fig 11 bilinear interpolator).
+//!   bit-accurate Q8.8 model of the Fig 11 bilinear interpolator; the
+//!   serving path warps straight from the Q8.8 store).
 //! * §II-C4 key frame selection → [`policy`] (static rate, pixel
 //!   compensation error, total motion magnitude).
 //! * §II-C5 target layer choice → [`target`].
@@ -67,5 +70,5 @@ pub use error::AmcError;
 pub use executor::{AmcConfig, AmcConfigBuilder, AmcExecutor, AmcFrameResult, WarpMode};
 pub use policy::{FrameMetrics, KeyFramePolicy};
 pub use serve::{Engine, EngineLimits, StreamSession};
-pub use sparse::RleActivation;
+pub use sparse::{QuantizedActivation, RleActivation};
 pub use target::TargetSelection;

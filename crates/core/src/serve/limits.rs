@@ -7,7 +7,6 @@ use super::session::SessionCore;
 use crate::error::AmcError;
 use crate::executor::AmcConfig;
 use crate::policy::PolicyConfig;
-use crate::sparse::RleEntry;
 use eva2_cnn::network::Network;
 use serde::{Deserialize, Serialize};
 
@@ -205,8 +204,8 @@ impl EngineLimitsBuilder {
     /// * [`EngineLimits::max_sessions`] — one stream per frame slot (each
     ///   live stream submits one frame per tick);
     /// * [`EngineLimits::max_session_bytes`] — [`session_memory_bound`],
-    ///   the static per-session worst case (a bound the audited footprint
-    ///   can never exceed, so SLO-derived limits never degrade a session);
+    ///   the static per-session footprint (which the audited footprint
+    ///   never exceeds, so SLO-derived limits never degrade a session);
     /// * [`EngineLimits::max_total_bytes`] — that bound across every
     ///   admitted session.
     ///
@@ -267,22 +266,17 @@ impl EngineLimitsBuilder {
 /// SLO-derived memory budget
 /// ([`EngineLimitsBuilder::derive_from_slo`]).
 ///
-/// The bound charges every stored buffer at its worst-case allocated
-/// capacity for the network's input geometry:
+/// The bound charges the session struct and the two buffers a keyed
+/// session stores, each allocated at exactly its length:
 ///
 /// * the key image (`h·w` pixel bytes);
-/// * the RLE store, all target activation values non-zero, with each
-///   push-grown channel vector rounded up to its next power-of-two
-///   capacity;
-/// * the sparse non-zero view at one `(u32, f32)` entry per activation
-///   value (its channel vectors are sized exactly from the RLE entry
-///   counts);
-/// * the decoded f32 copy of the target activation.
+/// * the Q8.8 key activation (2 bytes per target activation value, dense,
+///   whatever its sparsity).
 ///
-/// RFBME scratch is not session memory: the engine keeps one per worker.
-///
-/// The footprint audit counts allocated capacity, not length, which is
-/// why capacity rounding (not just worst-case length) is charged.
+/// Neither depends on the frame's content, so the bound is not a worst
+/// case but *the* footprint: a session holding key state is audited at
+/// exactly this many bytes. RFBME scratch is not session memory: the
+/// engine keeps one per worker.
 ///
 /// # Errors
 ///
@@ -297,24 +291,9 @@ pub fn session_memory_bound(net: &Network, config: &AmcConfig) -> Result<usize, 
     for layer in &net.layers()[..=target] {
         act = layer.output_shape(act);
     }
-    let plane = act.height.saturating_mul(act.width);
-    // Push-grown vectors double from a minimum of 4, so their capacity
-    // tops out at the next power of two above the worst-case length.
-    let npot = |n: usize| n.next_power_of_two().max(4);
-    let vec_header = size_of::<Vec<u8>>();
     let image = input.height.saturating_mul(input.width);
-    let rle = act.channels.saturating_mul(vec_header).saturating_add(
-        act.channels
-            .saturating_mul(npot(plane) * size_of::<RleEntry>()),
-    );
-    let sparse = act
-        .channels
-        .saturating_mul(vec_header)
-        .saturating_add(act.channels.saturating_mul(plane * size_of::<(u32, f32)>()));
-    let decoded = act.len().saturating_mul(size_of::<f32>());
+    let key_act = act.len().saturating_mul(size_of::<i16>());
     Ok(size_of::<SessionCore>()
         .saturating_add(image)
-        .saturating_add(rle)
-        .saturating_add(sparse)
-        .saturating_add(decoded))
+        .saturating_add(key_act))
 }

@@ -12,9 +12,14 @@
 //!   [`Arc<Network>`](eva2_cnn::network::Network) plus one convolution
 //!   scratch and one RFBME scratch per worker — and executes frames.
 //! * [`StreamSession`] holds exactly the per-stream state: the stored key
-//!   frame and its sparse activation, the key-frame policy, and per-stream
-//!   statistics. Sessions are cheap, independent, and `Send`; a session
-//!   owns no scratch, so its memory is its key state and nothing else.
+//!   frame and one dense Q8.8 copy of its target activation
+//!   ([`QuantizedActivation`](crate::sparse::QuantizedActivation)), the
+//!   key-frame policy, and per-stream statistics. Sessions are cheap,
+//!   independent, and `Send`; a session owns no scratch, so its memory is
+//!   its key state and nothing else — a fixed size per (network, target),
+//!   which [`session_memory_bound`] states to the byte. No decoded, RLE or
+//!   non-zero copy is kept: the warp reads the Q8.8 planes, and the
+//!   suffix's non-zero view is built per frame.
 //!
 //! Files by concern: `limits`, `session` (the per-stream state machine),
 //! `engine` (admission, housekeeping), `tick` (one
@@ -26,11 +31,12 @@
 //! Predicted frames are the steady-state common case, so their path has no
 //! dense intermediates: RFBME runs the dense vectorised search
 //! (`eva2_motion::rfbme`, whose cost depends on the geometry alone), and
-//! warping emits the sparse activation *directly*
-//! ([`crate::warp::warp_activation_sparse`] /
-//! [`crate::warp::warp_activation_fixed_sparse`]) into the skip-zero CNN
+//! warping reads the stored Q8.8 planes and emits the sparse activation
+//! *directly* ([`crate::warp::warp_quantized_sparse`] /
+//! [`crate::warp::warp_quantized_fixed_sparse`]) into the skip-zero CNN
 //! suffix, mirroring the hardware's sparse activation memory. The fused
-//! seam is bit-identical to dense-warp-then-extract.
+//! seam is bit-identical to dense-warp-then-extract on the dequantized
+//! store.
 //!
 //! # Threading model & determinism
 //!
@@ -47,7 +53,7 @@
 //! 3. **Admit** — a serial walk in submission order: budget shedding, the
 //!    key-frame decision, counter commits. Serial is what keeps budget
 //!    semantics independent of the worker count.
-//! 4. **Complete** — for a key frame the CNN prefix, then sparse store
+//! 4. **Complete** — for a key frame the CNN prefix, then Q8.8 store
 //!    refresh + suffix; for a predicted frame warp + suffix;
 //!    stream-per-worker (one frame per thread beats splitting one 48×48
 //!    frame's convolution across cores).
@@ -94,7 +100,8 @@
 //!   [`KeyFramePolicy::note_key_frame`](crate::KeyFramePolicy::note_key_frame),
 //!   never in `decide`, which makes the classify step side-effect-free.)
 //! * **Eviction & rehydration.** [`StreamSession::memory_footprint`]
-//!   audits a session's heap use by allocated capacity.
+//!   audits a session's heap use by allocated capacity (struct, key image
+//!   and Q8.8 key activation).
 //!   [`Engine::maintain`] drops the key state of sessions idle for
 //!   [`EngineLimits::idle_evict_ticks`] ticks, then of least-recently-used
 //!   sessions until the total fits [`EngineLimits::max_total_bytes`]; a

@@ -8,36 +8,29 @@ use super::Engine;
 use crate::error::AmcError;
 use crate::executor::{AmcConfig, AmcFrameResult, ExecStats, WarpMode};
 use crate::policy::{FrameKind, FrameMetrics, KeyFramePolicy};
-use crate::sparse::RleActivation;
-use crate::warp::{warp_activation_fixed_sparse, warp_activation_sparse};
+use crate::sparse::{QuantizedActivation, RleActivation};
+use crate::warp::{warp_quantized_fixed_sparse, warp_quantized_sparse};
 use eva2_cnn::network::Network;
 use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, RfbmeScratch};
 use eva2_tensor::interp::Interpolation;
-use eva2_tensor::{GemmScratch, GrayImage, SparseActivation, Tensor3};
+use eva2_tensor::{GemmScratch, GrayImage, Tensor3};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Stored key-frame state: the pixel buffer and the sparse activation
-/// buffer.
+/// Stored key-frame state: the pixel buffer RFBME searches against and
+/// the one copy of the target activation, as dense Q8.8 bits. The warp
+/// reads the activation directly; the suffix's non-zero view and the
+/// hardware's RLE stream are derived from it when needed, never stored.
 #[derive(Debug, Clone)]
 pub(super) struct KeyState {
     image: GrayImage,
-    /// The compressed activation as the hardware stores it.
-    rle: RleActivation,
-    /// Non-zero view feeding the sparse-aware suffix on memoized frames.
-    sparse: SparseActivation,
-    /// Decoded copy kept for software-speed warping (the hardware decodes
-    /// through the sparsity lanes on the fly).
-    decoded: Tensor3,
+    act: QuantizedActivation,
 }
 
 impl KeyState {
     /// Heap bytes held by the stored buffers (allocated capacity).
     pub(super) fn heap_bytes(&self) -> usize {
-        self.image.heap_bytes()
-            + self.rle.heap_bytes()
-            + self.sparse.heap_bytes()
-            + self.decoded.heap_bytes()
+        self.image.heap_bytes() + self.act.heap_bytes()
     }
 }
 
@@ -177,7 +170,7 @@ impl SessionCore {
     }
 
     /// Audited heap use of this session: the struct itself plus the stored
-    /// key-frame buffers, by allocated capacity.
+    /// key-frame buffers (image and Q8.8 activation), by allocated capacity.
     pub(crate) fn memory_footprint(&self) -> usize {
         std::mem::size_of::<Self>() + self.state.as_ref().map_or(0, KeyState::heap_bytes)
     }
@@ -199,8 +192,8 @@ impl SessionCore {
         Ok(())
     }
 
-    pub(crate) fn key_activation(&self) -> Option<&RleActivation> {
-        self.state.as_ref().map(|s| &s.rle)
+    pub(crate) fn key_activation(&self) -> Option<RleActivation> {
+        self.state.as_ref().map(|s| s.act.to_rle())
     }
 
     pub(crate) fn key_image(&self) -> Option<&GrayImage> {
@@ -267,29 +260,26 @@ impl SessionCore {
     }
 
     /// Completes a key frame from its already-computed prefix activation:
-    /// encodes the sparse store, runs the suffix, refreshes the key state.
+    /// quantizes it into the key store, runs the suffix, refreshes the key
+    /// state.
     pub(crate) fn finish_key_frame(
         &mut self,
         net: &Network,
         scratch: &mut GemmScratch,
         image: &GrayImage,
-        act: Tensor3,
+        prefix_out: Tensor3,
         metrics: Option<FrameMetrics>,
         rfbme_ops: u64,
     ) -> AmcFrameResult {
-        let rle = RleActivation::encode(&act, self.sparsity_threshold);
-        let compression = rle.compression();
+        let act = QuantizedActivation::quantize(&prefix_out, self.sparsity_threshold);
+        let compression = act.compression();
         // The suffix consumes the *quantized* activation on real hardware;
-        // feed it straight from the sparse store (skip-zero, no densify) so
-        // key and predicted frames share numerics.
-        let sparse = rle.to_sparse();
-        let output = net.forward_suffix_sparse(&sparse, self.target, scratch);
-        let decoded = sparse.to_dense();
+        // feed it the store's non-zeros (skip-zero, no densify) so key and
+        // predicted frames share numerics.
+        let output = net.forward_suffix_sparse(&act.to_sparse(), self.target, scratch);
         self.state = Some(KeyState {
             image: image.clone(),
-            rle,
-            sparse,
-            decoded,
+            act,
         });
         self.policy.note_key_frame();
         self.frames_since_key = 0;
@@ -330,29 +320,27 @@ impl SessionCore {
         };
         // Both arms feed the suffix through the sparse entry point, so zero
         // runs are skipped, not multiplied (§IV skip-zero behaviour). The
-        // warp emits the sparse representation *directly* (see
-        // `crate::warp`), bit-identical to dense-warp-then-`from_dense`.
-        let (output, warp_stats) = match self.warp_mode {
-            WarpMode::Memoize => {
-                let output = net.forward_suffix_sparse(&state.sparse, self.target, scratch);
-                (output, None)
-            }
+        // warp reads the Q8.8 store and emits the sparse representation
+        // *directly* (see `crate::warp`), bit-identical to
+        // dense-warp-then-`from_dense` on the dequantized store.
+        let (sparse, warp_stats) = match self.warp_mode {
+            WarpMode::Memoize => (state.act.to_sparse(), None),
             WarpMode::MotionCompensate { bilinear } => {
                 let field = &motion.field;
                 let (sparse, ws) = if self.fixed_point {
-                    warp_activation_fixed_sparse(&state.decoded, field, self.rf.stride)
+                    warp_quantized_fixed_sparse(&state.act, field, self.rf.stride)
                 } else {
                     let method = if bilinear {
                         Interpolation::Bilinear
                     } else {
                         Interpolation::NearestNeighbor
                     };
-                    warp_activation_sparse(&state.decoded, field, self.rf.stride, method)
+                    warp_quantized_sparse(&state.act, field, self.rf.stride, method)
                 };
-                let output = net.forward_suffix_sparse(&sparse, self.target, scratch);
-                (output, Some(ws))
+                (sparse, Some(ws))
             }
         };
+        let output = net.forward_suffix_sparse(&sparse, self.target, scratch);
         if let Some(ws) = &warp_stats {
             self.stats.warp_interpolations += ws.interpolations;
         }
@@ -498,8 +486,9 @@ impl StreamSession {
     }
 
     /// Audited heap footprint: the session struct plus the stored key
-    /// image and compressed/sparse/decoded activations, by allocated
-    /// capacity. This is the figure the engine's
+    /// image and Q8.8 key activation, by allocated capacity — exactly
+    /// [`session_memory_bound`](super::session_memory_bound) once a key
+    /// frame is stored. This is the figure the engine's
     /// [`EngineLimits::max_session_bytes`](super::EngineLimits::max_session_bytes) /
     /// `max_total_bytes` budgets
     /// are enforced against.
@@ -513,8 +502,9 @@ impl StreamSession {
         self.slot.retired.load(Relaxed)
     }
 
-    /// The compressed key activation currently buffered, if any.
-    pub fn key_activation(&self) -> Option<&RleActivation> {
+    /// The buffered key activation as the hardware would hold it (RLE,
+    /// derived from the stored Q8.8 copy on each call), if any.
+    pub fn key_activation(&self) -> Option<RleActivation> {
         self.core.key_activation()
     }
 

@@ -20,24 +20,38 @@
 //! On the hardware, the warp engine reads from and writes back to the
 //! *sparse* activation memory — a dense intermediate never exists. The
 //! dense entry points above model only the datapath; the predicted-frame
-//! execution path uses their fused companions [`warp_activation_sparse`] /
-//! [`warp_activation_fixed_sparse`], which emit the warped activation
+//! execution path uses fused companions that emit the warped activation
 //! directly as a [`SparseActivation`]: zero outputs are skipped at
 //! generation time instead of being materialised into a tensor and
-//! re-scanned by `SparseActivation::from_dense`. The fused functions also
-//! hoist the per-position work out of the channel loop — every channel of
-//! one output position shares the same motion vector, so the float path
-//! finds the source cells (two `floor`s, four bounds tests) and the
-//! fractions `(u, v)` once instead of `C` times and then evaluates the
-//! reference's bilinear sum verbatim per channel, and the Q8.8 path
-//! computes its four corner weights once. Entry values and [`WarpStats`]
-//! are **bit-identical** to dense-then-extract (same operations in the
-//! same order per element; tests pin this), which is what lets
-//! `eva2_core::serve` feed the CNN suffix from the fused output without
-//! changing a single output bit.
+//! re-scanned by `SparseActivation::from_dense`.
+//!
+//! Every fused warp is one loop. The per-position work is hoisted into a
+//! source table built once per call — every channel of one output position
+//! shares its motion vector, so the float path finds the source cells (two
+//! `floor`s, four bounds tests) and the fractions `(u, v)` once instead of
+//! `C` times, and the Q8.8 path computes its four corner weights once.
+//! Then, channel by channel, one plane of the key is loaded into a buffer
+//! with a trailing zero slot (which every out-of-frame cell reads) and each
+//! position samples it: the float path evaluates the reference's bilinear
+//! sum verbatim, the Q8.8 path applies its weights. The loaders are what
+//! differ:
+//!
+//! * [`warp_quantized_sparse`] / [`warp_quantized_fixed_sparse`] read the
+//!   session's stored [`QuantizedActivation`] — the float path dequantizes
+//!   each plane exactly, the Q8.8 path copies its bits. These are what
+//!   `eva2_core::serve` runs; no decoded copy of the key is ever kept.
+//! * [`warp_activation_sparse`] / [`warp_activation_fixed_sparse`] read a
+//!   dense `f32` tensor, for callers holding one.
+//!
+//! Entry values and [`WarpStats`] are **bit-identical** to
+//! dense-then-extract (same operations in the same order per element; tests
+//! pin this), and the store readers are bit-identical to the tensor readers
+//! on the dequantized store, which is what lets the engine feed the CNN
+//! suffix from the fused output without changing a single output bit.
 
 // lint: hot-path
 
+use crate::sparse::QuantizedActivation;
 use eva2_motion::field::VectorField;
 use eva2_tensor::interp::{sample, Interpolation};
 use eva2_tensor::{Fixed, Shape3, SparseActivation, Tensor3};
@@ -200,64 +214,197 @@ pub fn warp_activation_fixed(
     (out, stats)
 }
 
-/// What every channel of one output position shares when it samples the
-/// key activation at `(sy, sx)`: where the source cells sit in a channel
-/// plane (`None` outside the frame, which reads as zero) and, for bilinear
-/// sampling, the fractions of the motion vector.
+/// The plane index of activation cell `(y, x)`, or `shape.plane_len()` —
+/// the loaded plane's trailing zero slot — outside the frame.
+fn cell(shape: Shape3, y: isize, x: isize) -> u32 {
+    if shape.contains_spatial(y, x) {
+        (y as usize * shape.width + x as usize) as u32
+    } else {
+        shape.plane_len() as u32
+    }
+}
+
+/// The per-position source table: `source(sy, sx)` at each output
+/// position's sampling point in activation units, row-major — the gather
+/// convention of [`warp_activation`].
+///
+/// # Panics
+///
+/// Panics when the field's grid does not match `shape`'s spatial dims.
+fn source_table<S>(
+    shape: Shape3,
+    field: &VectorField,
+    rf_stride: usize,
+    source: impl Fn(f32, f32) -> S,
+) -> Vec<S> {
+    assert_eq!(
+        (field.grid_h(), field.grid_w()),
+        (shape.height, shape.width),
+        "vector field grid must match activation spatial dims"
+    );
+    let s = rf_stride.max(1) as f32;
+    let mut table = Vec::with_capacity(shape.plane_len());
+    for ay in 0..shape.height {
+        for ax in 0..shape.width {
+            let v = field.get(ay, ax);
+            table.push(source(ay as f32 + v.dy / s, ax as f32 + v.dx / s));
+        }
+    }
+    table
+}
+
+/// The `f32` datapath's read of one output position, shared by every
+/// channel: the source cells and, for bilinear sampling, the fractions of
+/// the motion vector.
+#[derive(Clone, Copy)]
 enum Source {
     /// The 2×2 neighbourhood `[p00, p01, p10, p11]` and `(u, v)`.
-    Bilinear {
-        cells: [Option<usize>; 4],
-        u: f32,
-        v: f32,
-    },
+    Bilinear { cells: [u32; 4], u: f32, v: f32 },
     /// The nearest cell.
-    Nearest(Option<usize>),
+    Nearest(u32),
 }
 
 impl Source {
     fn new(shape: Shape3, method: Interpolation, sy: f32, sx: f32) -> Self {
-        let cell = |y: isize, x: isize| {
-            shape
-                .contains_spatial(y, x)
-                .then(|| y as usize * shape.width + x as usize)
-        };
         match method {
             Interpolation::Bilinear => {
                 let (y0, x0) = (sy.floor(), sx.floor());
                 let (v, u) = (sy - y0, sx - x0);
                 let (y0, x0) = (y0 as isize, x0 as isize);
                 let cells = [
-                    cell(y0, x0),
-                    cell(y0, x0 + 1),
-                    cell(y0 + 1, x0),
-                    cell(y0 + 1, x0 + 1),
+                    cell(shape, y0, x0),
+                    cell(shape, y0, x0 + 1),
+                    cell(shape, y0 + 1, x0),
+                    cell(shape, y0 + 1, x0 + 1),
                 ];
                 Self::Bilinear { cells, u, v }
             }
             Interpolation::NearestNeighbor => {
-                Self::Nearest(cell(sy.round() as isize, sx.round() as isize))
+                Self::Nearest(cell(shape, sy.round() as isize, sx.round() as isize))
             }
         }
     }
 
-    /// [`sample`]'s value on one channel plane. The bilinear sum is
-    /// `sample_bilinear`'s expression verbatim — same operations, same
-    /// order, no pre-multiplied weights — hence its bits.
+    /// [`sample`]'s value on one loaded plane, `None` when it is zero (a
+    /// skipped interpolation). The bilinear sum is `sample_bilinear`'s
+    /// expression verbatim — same operations, same order, no pre-multiplied
+    /// weights — hence its bits.
     #[inline]
-    fn sample(&self, plane: &[f32]) -> f32 {
-        let at = |cell: Option<usize>| cell.map_or(0.0, |i| plane[i]);
-        match *self {
+    fn sample(&self, plane: &[f32]) -> Option<f32> {
+        let val = match *self {
             Self::Bilinear { cells, u, v } => {
-                let [p00, p01, p10, p11] = cells.map(at);
+                let [p00, p01, p10, p11] = cells.map(|i| plane[i as usize]);
                 p00 * (1.0 - u) * (1.0 - v)
                     + p01 * u * (1.0 - v)
                     + p10 * (1.0 - u) * v
                     + p11 * u * v
             }
-            Self::Nearest(cell) => at(cell),
-        }
+            Self::Nearest(i) => plane[i as usize],
+        };
+        (val != 0.0).then_some(val)
     }
+}
+
+/// The Q8.8 datapath's read of one output position: the 2×2 source cells
+/// and the interpolator's corner weights, computed once for every channel.
+#[derive(Clone, Copy)]
+struct FixedSource {
+    cells: [u32; 4],
+    weights: [Fixed; 4],
+}
+
+impl FixedSource {
+    fn new(shape: Shape3, sy: f32, sx: f32) -> Self {
+        let y0 = sy.floor();
+        let x0 = sx.floor();
+        let weights = BilinearInterpolator::new(sx - x0, sy - y0).weights();
+        let (y0, x0) = (y0 as isize, x0 as isize);
+        let cells = [
+            cell(shape, y0, x0),
+            cell(shape, y0, x0 + 1),
+            cell(shape, y0 + 1, x0),
+            cell(shape, y0 + 1, x0 + 1),
+        ];
+        Self { cells, weights }
+    }
+
+    /// [`warp_activation_fixed`]'s value on one loaded plane, `None` when
+    /// the whole neighbourhood is zero (the skipped interpolation).
+    #[inline]
+    fn sample(&self, plane: &[Fixed]) -> Option<f32> {
+        let p = self.cells.map(|i| plane[i as usize]);
+        if p.iter().all(|v| v.is_zero()) {
+            return None;
+        }
+        Some(BilinearInterpolator::apply(self.weights, p).to_f32())
+    }
+}
+
+/// The fused warp's one loop, shared by both datapaths and every key
+/// format: channel by channel, `load` fills a plane (the trailing slot
+/// stays zero for out-of-frame cells), then every position's source
+/// samples it. `None` samples count as skipped; the rest cost the
+/// interpolator's 8 multiplies and survive when non-zero.
+fn warp_planes<T: Copy + Default, S>(
+    shape: Shape3,
+    sources: &[S],
+    mut load: impl FnMut(usize, &mut [T]),
+    sample: impl Fn(&S, &[T]) -> Option<f32>,
+) -> (SparseActivation, WarpStats) {
+    let n = shape.plane_len();
+    let mut plane = vec![T::default(); n + 1];
+    // Pre-sized to the dense activation: entry counts are bounded by it,
+    // so pushes never reallocate mid-warp.
+    let mut out = SparseActivation::with_capacity(shape, shape.len());
+    let mut zero_skipped = 0u64;
+    for c in 0..shape.channels {
+        load(c, &mut plane[..n]);
+        for (pos, source) in sources.iter().enumerate() {
+            match sample(source, &plane) {
+                None => zero_skipped += 1,
+                // Same survivor predicate as `from_dense(.., 0.0)`, which
+                // also drops NaN, −0.0 and the exact zeros Q8.8 truncation
+                // can produce from non-zero corners.
+                Some(val) if val.abs() > 0.0 => out.push(pos as u32, val),
+                Some(_) => {}
+            }
+        }
+        out.end_channel();
+    }
+    let interpolations = shape.len() as u64;
+    let stats = WarpStats {
+        interpolations,
+        zero_skipped,
+        mults: 8 * (interpolations - zero_skipped),
+    };
+    (out, stats)
+}
+
+/// The `f32` fused warp over a plane loader.
+fn warp_float(
+    shape: Shape3,
+    field: &VectorField,
+    rf_stride: usize,
+    method: Interpolation,
+    load: impl FnMut(usize, &mut [f32]),
+) -> (SparseActivation, WarpStats) {
+    let sources = source_table(shape, field, rf_stride, |sy, sx| {
+        Source::new(shape, method, sy, sx)
+    });
+    warp_planes(shape, &sources, load, Source::sample)
+}
+
+/// The Q8.8 fused warp over a plane loader.
+fn warp_fixed(
+    shape: Shape3,
+    field: &VectorField,
+    rf_stride: usize,
+    load: impl FnMut(usize, &mut [Fixed]),
+) -> (SparseActivation, WarpStats) {
+    let sources = source_table(shape, field, rf_stride, |sy, sx| {
+        FixedSource::new(shape, sy, sx)
+    });
+    warp_planes(shape, &sources, load, FixedSource::sample)
 }
 
 /// [`warp_activation`] fused with sparse extraction: warps straight into a
@@ -278,49 +425,13 @@ pub fn warp_activation_sparse(
     rf_stride: usize,
     method: Interpolation,
 ) -> (SparseActivation, WarpStats) {
-    let shape = key.shape();
-    assert_eq!(
-        (field.grid_h(), field.grid_w()),
-        (shape.height, shape.width),
-        "vector field grid must match activation spatial dims"
-    );
-    let s = rf_stride.max(1) as f32;
-    let mut stats = WarpStats::default();
-    // Pre-size each channel to its dense plane: entry counts are bounded
-    // by it, so pushes never reallocate mid-warp.
-    let mut channels: Vec<Vec<(u32, f32)>> = (0..shape.channels)
-        .map(|_| Vec::with_capacity(shape.plane_len()))
-        .collect();
-    for ay in 0..shape.height {
-        for ax in 0..shape.width {
-            // Per-position work hoisted out of the channel loop: all
-            // channels share this position's motion vector, hence its
-            // source cells and fractions.
-            let v = field.get(ay, ax);
-            let source = Source::new(shape, method, ay as f32 + v.dy / s, ax as f32 + v.dx / s);
-            let pos = (ay * shape.width + ax) as u32;
-            for (c, entries) in channels.iter_mut().enumerate() {
-                stats.interpolations += 1;
-                let val = source.sample(key.channel(c));
-                if val == 0.0 {
-                    stats.zero_skipped += 1;
-                } else {
-                    stats.mults += 8;
-                }
-                // Same survivor predicate as `from_dense(.., 0.0)` (which
-                // also drops NaN and −0.0).
-                if val.abs() > 0.0 {
-                    entries.push((pos, val));
-                }
-            }
-        }
-    }
-    (SparseActivation::from_channels(shape, channels), stats)
+    warp_float(key.shape(), field, rf_stride, method, |c, plane| {
+        plane.copy_from_slice(key.channel(c))
+    })
 }
 
 /// [`warp_activation_fixed`] fused with sparse extraction — the Q8.8
-/// companion of [`warp_activation_sparse`], and the predicted-frame
-/// production path of `eva2_core::serve` in fixed-point mode.
+/// companion of [`warp_activation_sparse`].
 ///
 /// The interpolator weights are computed once per output position
 /// ([`BilinearInterpolator::weights`]) and applied per channel, which is
@@ -338,55 +449,54 @@ pub fn warp_activation_fixed_sparse(
     field: &VectorField,
     rf_stride: usize,
 ) -> (SparseActivation, WarpStats) {
-    let shape = key.shape();
-    assert_eq!(
-        (field.grid_h(), field.grid_w()),
-        (shape.height, shape.width),
-        "vector field grid must match activation spatial dims"
-    );
-    let s = rf_stride.max(1) as f32;
-    let mut stats = WarpStats::default();
-    // Pre-size each channel to its dense plane: entry counts are bounded
-    // by it, so pushes never reallocate mid-warp.
-    let mut channels: Vec<Vec<(u32, f32)>> = (0..shape.channels)
-        .map(|_| Vec::with_capacity(shape.plane_len()))
-        .collect();
-    for ay in 0..shape.height {
-        for ax in 0..shape.width {
-            let vec = field.get(ay, ax);
-            let sy = ay as f32 + vec.dy / s;
-            let sx = ax as f32 + vec.dx / s;
-            let y0 = sy.floor();
-            let x0 = sx.floor();
-            let weights = BilinearInterpolator::new(sx - x0, sy - y0).weights();
-            let y0 = y0 as isize;
-            let x0 = x0 as isize;
-            let pos = (ay * shape.width + ax) as u32;
-            for (c, entries) in channels.iter_mut().enumerate() {
-                let load = |yy: isize, xx: isize| Fixed::from_f32(key.get_padded(c, yy, xx));
-                let p = [
-                    load(y0, x0),
-                    load(y0, x0 + 1),
-                    load(y0 + 1, x0),
-                    load(y0 + 1, x0 + 1),
-                ];
-                stats.interpolations += 1;
-                if p.iter().all(|v| v.is_zero()) {
-                    stats.zero_skipped += 1;
-                    continue;
-                }
-                stats.mults += 8;
-                let val = BilinearInterpolator::apply(weights, p).to_f32();
-                // Q8.8 truncation can produce an exact zero from nonzero
-                // corners; `from_dense` drops those, so the fused path must
-                // too.
-                if val.abs() > 0.0 {
-                    entries.push((pos, val));
-                }
-            }
+    warp_fixed(key.shape(), field, rf_stride, |c, plane| {
+        for (p, &v) in plane.iter_mut().zip(key.channel(c)) {
+            *p = Fixed::from_f32(v);
         }
-    }
-    (SparseActivation::from_channels(shape, channels), stats)
+    })
+}
+
+/// [`warp_activation_sparse`] reading the stored Q8.8 key activation
+/// directly, each plane dequantized exactly on load — the predicted-frame
+/// production path of `eva2_core::serve` in `f32` mode. Bit-identical to
+/// `warp_activation_sparse(&key.dequantize(), ..)`.
+///
+/// # Panics
+///
+/// Panics when the field's grid does not match the activation's spatial
+/// dimensions.
+pub fn warp_quantized_sparse(
+    key: &QuantizedActivation,
+    field: &VectorField,
+    rf_stride: usize,
+    method: Interpolation,
+) -> (SparseActivation, WarpStats) {
+    warp_float(key.shape(), field, rf_stride, method, |c, plane| {
+        for (p, &b) in plane.iter_mut().zip(key.channel(c)) {
+            *p = Fixed::from_bits(b).to_f32();
+        }
+    })
+}
+
+/// [`warp_activation_fixed_sparse`] reading the stored Q8.8 bits directly
+/// — the predicted-frame production path of `eva2_core::serve` in
+/// fixed-point mode. Bit-identical to
+/// `warp_activation_fixed_sparse(&key.dequantize(), ..)`.
+///
+/// # Panics
+///
+/// Panics when the field's grid does not match the activation's spatial
+/// dimensions.
+pub fn warp_quantized_fixed_sparse(
+    key: &QuantizedActivation,
+    field: &VectorField,
+    rf_stride: usize,
+) -> (SparseActivation, WarpStats) {
+    warp_fixed(key.shape(), field, rf_stride, |c, plane| {
+        for (p, &b) in plane.iter_mut().zip(key.channel(c)) {
+            *p = Fixed::from_bits(b);
+        }
+    })
 }
 
 #[cfg(test)]

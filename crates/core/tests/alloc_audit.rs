@@ -1,12 +1,17 @@
-//! Heap audit for the steady-state predicted-frame path, backing the
-//! static memory model with allocator-level evidence: once a session is
-//! warmed (key state stored, the engine's per-worker scratch buffers grown
-//! to their geometry), serving predicted frames causes **zero net heap
-//! growth** and a **constant number of transient allocations per frame** —
-//! i.e. every byte the hot loop touches was either pre-sized (by the
-//! structures [`session_memory_bound`] charges for, or by the engine's
-//! GEMM and RFBME scratch), or belongs to the returned [`AmcFrameResult`]
-//! the caller immediately drops.
+//! Heap audit for the serving hot loop, backing the static memory model
+//! with allocator-level evidence: once a session is warmed (key state
+//! stored, the engine's per-worker scratch buffers grown to their
+//! geometry), serving predicted frames causes **zero net heap growth** and
+//! a **constant number of transient allocations per frame** — i.e. every
+//! byte the hot loop touches was either pre-sized (by the structures
+//! [`session_memory_bound`] charges for, or by the engine's GEMM and RFBME
+//! scratch), or belongs to the returned [`AmcFrameResult`] the caller
+//! immediately drops. Both frame kinds' transient allocation counts are
+//! pinned ([`PREDICTED_FRAME_ALLOCS`], [`KEY_FRAME_ALLOCS`]): neither the
+//! warp nor a key frame allocates per channel.
+//!
+//! [`session_memory_bound`]: eva2_core::serve::session_memory_bound
+//! [`AmcFrameResult`]: eva2_core::AmcFrameResult
 //!
 //! A counting [`GlobalAlloc`] wrapper around [`System`] observes every
 //! allocation in the process, so this file holds exactly ONE `#[test]`
@@ -22,6 +27,16 @@ use eva2_tensor::GrayImage;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Allocator calls one warmed predicted frame makes on `tiny_fasterm`'s
+/// default (late) target: the warp's source table, plane buffer and
+/// sparse output, the suffix's layer outputs, and the result.
+const PREDICTED_FRAME_ALLOCS: u64 = 11;
+
+/// Allocator calls one key frame makes on a warmed engine after a session
+/// reset: the prefix's layer outputs, the Q8.8 store, the suffix's
+/// non-zero view and layer outputs, the stored key image, and the result.
+const KEY_FRAME_ALLOCS: u64 = 16;
 
 /// Counts allocator calls and tracks live bytes on top of [`System`].
 struct CountingAlloc;
@@ -74,7 +89,7 @@ fn frame(t: usize) -> GrayImage {
 
 #[test]
 fn steady_state_predicted_frames_cause_no_net_heap_growth() {
-    // --- Phase 1: engine steady state ------------------------------------
+    // --- Phase 1: engine steady state, predicted frames -------------------
     // StaticRate { period: 1000 } + an unbounded residual gate: frame 0 is
     // the key frame, every following frame takes the predicted path.
     let config = AmcConfig::builder()
@@ -95,7 +110,7 @@ fn steady_state_predicted_frames_cause_no_net_heap_growth() {
     let frames: Vec<GrayImage> = (0..12).map(frame).collect();
 
     // Warm-up: the key frame plus enough predicted frames for every lazily
-    // grown buffer (RFBME scratch, GEMM packing, decode cache) to reach
+    // grown buffer (RFBME scratch, GEMM packing) to reach
     // its high-water mark.
     for f in &frames[..6] {
         let r = engine.process(&mut session, f).expect("admitted");
@@ -137,8 +152,33 @@ fn steady_state_predicted_frames_cause_no_net_heap_growth() {
         "the audited session footprint must not grow across steady-state \
          predicted frames"
     );
+    assert!(
+        per_frame_allocs[0] <= PREDICTED_FRAME_ALLOCS,
+        "a predicted frame made {} allocations, budget {PREDICTED_FRAME_ALLOCS}",
+        per_frame_allocs[0]
+    );
 
-    // --- Phase 2: warmed RFBME allocates only its result ------------------
+    // --- Phase 2: one key frame on a warmed engine ------------------------
+    // A reset drops the key state, so the next frame is a key frame; the
+    // engine's scratch is already grown by the first key frame above.
+    session.reset();
+    let (calls_before, _) = snapshot();
+    let r = engine.process(&mut session, &frames[0]).expect("admitted");
+    assert!(r.is_key, "a reset session's next frame is a key frame");
+    drop(r);
+    let (calls_after, _) = snapshot();
+    let key_allocs = calls_after - calls_before;
+    assert!(
+        key_allocs <= KEY_FRAME_ALLOCS,
+        "a key frame made {key_allocs} allocations, budget {KEY_FRAME_ALLOCS}"
+    );
+    assert_eq!(
+        session.memory_footprint(),
+        footprint_before,
+        "a key frame restores exactly the keyed footprint"
+    );
+
+    // --- Phase 3: warmed RFBME allocates only its result ------------------
     // With warm scratch, `estimate_with`'s allocation count equals that of
     // simply cloning its result: the search itself touches no allocator.
     let rfbme = Rfbme::new(

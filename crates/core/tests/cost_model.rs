@@ -8,12 +8,13 @@
 //!   zoo network at both paper targets and for randomized architectures.
 //! - RFBME ops must equal their static count; warp interpolations must stay
 //!   under their static bound.
-//! - [`session_memory_bound`] must dominate the audited
-//!   [`StreamSession::memory_footprint`] without being uselessly loose
-//!   (within 2×). Both sides are key state only: RFBME scratch belongs to
-//!   the engine's workers, so neither counts it.
-//! - The same bound must hold for a live `tiny_fasterm` session under the
-//!   default config, and the SLO capacity planner must plan a named
+//! - [`session_memory_bound`] must equal the audited
+//!   [`StreamSession::memory_footprint`] of a keyed session **exactly** —
+//!   to the byte, for the same networks and targets. Both sides are key
+//!   state only: RFBME scratch belongs to the engine's workers, so neither
+//!   counts it.
+//! - The same equality must hold for a live `tiny_fasterm` session under
+//!   the default config, and the SLO capacity planner must plan a named
 //!   operating point back to a per-tick budget in the same regime.
 
 use eva2_cnn::layer::{Conv2d, FullyConnected, MaxPool2d, Relu};
@@ -102,16 +103,10 @@ fn check_net_against_cost_model(net: &Network, target: TargetSelection, predicte
         cost.warp_interpolations_bound
     );
 
-    let bound = session_memory_bound(net, &engine.config()).expect("boundable");
-    let measured = session.memory_footprint();
-    assert!(
-        bound >= measured,
-        "{}: memory bound {bound} must dominate audited footprint {measured}",
-        net.name()
-    );
-    assert!(
-        bound <= measured.saturating_mul(2),
-        "{}: memory bound {bound} is uselessly loose vs footprint {measured}",
+    assert_eq!(
+        session_memory_bound(net, &engine.config()).expect("boundable"),
+        session.memory_footprint(),
+        "{}: static memory bound must match the keyed session's audited footprint exactly",
         net.name()
     );
 }
@@ -158,7 +153,7 @@ proptest! {
 
     /// For arbitrary architectures and either paper target, the static
     /// model still matches the engine to the MAC and the memory bound
-    /// still brackets the audited footprint.
+    /// still equals the audited footprint to the byte.
     #[test]
     fn static_costs_match_runtime_for_random_architectures(
         input_pow in 4usize..6,      // 16 or 32 pixels
@@ -200,14 +195,10 @@ fn memory_bound_and_capacity_plan_match_serve_bench() {
     }
     let per_session_bytes = session.memory_footprint();
 
-    let bound = session_memory_bound(&net, &config).expect("boundable");
-    assert!(
-        bound >= per_session_bytes,
-        "static bound {bound} must dominate the audited {per_session_bytes} B/session"
-    );
-    assert!(
-        bound <= 2 * per_session_bytes,
-        "static bound {bound} is uselessly loose vs the audited {per_session_bytes} B/session"
+    assert_eq!(
+        session_memory_bound(&net, &config).expect("boundable"),
+        per_session_bytes,
+        "static bound must match the audited B/session exactly"
     );
 
     // Round trip: the compute rate implied by the operating point must

@@ -116,13 +116,6 @@ impl Tensor3 {
         &self.data
     }
 
-    /// Bytes of heap memory this tensor holds (allocated capacity, not
-    /// just occupied length) — the serving engine's per-session memory
-    /// audit.
-    pub fn heap_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<f32>()
-    }
-
     /// Mutable view of the flat channel-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
