@@ -94,6 +94,27 @@ impl Default for AmcCostConfig {
     }
 }
 
+/// The layer-geometry figures the model prices one network by, at the
+/// model's AMC target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetFigures {
+    /// MACs of a full forward pass.
+    pub total_macs: u64,
+    /// MACs of the conv layers, which run on Eyeriss.
+    pub conv_macs: u64,
+    /// MACs of the fully-connected layers, which run on EIE.
+    pub fc_macs: u64,
+    /// MACs of the AMC prefix `0..=target`.
+    pub prefix_macs: u64,
+    /// Conv MACs after the target: what a predicted frame still runs on
+    /// Eyeriss.
+    pub suffix_conv_macs: u64,
+    /// Target activation shape `(channels, height, width)`.
+    pub target_shape: (usize, usize, usize),
+    /// Receptive field `(size, stride, padding)` of the target activation.
+    pub receptive_field: (usize, usize, usize),
+}
+
 /// The first-order hardware model.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HwModel {
@@ -113,6 +134,21 @@ impl HwModel {
             }
         }
         net.last_spatial_layer().unwrap_or(0)
+    }
+
+    /// MAC counts, target shape and receptive field of `net` at this
+    /// model's target.
+    pub fn figures(&self, net: &NetDescriptor) -> NetFigures {
+        let target = self.target(net);
+        NetFigures {
+            total_macs: net.total_macs(),
+            conv_macs: net.conv_macs(),
+            fc_macs: net.fc_macs(),
+            prefix_macs: net.prefix_macs(target),
+            suffix_conv_macs: net.conv_macs_split(target).1,
+            target_shape: net.shape_after(target),
+            receptive_field: net.receptive_field(target),
+        }
     }
 
     fn target(&self, net: &NetDescriptor) -> usize {

@@ -43,5 +43,5 @@ pub mod descriptor;
 pub mod firstorder;
 pub mod nets;
 
-pub use cost::{FrameCost, HwModel};
+pub use cost::{FrameCost, HwModel, NetFigures};
 pub use descriptor::{LayerDesc, LayerKind, NetDescriptor};
