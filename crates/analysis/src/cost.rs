@@ -5,7 +5,9 @@
 //! implementation of the MAC accounting the engine's `ExecStats` counters
 //! use at runtime. `analyze` cross-checks the two (`W-COST-001`), so a
 //! drift between the static model and the executor is caught at
-//! construction, not in a capacity review.
+//! construction, not in a capacity review. It is also the only MAC model
+//! of the paper's full-scale networks: `eva2-hw` reads their per-layer
+//! MACs from it.
 //!
 //! The aggregate splits at the AMC target exactly like the engine does:
 //! a key frame runs every layer (`key_frame_macs`); a predicted frame
@@ -18,7 +20,6 @@
 //! `eva2-core`.
 
 use eva2_cnn::describe::{LayerInfo, LayerKind};
-use eva2_cnn::receptive::ReceptiveField;
 use eva2_motion::{RfGeometry, Rfbme, SearchParams};
 use eva2_tensor::Shape3;
 
@@ -154,16 +155,20 @@ fn layer_cost(info: &LayerInfo, input: Shape3, output: Shape3) -> Option<LayerCo
     let in_len = input.len() as u64;
     let out_len = output.len() as u64;
     let (macs, weight_bytes, scratch_bytes) = match info.kind {
-        LayerKind::Conv { in_channels, .. } => {
+        LayerKind::Conv {
+            in_channels,
+            out_channels,
+            groups,
+        } => {
             let g = info.geometry?;
             let k2 = (g.kernel as u64).checked_mul(g.kernel as u64)?;
-            let patch = (in_channels as u64).checked_mul(k2)?;
-            // One dot product of length in_c·k² per output value — the
-            // §IV-A formula `Layer::macs` implements.
+            let patch = (in_channels as u64).checked_mul(k2)? / groups.max(1) as u64;
+            // One dot product of length in_c·k²/groups per output value —
+            // the §IV-A formula `Layer::macs` implements.
             let macs = out_len.checked_mul(patch)?;
             let weights = patch
-                .checked_mul(info.channels.len() as u64)?
-                .checked_add(info.channels.len() as u64)?
+                .checked_mul(out_channels as u64)?
+                .checked_add(out_channels as u64)?
                 .checked_mul(f32b)?;
             // The padded input copy, one (phase) plane per channel and
             // stride phase, and the kernel's one tile row of slack.
@@ -205,14 +210,13 @@ fn layer_cost(info: &LayerInfo, input: Shape3, output: Shape3) -> Option<LayerCo
 pub(crate) fn cost_pass(
     infos: &[LayerInfo],
     input: Shape3,
-    shapes: &[Option<Shape3>],
     opts: &AnalysisOptions,
     report: &mut AnalysisReport,
 ) {
     let mut per_layer = Vec::with_capacity(infos.len());
     let mut cur = Some(input);
     for (i, info) in infos.iter().enumerate() {
-        let out = shapes.get(i).copied().flatten();
+        let out = report.layers[i].shape.map(Shape3::from);
         let cost = match (cur, out) {
             (Some(is), Some(os)) => {
                 let c = layer_cost(info, is, os);
@@ -274,22 +278,18 @@ pub(crate) fn cost_pass(
         return;
     };
 
-    // Motion terms: the prefix receptive field gives the RFBME geometry;
-    // the search window comes from the options — the same derivation the
-    // engine's session construction performs.
-    let mut rf = ReceptiveField::INPUT;
-    for info in &infos[..=opts.target] {
-        let Some(g) = info.geometry else {
-            // E-WARP-001 already reported; without a receptive field there
-            // is no motion-cost term to bound.
-            incomplete(
-                report,
-                "cost model not built: non-spatial prefix has no motion geometry".to_string(),
-            );
-            return;
-        };
-        rf = rf.then(g);
-    }
+    // Motion terms: the warp pass's receptive field gives the RFBME
+    // geometry; the search window comes from the options — the same
+    // derivation the engine's session construction performs.
+    let Some(rf) = report.receptive_field else {
+        // E-WARP-001 already reported; without a receptive field there is
+        // no motion-cost term to bound.
+        incomplete(
+            report,
+            "cost model not built: non-spatial prefix has no motion geometry".to_string(),
+        );
+        return;
+    };
     let rfbme = Rfbme::new(
         RfGeometry {
             size: rf.size,
@@ -304,7 +304,9 @@ pub(crate) fn cost_pass(
     let rfbme_ops_bound = rfbme.ops_bound(input.height, input.width);
     // shape_pass succeeded through the whole net, so the target shape
     // exists; warp interpolates each target activation value exactly once.
-    let target_len = shapes[opts.target].map_or(0, |s| s.len() as u64);
+    let target_len = report.layers[opts.target]
+        .shape
+        .map_or(0, |(c, h, w)| (c * h * w) as u64);
 
     if prefix_macs == 0 {
         report.push(

@@ -120,6 +120,7 @@ mod tests {
             kind: LayerKind::Conv {
                 in_channels: 1,
                 out_channels: channels.len(),
+                groups: 1,
             },
             geometry: Some(LayerGeometry {
                 kernel: 3,

@@ -6,8 +6,10 @@
 //! crate is that verifier: it extracts a small IR from a
 //! [`Network`](eva2_cnn::Network) through the
 //! [`Layer::describe`](eva2_cnn::layer::Layer::describe) seam and runs a
-//! four-pass pipeline over it, producing structured [`Diagnostic`]s in an
-//! [`AnalysisReport`]:
+//! five-pass pipeline over it, producing structured [`Diagnostic`]s in an
+//! [`AnalysisReport`]. [`analyze`] runs it on a network; [`analyze_layers`]
+//! runs it on a description alone, which is how `eva2-hw` counts the MACs
+//! of the paper's full-scale networks.
 //!
 //! 1. **Shape inference** — propagates [`Shape3`](eva2_tensor::Shape3)
 //!    through every layer, statically pinning the engine's input geometry
@@ -15,9 +17,10 @@
 //!    the first key frame.
 //! 2. **Warp legality** — proves the prefix before the AMC target is
 //!    translation-equivariant modulo its cumulative stride (spatial layers
-//!    only, no FC), computes the motion granularity from
-//!    [`ReceptiveField`](eva2_cnn::receptive::ReceptiveField) arithmetic,
-//!    and cross-checks it against the RFBME block size and search window.
+//!    only, no FC), folds the target's
+//!    [`ReceptiveField`](eva2_cnn::receptive::ReceptiveField) into the
+//!    report, and cross-checks its stride (the motion granularity) against
+//!    the RFBME block size and search window.
 //! 3. **Fixed-point range analysis** — interval arithmetic over weight
 //!    statistics and a declared input range (see [`interval`]), flagging
 //!    layers whose activations can escape — or come within 2× of — the
@@ -52,8 +55,8 @@
 //! | `E-WARP-003` | The RFBME search step exceeds the block size: consecutive candidate offsets skip entire activation cells, so block matches cannot align with the motion granularity. | Reduce `SearchParams::step` to at most the receptive-field stride. |
 //! | `W-WARP-004` | `2·radius` is not a multiple of `step`: the scanned window is asymmetric, so one motion direction is searched farther than the other. | Pick `radius`/`step` with `2·radius % step == 0`. |
 //! | `E-RANGE-001` | The activation interval at the target layer exceeds Q8.8's representable range while the fixed-point datapath is enabled — the stored/warped activation *will* saturate for some in-range input. | Scale down weights (or retrain), choose an earlier target, or disable `fixed_point`. |
-//! | `W-RANGE-002` | The target-layer interval fits Q8.8 but with less than 2× headroom. | Consider weight scaling before enabling deeper fixed-point paths. |
-//! | `W-RANGE-003` | A layer's activation interval exceeds the Q8.8 range (datapath currently f32, so this is advisory) — enabling `fixed_point`, or the ROADMAP's quantized fast path, would saturate here. | Requantize/rescale that layer before moving it onto an integer datapath. |
+//! | `W-RANGE-002` | The target-layer interval fits the Q8.8 key store (every datapath stores the target in Q8.8) but with less than 2× headroom. | Consider weight scaling, or an earlier target. |
+//! | `W-RANGE-003` | At the target: the interval exceeds the Q8.8 key store's range, so stored values beyond ±128 saturate on every datapath (an error only with `fixed_point`, because the static interval is loose). Past the target: a layer's interval exceeds Q8.8, so an integer datapath through it would saturate. | Rescale the layer, or choose an earlier target; past the target, requantize before moving the layer onto an integer datapath. |
 //! | `W-SPARSE-001` | The target activation is not ReLU-derived: it can be dense and signed, so the RLE store's near-zero suppression clips real information. | Place the target on (or after) a ReLU/pool-of-ReLU boundary. |
 //! | `W-SPARSE-002` | The first suffix layer is not conv/FC, so it has no sparse-aware path and the warped activation is densified before use. | Reorder the suffix or accept the densify cost. |
 //! | `W-SPARSE-003` | The target is the network's last layer: there is no suffix to run on predicted frames. | Choose an earlier target. |
@@ -126,36 +129,20 @@ impl AnalysisOptions {
     }
 }
 
-/// Runs the full pass pipeline over `net` under `opts`.
+/// Runs the full pass pipeline over `net` under `opts`: [`analyze_layers`]
+/// over [`Network::describe`], plus the `W-COST-001` cross-check against
+/// the engine's MAC accounting for a network the pipeline admits (the
+/// runtime accounting panics on a width mismatch).
 ///
 /// Never panics on a malformed network — malformation is exactly what the
 /// diagnostics report.
 pub fn analyze(net: &Network, opts: &AnalysisOptions) -> AnalysisReport {
-    let infos = net.describe();
-    let mut report = AnalysisReport {
-        network: net.name().to_string(),
-        layers: infos
-            .iter()
-            .map(|l| LayerSummary {
-                name: l.name.clone(),
-                kind: l.kind.label(),
-                shape: None,
-                range: None,
-                macs: None,
-            })
-            .collect(),
-        ..AnalysisReport::default()
-    };
-    let shapes = shape_pass(&infos, net.input_shape(), &mut report);
-    warp_pass(&infos, net.input_shape(), opts, &mut report);
-    range_pass(&infos, opts, &mut report);
-    sparsity_pass(&infos, opts, &mut report);
-    cost::cost_pass(&infos, net.input_shape(), &shapes, opts, &mut report);
+    let mut report = analyze_layers(net.name(), net.input_shape(), &net.describe(), opts);
     // The cost pass rebuilt the MAC accounting from the IR alone;
     // `Network::{total,prefix}_macs` is the reference the engine's
     // `ExecStats` counters are seeded from. Any disagreement means one of
     // the two models is wrong — surface it at construction.
-    if let Some(cost) = &report.cost {
+    if let Some(cost) = report.cost.as_ref().filter(|_| !report.has_errors()) {
         let (reference_total, reference_prefix) = (net.total_macs(), net.prefix_macs(opts.target));
         if cost.key_frame_macs != reference_total || cost.prefix_macs != reference_prefix {
             report.push(
@@ -174,27 +161,51 @@ pub fn analyze(net: &Network, opts: &AnalysisOptions) -> AnalysisReport {
     report
 }
 
-/// Pass 1: shape inference. Returns the inferred output shape per layer
-/// (`None` from the first failure on).
-fn shape_pass(
-    infos: &[LayerInfo],
+/// Runs the pass pipeline over a described network: `layers` in execution
+/// order on an `input`-shaped activation. This is the entry point for a
+/// network that exists only as a description — `eva2-hw` prices the paper's
+/// full-scale networks through it. With no weight statistics in `layers`,
+/// the range pass stops at the first conv or FC layer without a finding.
+pub fn analyze_layers(
+    name: &str,
     input: Shape3,
-    report: &mut AnalysisReport,
-) -> Vec<Option<Shape3>> {
-    let mut shapes = Vec::with_capacity(infos.len());
+    layers: &[LayerInfo],
+    opts: &AnalysisOptions,
+) -> AnalysisReport {
+    let mut report = AnalysisReport {
+        network: name.to_string(),
+        layers: layers
+            .iter()
+            .map(|l| LayerSummary {
+                name: l.name.clone(),
+                kind: l.kind.label(),
+                ..LayerSummary::default()
+            })
+            .collect(),
+        ..AnalysisReport::default()
+    };
+    shape_pass(layers, input, &mut report);
+    warp_pass(layers, input, opts, &mut report);
+    range_pass(layers, opts, &mut report);
+    sparsity_pass(layers, opts, &mut report);
+    cost::cost_pass(layers, input, opts, &mut report);
+    report
+}
+
+/// Pass 1: shape inference. Records the inferred output shape of each
+/// layer in its summary (`None` from the first failure on).
+fn shape_pass(infos: &[LayerInfo], input: Shape3, report: &mut AnalysisReport) {
     let mut cur = Some(input);
     for (i, info) in infos.iter().enumerate() {
-        let next = cur.and_then(|s| infer_shape(info, s, i, report));
-        if let Some(s) = next {
-            report.layers[i].shape = Some((s.channels, s.height, s.width));
-        }
-        shapes.push(next);
-        cur = next;
+        cur = cur.and_then(|s| infer_shape(info, s, i, report));
+        report.layers[i].shape = cur.map(|s| (s.channels, s.height, s.width));
     }
-    shapes
 }
 
 /// Output shape of one described layer, or `None` with a diagnostic.
+///
+/// A width mismatch is an error, but the layer's declared output still
+/// carries inference on, so the passes after it see the whole network.
 fn infer_shape(
     info: &LayerInfo,
     input: Shape3,
@@ -203,95 +214,48 @@ fn infer_shape(
 ) -> Option<Shape3> {
     let name = &info.name;
     match info.kind {
-        LayerKind::Conv {
-            in_channels,
-            out_channels,
-        } => {
-            if input.channels != in_channels {
-                report.push(
-                    DiagCode::ShapeChannelMismatch,
-                    Severity::Error,
-                    Some(i),
-                    format!(
-                        "{name}: expects {in_channels} input channels but receives {}",
-                        input.channels
-                    ),
-                );
-                return None;
-            }
-            let g = info.geometry?;
-            let (h, w) = (g.output_len(input.height), g.output_len(input.width));
-            if h == 0 || w == 0 {
-                report.push(
-                    DiagCode::ShapeCollapsed,
-                    Severity::Error,
-                    Some(i),
-                    format!(
-                        "{name}: {k}x{k} kernel (stride {s}, pad {p}) collapses a \
-                         {ih}x{iw} input to zero spatial extent",
-                        k = g.kernel,
-                        s = g.stride,
-                        p = g.padding,
-                        ih = input.height,
-                        iw = input.width
-                    ),
-                );
-                return None;
-            }
-            Some(Shape3::new(out_channels, h, w))
-        }
-        LayerKind::Pool => {
-            let g = info.geometry?;
-            let (h, w) = (g.output_len(input.height), g.output_len(input.width));
-            if h == 0 || w == 0 {
-                report.push(
-                    DiagCode::ShapeCollapsed,
-                    Severity::Error,
-                    Some(i),
-                    format!(
-                        "{name}: {k}x{k} pooling window exceeds its {ih}x{iw} input",
-                        k = g.kernel,
-                        ih = input.height,
-                        iw = input.width
-                    ),
-                );
-                return None;
-            }
-            Some(Shape3::new(input.channels, h, w))
-        }
-        LayerKind::Relu => Some(input),
-        LayerKind::FullyConnected {
-            in_features,
-            out_features,
-        } => {
-            if input.len() != in_features {
-                report.push(
-                    DiagCode::ShapeFlattenMismatch,
-                    Severity::Error,
-                    Some(i),
-                    format!(
-                        "{name}: expects {in_features} flattened inputs but receives \
-                         {}x{}x{} = {}",
-                        input.channels,
-                        input.height,
-                        input.width,
-                        input.len()
-                    ),
-                );
-                return None;
-            }
-            Some(Shape3::new(out_features, 1, 1))
-        }
-        LayerKind::Opaque => {
-            report.push(
-                DiagCode::ShapeOpaqueLayer,
-                Severity::Warning,
-                Some(i),
-                format!("{name}: layer is not described; analysis stops here"),
-            );
-            None
-        }
+        LayerKind::Conv { in_channels, .. } if input.channels != in_channels => report.push(
+            DiagCode::ShapeChannelMismatch,
+            Severity::Error,
+            Some(i),
+            format!(
+                "{name}: expects {in_channels} input channels but receives {}",
+                input.channels
+            ),
+        ),
+        LayerKind::FullyConnected { in_features, .. } if input.len() != in_features => report.push(
+            DiagCode::ShapeFlattenMismatch,
+            Severity::Error,
+            Some(i),
+            format!(
+                "{name}: expects {in_features} flattened inputs but receives {input} = {}",
+                input.len()
+            ),
+        ),
+        LayerKind::Opaque => report.push(
+            DiagCode::ShapeOpaqueLayer,
+            Severity::Warning,
+            Some(i),
+            format!("{name}: layer is not described; analysis stops here"),
+        ),
+        _ => {}
     }
+    let out = info.output_shape(input)?;
+    if out.height == 0 || out.width == 0 {
+        let g = info.geometry?;
+        let (k, s, p, ih, iw) = (g.kernel, g.stride, g.padding, input.height, input.width);
+        let message = if info.kind == LayerKind::Pool {
+            format!("{name}: {k}x{k} pooling window exceeds its {ih}x{iw} input")
+        } else {
+            format!(
+                "{name}: {k}x{k} kernel (stride {s}, pad {p}) collapses a {ih}x{iw} input \
+                 to zero spatial extent"
+            )
+        };
+        report.push(DiagCode::ShapeCollapsed, Severity::Error, Some(i), message);
+        return None;
+    }
+    Some(out)
 }
 
 /// Pass 2: warp/target legality. The prefix `0..=target` must be spatial
@@ -339,8 +303,9 @@ fn warp_pass(
     }
     // The prefix is conv/pool/ReLU only, hence translation-equivariant for
     // displacements that are multiples of the cumulative stride: that
-    // stride is the motion granularity RFBME works at.
-    report.granularity = Some(rf.stride);
+    // stride is the motion granularity RFBME works at, and the field is the
+    // RFBME geometry the cost pass bounds.
+    report.receptive_field = Some(rf);
     if input.height < rf.stride || input.width < rf.stride {
         report.push(
             DiagCode::WarpNoWholeTile,
@@ -382,11 +347,14 @@ fn warp_pass(
 
 /// Pass 3: fixed-point range analysis over the declared input range.
 ///
-/// The Q8.8 datapath stores (and warps) only the *target* activation, so
-/// exceeding the representable range there is an error when `fixed_point`
-/// is enabled; everywhere else — and on the f32 datapath — the same finding
-/// is advisory (`W-RANGE-003`), which is exactly the groundwork the
-/// quantized-fast-path ROADMAP item needs.
+/// Every datapath stores the *target* activation in the Q8.8 key store,
+/// which saturates at ±128, so the target's findings (`W-RANGE-002`,
+/// `W-RANGE-003`) name the store whatever `fixed_point` says. Only the
+/// fixed-point datapath turns an overflowing target into an error
+/// (`E-RANGE-001`): the static interval is far looser than the values
+/// trained or untrained networks actually produce, too loose to refuse the
+/// f32 datapath on. Past the target, an overflow is advice for a future
+/// integer datapath (`W-RANGE-003`).
 fn range_pass(infos: &[LayerInfo], opts: &AnalysisOptions, report: &mut AnalysisReport) {
     let fmax = Fixed::MAX.to_f32() as f64; // ≈ 127.996
     let mut cur = Interval::new(opts.input_range.0, opts.input_range.1);
@@ -396,46 +364,47 @@ fn range_pass(infos: &[LayerInfo], opts: &AnalysisOptions, report: &mut Analysis
             return;
         };
         report.layers[i].range = Some((next.lo, next.hi));
-        let mag = next.mag();
-        let at_fixed_target = opts.fixed_point && i == opts.target;
-        if mag > fmax {
-            if at_fixed_target {
-                report.push(
-                    DiagCode::RangeFixedOverflow,
-                    Severity::Error,
-                    Some(i),
-                    format!(
-                        "{}: target activation interval [{:.3}, {:.3}] exceeds the \
-                         Q8.8 representable range ±{fmax:.3} — the fixed-point store \
-                         will saturate",
-                        info.name, next.lo, next.hi
-                    ),
-                );
-            } else {
-                report.push(
-                    DiagCode::RangeFloatExceedsFixed,
-                    Severity::Warning,
-                    Some(i),
-                    format!(
-                        "{}: activation interval [{:.3}, {:.3}] would not fit Q8.8 \
-                         (±{fmax:.3}); a fixed-point datapath through this layer \
-                         would saturate",
-                        info.name, next.lo, next.hi
-                    ),
-                );
-            }
-        } else if mag > fmax / 2.0 && at_fixed_target {
-            report.push(
+        let (name, mag) = (&info.name, next.mag());
+        let interval = format!("interval [{:.3}, {:.3}]", next.lo, next.hi);
+        let (code, severity, message) = match (i == opts.target, mag > fmax) {
+            (true, true) if opts.fixed_point => (
+                DiagCode::RangeFixedOverflow,
+                Severity::Error,
+                format!(
+                    "{name}: target activation {interval} exceeds the Q8.8 representable \
+                     range ±{fmax:.3} — the fixed-point store will saturate"
+                ),
+            ),
+            (true, true) => (
+                DiagCode::RangeFloatExceedsFixed,
+                Severity::Warning,
+                format!(
+                    "{name}: target activation {interval} exceeds the Q8.8 key store's range \
+                     ±{fmax:.3} — stored values beyond it saturate on every datapath"
+                ),
+            ),
+            (false, true) => (
+                DiagCode::RangeFloatExceedsFixed,
+                Severity::Warning,
+                format!(
+                    "{name}: activation {interval} would not fit Q8.8 (±{fmax:.3}); a \
+                     fixed-point datapath through this layer would saturate"
+                ),
+            ),
+            (true, false) if mag > fmax / 2.0 => (
                 DiagCode::RangeFixedNearOverflow,
                 Severity::Warning,
-                Some(i),
                 format!(
-                    "{}: target activation interval [{:.3}, {:.3}] has less than 2x \
-                     headroom to the Q8.8 range ±{fmax:.3}",
-                    info.name, next.lo, next.hi
+                    "{name}: target activation {interval} has less than 2x headroom to the \
+                     Q8.8 key store's range ±{fmax:.3}"
                 ),
-            );
-        }
+            ),
+            _ => {
+                cur = next;
+                continue;
+            }
+        };
+        report.push(code, severity, Some(i), message);
         cur = next;
     }
 }

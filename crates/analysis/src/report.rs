@@ -132,7 +132,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Per-layer facts the passes derive, kept for the rendered report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerSummary {
     /// Layer name from the IR.
     pub name: String,
@@ -157,9 +157,10 @@ pub struct AnalysisReport {
     pub diagnostics: Vec<Diagnostic>,
     /// One summary per layer, in layer order.
     pub layers: Vec<LayerSummary>,
-    /// Motion granularity at the target (cumulative prefix stride, in
-    /// pixels), when the warp-legality pass could compute it.
-    pub granularity: Option<usize>,
+    /// Receptive field of the target activation, when the warp-legality
+    /// pass could fold it (the prefix is spatial). Its stride is the motion
+    /// granularity, in pixels per activation cell.
+    pub receptive_field: Option<eva2_cnn::receptive::ReceptiveField>,
     /// The static cost model, when the cost pass could build it
     /// (`W-COST-002` explains why when it could not).
     pub cost: Option<crate::cost::CostSummary>,
@@ -215,8 +216,12 @@ impl AnalysisReport {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "network {}:", self.network);
-        if let Some(g) = self.granularity {
-            let _ = writeln!(out, "  motion granularity: {g} px/activation cell");
+        if let Some(rf) = self.receptive_field {
+            let _ = writeln!(
+                out,
+                "  motion granularity: {} px/activation cell",
+                rf.stride
+            );
         }
         for (i, l) in self.layers.iter().enumerate() {
             let shape = match l.shape {

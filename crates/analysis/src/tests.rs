@@ -32,7 +32,7 @@ fn codes(report: &crate::AnalysisReport) -> Vec<DiagCode> {
 fn well_formed_net_is_clean() {
     let report = analyze(&well_formed(), &AnalysisOptions::for_target(2));
     assert!(!report.has_errors(), "{}", report.render());
-    assert_eq!(report.granularity, Some(2));
+    assert_eq!(report.receptive_field.map(|rf| rf.stride), Some(2));
     // Shapes were pinned statically for every layer.
     assert_eq!(report.layers[0].shape, Some((4, 16, 16)));
     assert_eq!(report.layers[2].shape, Some((4, 8, 8)));
@@ -54,11 +54,11 @@ fn all_zoo_networks_pass_clean_at_both_targets() {
                 workload.name(),
                 report.render()
             );
-            // The statically computed granularity matches the runtime
+            // The statically folded receptive field matches the runtime
             // receptive-field arithmetic.
             assert_eq!(
-                report.granularity,
-                Some(z.network.receptive_field(target).stride),
+                report.receptive_field,
+                Some(z.network.receptive_field(target)),
                 "{} @ target {target}",
                 workload.name()
             );
@@ -147,7 +147,7 @@ fn fc_before_target_is_e_warp_001() {
         report.render()
     );
     assert!(report.has_errors());
-    assert_eq!(report.granularity, None);
+    assert_eq!(report.receptive_field, None);
 }
 
 #[test]
@@ -221,11 +221,15 @@ fn q88_overflow_is_e_range_001_only_on_fixed_datapath() {
     assert_eq!(d.code, DiagCode::RangeFixedOverflow);
     assert_eq!(d.layer, Some(2));
 
-    // Same network on the f32 datapath: advisory only.
+    // Same network on the f32 datapath: a warning, but one that names the
+    // Q8.8 key store the target is kept in on every datapath.
     opts.fixed_point = false;
     let report = analyze(&net, &opts);
     assert!(!report.has_errors(), "{}", report.render());
-    assert!(codes(&report).contains(&DiagCode::RangeFloatExceedsFixed));
+    let target = report.diagnostics.iter().find(|d| d.layer == Some(2));
+    let d = target.expect("a target-layer finding");
+    assert_eq!(d.code, DiagCode::RangeFloatExceedsFixed);
+    assert!(d.message.contains("key store"), "{d}");
 }
 
 #[test]

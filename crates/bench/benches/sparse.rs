@@ -1,10 +1,10 @@
 //! Activation store benchmarks: the Q8.8 quantize a key frame runs beside
 //! the hardware model's RLE encode/decode, at the sparsity levels the paper
-//! reports (≈80% zeros after ReLU), and the 4-lane decoder.
+//! reports (≈80% zeros after ReLU).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eva2_cnn::zoo;
-use eva2_core::sparse::{LaneGroup, QuantizedActivation, RleActivation};
+use eva2_core::sparse::{QuantizedActivation, RleActivation};
 use eva2_tensor::gemm::GemmScratch;
 use eva2_tensor::{Shape3, Tensor3};
 use std::hint::black_box;
@@ -39,34 +39,6 @@ fn bench_encode_decode(c: &mut Criterion) {
             BenchmarkId::new("decode", format!("{:.0}pct", sparsity * 100.0)),
             &rle,
             |b, rle| b.iter(|| black_box(rle.decode())),
-        );
-    }
-    group.finish();
-}
-
-fn bench_lane_group(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sparsity_decoder_lanes");
-    for sparsity in [0.5f32, 0.9] {
-        let act = activation(sparsity);
-        let rle = RleActivation::encode(&act, 0.0);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{:.0}pct_zero", sparsity * 100.0)),
-            &rle,
-            |b, rle| {
-                b.iter(|| {
-                    let mut lanes = LaneGroup::new([
-                        rle.channel_stream(0),
-                        rle.channel_stream(1),
-                        rle.channel_stream(2),
-                        rle.channel_stream(3),
-                    ]);
-                    let mut n = 0u64;
-                    while let Some((vals, _)) = lanes.next_group() {
-                        n += vals.iter().filter(|v| !v.is_zero()).count() as u64;
-                    }
-                    black_box((n, lanes.cycles))
-                })
-            },
         );
     }
     group.finish();
@@ -114,10 +86,5 @@ fn bench_suffix_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_encode_decode,
-    bench_lane_group,
-    bench_suffix_paths
-);
+criterion_group!(benches, bench_encode_decode, bench_suffix_paths);
 criterion_main!(benches);

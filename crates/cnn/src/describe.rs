@@ -1,13 +1,13 @@
-//! A static layer IR for build-time analysis.
+//! A static layer IR: the one description of a network.
 //!
 //! [`LayerInfo`] is the *description* of a layer — everything a static
 //! verifier needs to reason about a network without running it: the layer
 //! kind, its spatial geometry, and per-output-channel weight magnitude
 //! statistics. The `eva2-analysis` crate folds these descriptions into
-//! shape inference, warp-legality proofs, and interval (range) analysis;
-//! keeping the IR here, next to the layers, means a new layer type only has
-//! to implement [`Layer::describe`](crate::layer::Layer::describe) once to
-//! become analyzable.
+//! shape inference, warp-legality proofs, interval analysis and the cost
+//! model; `eva2-hw` describes the paper's full-scale networks in it too,
+//! without weight statistics. A new layer type only has to implement
+//! [`Layer::describe`](crate::layer::Layer::describe) once to be analyzed.
 //!
 //! The IR is deliberately lossy: it carries weight *bounds*, not weights.
 //! A conv layer with 10k parameters describes itself in
@@ -15,6 +15,7 @@
 //! to rebuild at every engine or session construction.
 
 use crate::layer::LayerGeometry;
+use eva2_tensor::Shape3;
 
 /// What kind of computation a layer performs, as far as static analysis is
 /// concerned.
@@ -26,6 +27,9 @@ pub enum LayerKind {
         in_channels: usize,
         /// Output channels (filters) the layer produces.
         out_channels: usize,
+        /// Filter groups (AlexNet's split layers): each output sees
+        /// `in_channels / groups` inputs. Every runtime `Conv2d` has 1.
+        groups: usize,
     },
     /// Max pooling: spatial, translation-equivariant modulo stride,
     /// parameter-free, monotone (output range ⊆ input range).
@@ -119,6 +123,25 @@ pub struct LayerInfo {
     pub channels: Vec<ChannelStats>,
 }
 
+impl LayerInfo {
+    /// Output shape for `input`, from the layer's geometry and declared
+    /// widths alone (whether they fit `input` is the analysis shape pass's
+    /// check); `None` for an opaque layer or a spatial one without geometry.
+    pub fn output_shape(&self, input: Shape3) -> Option<Shape3> {
+        let (channels, g) = match self.kind {
+            LayerKind::Conv { out_channels, .. } => (out_channels, self.geometry?),
+            LayerKind::Pool => (input.channels, self.geometry?),
+            LayerKind::Relu => return Some(input),
+            LayerKind::FullyConnected { out_features, .. } => {
+                return Some(Shape3::new(out_features, 1, 1))
+            }
+            LayerKind::Opaque => return None,
+        };
+        let (h, w) = (g.output_len(input.height), g.output_len(input.width));
+        Some(Shape3::new(channels, h, w))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +160,8 @@ mod tests {
         assert_eq!(
             LayerKind::Conv {
                 in_channels: 1,
-                out_channels: 2
+                out_channels: 2,
+                groups: 1
             }
             .label(),
             "conv"

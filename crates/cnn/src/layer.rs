@@ -33,14 +33,10 @@ impl LayerGeometry {
         padding: 0,
     };
 
-    /// Output spatial length for an input of length `n` (floor convention).
+    /// Output spatial length for an input of length `n` (floor convention;
+    /// [`gemm::conv_output_len`] is the formula).
     pub fn output_len(&self, n: usize) -> usize {
-        let padded = n + 2 * self.padding;
-        if padded < self.kernel {
-            0
-        } else {
-            (padded - self.kernel) / self.stride + 1
-        }
+        gemm::conv_output_len(n, self.kernel, self.stride, self.padding)
     }
 }
 
@@ -505,6 +501,7 @@ impl Layer for Conv2d {
             kind: LayerKind::Conv {
                 in_channels: self.in_channels,
                 out_channels: self.out_channels,
+                groups: 1,
             },
             geometry: Some(self.geom),
             channels: (0..self.out_channels)

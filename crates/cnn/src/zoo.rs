@@ -10,7 +10,10 @@
 //! geometry, spatial-vs-FC layer split, early/late target layers, relative
 //! depth ordering (Faster16 ≫ FasterM > AlexNet prefix cost) — while being
 //! small enough to train from scratch on the synthetic dataset in seconds.
-//! Full-scale layer shapes (for the hardware cost model) live in `eva2-hw`.
+//! Full-scale layer shapes (for the hardware cost model) live in `eva2-hw`,
+//! described in the same [`LayerInfo`](crate::describe::LayerInfo) IR these
+//! networks describe themselves in, and costed by the same `eva2-analysis`
+//! passes.
 
 use crate::layer::{Conv2d, FullyConnected, MaxPool2d, Relu};
 use crate::network::Network;

@@ -11,8 +11,7 @@
 //!
 //! * §II-C2 / §III-B key-activation storage → [`sparse`] (the one dense
 //!   Q8.8 copy a session stores, [`QuantizedActivation`]; the run-length
-//!   encoding derived from it on demand as the hardware model; the 4-lane
-//!   sparsity decoder model of Fig 10).
+//!   encoding derived from it on demand as the hardware model).
 //! * §II-C3 / §III-B interpolated warping → [`warp`] (float reference and a
 //!   bit-accurate Q8.8 model of the Fig 11 bilinear interpolator; the
 //!   serving path warps straight from the Q8.8 store).

@@ -1,5 +1,5 @@
-//! Key-activation storage: the dense Q8.8 store the host keeps, the
-//! run-length encoding the hardware keeps, and the sparsity decoder lanes.
+//! Key-activation storage: the dense Q8.8 store the host keeps and the
+//! run-length encoding the hardware keeps.
 //!
 //! "EVA² uses run-length encoding (RLE) for activations. RLE is critical to
 //! enabling on-chip activation storage: for Faster16, for example, sparse
@@ -15,12 +15,10 @@
 //! ([`crate::warp::warp_quantized_sparse`]) and the suffix's non-zero view
 //! is derived from it per frame ([`QuantizedActivation::to_sparse`]).
 //! [`RleActivation`] is the hardware model, *derived on demand*
-//! ([`QuantizedActivation::to_rle`]) for its compression figure and the
-//! decoder lanes; nothing on the serving path builds one.
-//!
-//! [`SparsityDecoderLane`] and [`LaneGroup`] model the warp engine's load
-//! path (Fig 10): four lanes stream four neighbouring activation values and
-//! a min unit lets all four skip their shared zeros in a single step.
+//! ([`QuantizedActivation::to_rle`]) for its compression figure; nothing on
+//! the serving path builds one. Fig 10's sparsity decoder, which lets the
+//! warp engine skip shared zero runs, is priced by `eva2-hw` from its
+//! calibration constants and has no software model here.
 
 use eva2_tensor::{Fixed, Shape3, SparseActivation, Tensor3};
 use serde::{Deserialize, Serialize};
@@ -183,8 +181,8 @@ fn rle_compression(entries: usize, shape: Shape3) -> f32 {
 /// hardware's on-chip format (§III-B), derived from a
 /// [`QuantizedActivation`].
 ///
-/// Channels are encoded independently (the decoder lanes walk one channel at
-/// a time). Trailing zeros in a channel are implicit.
+/// Channels are encoded independently (the hardware's decoder lanes walk one
+/// channel at a time). Trailing zeros in a channel are implicit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RleActivation {
     shape: Shape3,
@@ -240,7 +238,7 @@ impl RleActivation {
         rle_compression(self.channels.iter().map(Vec::len).sum(), self.shape)
     }
 
-    /// The run-length stream of channel `c` (for the decoder lanes).
+    /// The run-length stream of channel `c`.
     pub fn channel_stream(&self, c: usize) -> &[RleEntry] {
         &self.channels[c]
     }
@@ -265,130 +263,6 @@ impl RleActivation {
             out.end_channel();
         }
         out
-    }
-}
-
-/// One sparsity decoder lane (Fig 10): streams a channel's RLE entries and
-/// exposes the current zero gap, decrementing as the min unit skips.
-#[derive(Debug, Clone)]
-pub struct SparsityDecoderLane {
-    entries: Vec<RleEntry>,
-    next: usize,
-    /// Zeros remaining before the current value becomes visible.
-    zero_gap: u32,
-    /// Current value register (valid when `zero_gap == 0`).
-    value: Fixed,
-    /// Stream exhausted: produce zeros forever.
-    drained: bool,
-}
-
-impl SparsityDecoderLane {
-    /// Creates a lane over an entry stream.
-    pub fn new(entries: &[RleEntry]) -> Self {
-        let mut lane = Self {
-            entries: entries.to_vec(),
-            next: 0,
-            zero_gap: 0,
-            value: Fixed::ZERO,
-            drained: false,
-        };
-        lane.load_next();
-        lane
-    }
-
-    fn load_next(&mut self) {
-        if self.next < self.entries.len() {
-            let e = self.entries[self.next];
-            self.next += 1;
-            self.zero_gap = e.zero_gap as u32;
-            self.value = Fixed::from_bits(e.value);
-        } else {
-            self.drained = true;
-            self.zero_gap = u32::MAX; // infinite zeros
-            self.value = Fixed::ZERO;
-        }
-    }
-
-    /// The lane's current zero gap (distance to its next non-zero value).
-    pub fn zero_gap(&self) -> u32 {
-        self.zero_gap
-    }
-
-    /// Advances the lane by `skip` positions (the min-unit broadcast), then
-    /// returns the value visible at the new position: the register when the
-    /// gap reached zero, otherwise zero.
-    ///
-    /// After producing a real value the lane dequeues its next entry.
-    pub fn advance(&mut self, skip: u32) -> Fixed {
-        if self.drained {
-            return Fixed::ZERO;
-        }
-        debug_assert!(skip <= self.zero_gap, "min unit may not overshoot a lane");
-        self.zero_gap -= skip;
-        if self.zero_gap == 0 {
-            let v = self.value;
-            self.load_next();
-            v
-        } else {
-            // Consume one zero position.
-            self.zero_gap -= 1;
-            Fixed::ZERO
-        }
-    }
-}
-
-/// Four decoder lanes with a min unit, producing aligned groups of four
-/// values per step while skipping shared zero runs (Fig 10).
-#[derive(Debug, Clone)]
-pub struct LaneGroup {
-    lanes: [SparsityDecoderLane; 4],
-    /// Positions consumed so far.
-    pub position: u64,
-    /// Steps (cycles) executed — the quantity reduced by zero skipping:
-    /// "the warp engine skips over zero entries when performing
-    /// interpolation, reducing the motion compensation cost proportionally
-    /// to the activations' sparsity" (§V).
-    pub cycles: u64,
-}
-
-impl LaneGroup {
-    /// Creates a group over four entry streams.
-    pub fn new(streams: [&[RleEntry]; 4]) -> Self {
-        Self {
-            lanes: [
-                SparsityDecoderLane::new(streams[0]),
-                SparsityDecoderLane::new(streams[1]),
-                SparsityDecoderLane::new(streams[2]),
-                SparsityDecoderLane::new(streams[3]),
-            ],
-            position: 0,
-            cycles: 0,
-        }
-    }
-
-    /// Produces the next group of four values, skipping positions where all
-    /// four lanes are zero. Returns `None` when every lane is drained.
-    ///
-    /// The returned tuple is `(values, positions_skipped)`.
-    pub fn next_group(&mut self) -> Option<([Fixed; 4], u32)> {
-        let min_gap = self
-            .lanes
-            .iter()
-            .map(|l| l.zero_gap())
-            .min()
-            .expect("4 lanes");
-        if min_gap == u32::MAX {
-            return None; // all drained
-        }
-        let vals = [
-            self.lanes[0].advance(min_gap),
-            self.lanes[1].advance(min_gap),
-            self.lanes[2].advance(min_gap),
-            self.lanes[3].advance(min_gap),
-        ];
-        self.position += min_gap as u64 + 1;
-        self.cycles += 1;
-        Some((vals, min_gap))
     }
 }
 
@@ -609,95 +483,5 @@ mod tests {
             );
         }
         assert!(placeholders > 0, "the cases must exercise gap placeholders");
-    }
-
-    // ------------------------------------------------------------------
-    // Decoder lanes
-    // ------------------------------------------------------------------
-
-    fn stream_of(vals: &[f32]) -> Vec<RleEntry> {
-        let t = Tensor3::from_vec(Shape3::new(1, 1, vals.len()), vals.to_vec());
-        RleActivation::encode(&t, 0.0).channel_stream(0).to_vec()
-    }
-
-    /// Decodes a full stream through a single lane, checking it reproduces
-    /// the dense sequence.
-    fn drain_lane(vals: &[f32]) -> Vec<f32> {
-        let entries = stream_of(vals);
-        let mut lane = SparsityDecoderLane::new(&entries);
-        (0..vals.len()).map(|_| lane.advance(0).to_f32()).collect()
-    }
-
-    #[test]
-    fn single_lane_reproduces_sequence() {
-        let vals = [0.0, 0.0, 1.5, 0.0, -2.0, 0.0, 0.0, 3.0];
-        assert_eq!(drain_lane(&vals), vals.to_vec());
-    }
-
-    #[test]
-    fn lane_group_skips_shared_zeros() {
-        // Four identical streams with a long shared zero prefix: the min
-        // unit should jump it in one step.
-        let vals = [0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 0.0, 2.0];
-        let entries = stream_of(&vals);
-        let mut group = LaneGroup::new([&entries, &entries, &entries, &entries]);
-        let (v, skipped) = group.next_group().expect("value");
-        assert_eq!(skipped, 5);
-        assert!(v.iter().all(|x| x.to_f32() == 4.0));
-        let (v2, _) = group.next_group().expect("value");
-        assert!(v2.iter().all(|x| x.to_f32() == 2.0));
-        assert!(group.next_group().is_none());
-        // Two cycles for eight positions: 4x fewer than dense iteration.
-        assert_eq!(group.cycles, 2);
-    }
-
-    #[test]
-    fn lane_group_handles_misaligned_zeros() {
-        let a = stream_of(&[1.0, 0.0, 0.0, 0.0]);
-        let b = stream_of(&[0.0, 2.0, 0.0, 0.0]);
-        let c = stream_of(&[0.0, 0.0, 3.0, 0.0]);
-        let d = stream_of(&[0.0, 0.0, 0.0, 4.0]);
-        let mut group = LaneGroup::new([&a, &b, &c, &d]);
-        let mut decoded = Vec::new();
-        while let Some((v, _)) = group.next_group() {
-            decoded.push([v[0].to_f32(), v[1].to_f32(), v[2].to_f32(), v[3].to_f32()]);
-        }
-        assert_eq!(
-            decoded,
-            vec![
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 2.0, 0.0, 0.0],
-                [0.0, 0.0, 3.0, 0.0],
-                [0.0, 0.0, 0.0, 4.0],
-            ]
-        );
-        // No shared zeros → no skipping, 4 cycles.
-        assert_eq!(group.cycles, 4);
-    }
-
-    #[test]
-    fn lane_group_sparser_streams_take_fewer_cycles() {
-        let sparse = stream_of(
-            &[0.0; 64]
-                .iter()
-                .enumerate()
-                .map(|(i, _)| if i == 60 { 1.0 } else { 0.0 })
-                .collect::<Vec<_>>(),
-        );
-        let mut group = LaneGroup::new([&sparse, &sparse, &sparse, &sparse]);
-        let mut n = 0;
-        while group.next_group().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 1, "single shared value needs a single cycle");
-        assert_eq!(group.cycles, 1);
-    }
-
-    #[test]
-    fn drained_group_returns_none_immediately_for_empty_streams() {
-        let empty: Vec<RleEntry> = Vec::new();
-        let mut group = LaneGroup::new([&empty, &empty, &empty, &empty]);
-        assert!(group.next_group().is_none());
-        assert_eq!(group.cycles, 0);
     }
 }

@@ -1,10 +1,11 @@
 //! Prints the `eva2-analysis` static-verification report for every zoo
 //! network at both canonical target layers under the default serving
 //! configuration, plus the Q8.8 fixed-point datapath for FasterM — the
-//! workload the serving suites run fixed. (The deeper networks genuinely
-//! exceed Q8.8 range at their late targets with untrained weights; the
-//! analysis reports that as a warning on the f32 datapath, and the repo
-//! never constructs them fixed.)
+//! workload the serving suites run fixed. (At their late targets the deeper
+//! networks' *static* interval bound exceeds Q8.8 range; the activations
+//! they actually produce stay far inside it. The analysis reports the bound
+//! as a warning that names the Q8.8 key store, and the repo never
+//! constructs those networks fixed, where it would be an error.)
 //!
 //! Exits nonzero if any (network, configuration) pair produces an
 //! error-severity diagnostic, **or** if the static cost model's MAC

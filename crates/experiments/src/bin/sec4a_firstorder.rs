@@ -38,9 +38,8 @@ fn main() {
     ]);
     let mut results = Vec::new();
     for net in [nets::alexnet(), nets::faster16(), nets::fasterm()] {
-        let target = HwModel::canonical_target(&net);
         let p = model.rfbme_params(&net);
-        let prefix = net.prefix_macs(target);
+        let prefix = model.figures(&net).prefix_macs;
         let un = unoptimized_ops(&p);
         let opt = rfbme_ops(&p);
         let ratio = prefix as f64 / opt.max(1) as f64;

@@ -14,6 +14,8 @@ use crate::calib::{
 };
 use crate::descriptor::NetDescriptor;
 use crate::firstorder::{rfbme_ops, RfbmeParams};
+use eva2_analysis::{analyze_layers, AnalysisOptions};
+use eva2_cnn::describe::LayerKind;
 use serde::{Deserialize, Serialize};
 
 /// Latency/energy for one frame, with a per-unit breakdown.
@@ -38,37 +40,20 @@ pub struct FrameCost {
 }
 
 impl FrameCost {
-    fn add(&self, other: &FrameCost) -> FrameCost {
-        FrameCost {
-            latency_ms: self.latency_ms + other.latency_ms,
-            energy_mj: self.energy_mj + other.energy_mj,
-            eyeriss_mj: self.eyeriss_mj + other.eyeriss_mj,
-            eie_mj: self.eie_mj + other.eie_mj,
-            eva2_mj: self.eva2_mj + other.eva2_mj,
-            eyeriss_ms: self.eyeriss_ms + other.eyeriss_ms,
-            eie_ms: self.eie_ms + other.eie_ms,
-            eva2_ms: self.eva2_ms + other.eva2_ms,
-        }
-    }
-
-    fn scale(&self, f: f64) -> FrameCost {
-        FrameCost {
-            latency_ms: self.latency_ms * f,
-            energy_mj: self.energy_mj * f,
-            eyeriss_mj: self.eyeriss_mj * f,
-            eie_mj: self.eie_mj * f,
-            eva2_mj: self.eva2_mj * f,
-            eyeriss_ms: self.eyeriss_ms * f,
-            eie_ms: self.eie_ms * f,
-            eva2_ms: self.eva2_ms * f,
-        }
-    }
-
     /// Weighted mixture: `key_fraction` of key-frame cost plus the rest of
     /// predicted-frame cost — the paper's "avg" bars in Fig 13.
     pub fn mix(key: &FrameCost, predicted: &FrameCost, key_fraction: f64) -> FrameCost {
-        key.scale(key_fraction)
-            .add(&predicted.scale(1.0 - key_fraction))
+        let mix = |k: f64, p: f64| k * key_fraction + p * (1.0 - key_fraction);
+        FrameCost {
+            latency_ms: mix(key.latency_ms, predicted.latency_ms),
+            energy_mj: mix(key.energy_mj, predicted.energy_mj),
+            eyeriss_mj: mix(key.eyeriss_mj, predicted.eyeriss_mj),
+            eie_mj: mix(key.eie_mj, predicted.eie_mj),
+            eva2_mj: mix(key.eva2_mj, predicted.eva2_mj),
+            eyeriss_ms: mix(key.eyeriss_ms, predicted.eyeriss_ms),
+            eie_ms: mix(key.eie_ms, predicted.eie_ms),
+            eva2_ms: mix(key.eva2_ms, predicted.eva2_ms),
+        }
     }
 }
 
@@ -95,7 +80,7 @@ impl Default for AmcCostConfig {
 }
 
 /// The layer-geometry figures the model prices one network by, at the
-/// model's AMC target.
+/// model's AMC target, read from `eva2-analysis`'s report on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetFigures {
     /// MACs of a full forward pass.
@@ -106,8 +91,7 @@ pub struct NetFigures {
     pub fc_macs: u64,
     /// MACs of the AMC prefix `0..=target`.
     pub prefix_macs: u64,
-    /// Conv MACs after the target: what a predicted frame still runs on
-    /// Eyeriss.
+    /// Conv MACs after the target, which predicted frames still run.
     pub suffix_conv_macs: u64,
     /// Target activation shape `(channels, height, width)`.
     pub target_shape: (usize, usize, usize),
@@ -125,8 +109,8 @@ pub struct HwModel {
 impl HwModel {
     /// Canonical AMC target layer for a workload descriptor: the last conv
     /// layer of the feature extractor (conv5_3 for Faster16, conv5 for
-    /// FasterM, pool5 for AlexNet — the last spatial layer before the
-    /// head).
+    /// FasterM and AlexNet; otherwise pool5, or the last spatial layer
+    /// before the head).
     pub fn canonical_target(net: &NetDescriptor) -> usize {
         for name in ["conv5_3", "conv5", "pool5"] {
             if let Some(i) = net.layer_index(name) {
@@ -137,17 +121,43 @@ impl HwModel {
     }
 
     /// MAC counts, target shape and receptive field of `net` at this
-    /// model's target.
+    /// model's target, from [`analyze_layers`]'s report. Panics when the
+    /// report has no cost model or receptive field (a collapsed layer or a
+    /// non-spatial target).
+    ///
+    /// Diagnostics play no part: the detection networks list the RPN's
+    /// sibling 1×1 convs in sequence, so the shape pass flags the second
+    /// one's input width, and every layer is still priced by its own widths.
     pub fn figures(&self, net: &NetDescriptor) -> NetFigures {
         let target = self.target(net);
+        let opts = AnalysisOptions {
+            search_radius: self.amc.search_radius,
+            search_step: self.amc.search_stride,
+            ..AnalysisOptions::for_target(target)
+        };
+        let report = analyze_layers(&net.name, net.input, &net.layers, &opts);
+        let shape = report.layers[target].shape;
+        let (Some(cost), Some(rf), Some(target_shape)) =
+            (report.cost, report.receptive_field, shape)
+        else {
+            panic!("{} cannot be priced at layer {target}", net.name);
+        };
+        let macs = |pick: &dyn Fn(usize, LayerKind) -> bool| -> u64 {
+            let layers = net.layers.iter().zip(&cost.per_layer).enumerate();
+            layers
+                .filter(|&(i, (l, _))| pick(i, l.kind))
+                .map(|(_, (_, c))| c.macs)
+                .sum()
+        };
+        let conv = |k| matches!(k, LayerKind::Conv { .. });
         NetFigures {
-            total_macs: net.total_macs(),
-            conv_macs: net.conv_macs(),
-            fc_macs: net.fc_macs(),
-            prefix_macs: net.prefix_macs(target),
-            suffix_conv_macs: net.conv_macs_split(target).1,
-            target_shape: net.shape_after(target),
-            receptive_field: net.receptive_field(target),
+            total_macs: cost.key_frame_macs,
+            conv_macs: macs(&|_, k| conv(k)),
+            fc_macs: macs(&|_, k| matches!(k, LayerKind::FullyConnected { .. })),
+            prefix_macs: cost.prefix_macs,
+            suffix_conv_macs: macs(&|i, k| i > target && conv(k)),
+            target_shape,
+            receptive_field: (rf.size, rf.stride, rf.padding),
         }
     }
 
@@ -166,8 +176,8 @@ impl HwModel {
     /// costs conv layers at the anchor resolution; RFBME geometry and the
     /// first-order model keep the true 1000×562 shapes.
     fn costing_net(net: &NetDescriptor) -> NetDescriptor {
-        if net.input.1 > 300 || net.input.2 > 300 {
-            net.with_input((net.input.0, 224, 224))
+        if net.input.height > 300 || net.input.width > 300 {
+            net.with_input((net.input.channels, 224, 224))
         } else {
             net.clone()
         }
@@ -180,8 +190,8 @@ impl HwModel {
         (ms, mj)
     }
 
-    fn fc_cost(&self, costing: &NetDescriptor) -> (f64, f64) {
-        let macs = costing.fc_macs() as f64;
+    fn fc_cost(&self, costing: &NetFigures) -> (f64, f64) {
+        let macs = costing.fc_macs as f64;
         let ms = EIE_ALEXNET_FC.latency_ms * macs / EIE_ALEXNET_FC.macs;
         let mj = EIE_ALEXNET_FC.energy_mj * macs / EIE_ALEXNET_FC.macs;
         (ms, mj)
@@ -189,24 +199,20 @@ impl HwModel {
 
     /// RFBME parameters for this network's target layer.
     pub fn rfbme_params(&self, net: &NetDescriptor) -> RfbmeParams {
-        let target = self.target(net);
-        let (rf_size, rf_stride, _) = net.receptive_field(target);
-        let (_, h, w) = net.shape_after(target);
+        let f = self.figures(net);
         RfbmeParams {
-            act_h: h,
-            act_w: w,
-            rf_size,
-            rf_stride,
+            act_h: f.target_shape.1,
+            act_w: f.target_shape.2,
+            rf_size: f.receptive_field.0,
+            rf_stride: f.receptive_field.1,
             search_radius: self.amc.search_radius,
             search_stride: self.amc.search_stride,
         }
     }
 
     fn eva2_cost(&self, net: &NetDescriptor) -> (f64, f64) {
-        let p = self.rfbme_params(net);
-        let ops = rfbme_ops(&p) as f64;
-        let target = self.target(net);
-        let (c, h, w) = net.shape_after(target);
+        let ops = rfbme_ops(&self.rfbme_params(net)) as f64;
+        let (c, h, w) = self.figures(net).target_shape;
         let interpolations = (c * h * w) as f64;
         // Activation sparsity lets the warp engine skip most interpolations;
         // the paper reports ≈80% sparse activations (§III-B).
@@ -217,15 +223,12 @@ impl HwModel {
         (ms, mj)
     }
 
-    /// Cost of a key frame: the full CNN (the paper's `orig` configuration
-    /// is exactly this, with zero EVA² contribution).
-    pub fn key_frame_cost(&self, net: &NetDescriptor) -> FrameCost {
-        let costing = Self::costing_net(net);
-        let (conv_ms, conv_mj) = self.conv_cost(&net.name, costing.conv_macs());
-        let (fc_ms, fc_mj) = self.fc_cost(&costing);
-        // Key frames still pay EVA²'s motion estimation (it made the
-        // decision) — a negligible but honest inclusion.
-        let (eva_ms, eva_mj) = self.eva2_cost(net);
+    /// One frame from each unit's `(ms, mJ)`: Eyeriss, EIE and EVA².
+    fn frame(
+        (conv_ms, conv_mj): (f64, f64),
+        (fc_ms, fc_mj): (f64, f64),
+        (eva_ms, eva_mj): (f64, f64),
+    ) -> FrameCost {
         FrameCost {
             latency_ms: conv_ms + fc_ms + eva_ms,
             energy_mj: conv_mj + fc_mj + eva_mj,
@@ -236,43 +239,39 @@ impl HwModel {
             eie_ms: fc_ms,
             eva2_ms: eva_ms,
         }
+    }
+
+    /// Cost of a key frame: the full CNN (the paper's `orig` configuration
+    /// is exactly this, with zero EVA² contribution).
+    pub fn key_frame_cost(&self, net: &NetDescriptor) -> FrameCost {
+        let costing = self.figures(&Self::costing_net(net));
+        // Key frames still pay EVA²'s motion estimation (it made the
+        // decision) — a negligible but honest inclusion.
+        Self::frame(
+            self.conv_cost(&net.name, costing.conv_macs),
+            self.fc_cost(&costing),
+            self.eva2_cost(net),
+        )
     }
 
     /// Cost of the baseline (no EVA² attached at all): Eyeriss + EIE only.
     pub fn baseline_cost(&self, net: &NetDescriptor) -> FrameCost {
-        let costing = Self::costing_net(net);
-        let (conv_ms, conv_mj) = self.conv_cost(&net.name, costing.conv_macs());
-        let (fc_ms, fc_mj) = self.fc_cost(&costing);
-        FrameCost {
-            latency_ms: conv_ms + fc_ms,
-            energy_mj: conv_mj + fc_mj,
-            eyeriss_mj: conv_mj,
-            eie_mj: fc_mj,
-            eva2_mj: 0.0,
-            eyeriss_ms: conv_ms,
-            eie_ms: fc_ms,
-            eva2_ms: 0.0,
-        }
+        let costing = self.figures(&Self::costing_net(net));
+        Self::frame(
+            self.conv_cost(&net.name, costing.conv_macs),
+            self.fc_cost(&costing),
+            (0.0, 0.0),
+        )
     }
 
     /// Cost of a predicted frame: EVA² + conv suffix + FC layers.
     pub fn predicted_frame_cost(&self, net: &NetDescriptor) -> FrameCost {
-        let costing = Self::costing_net(net);
-        let target = self.target(net);
-        let (_, suffix_conv) = costing.conv_macs_split(target);
-        let (conv_ms, conv_mj) = self.conv_cost(&net.name, suffix_conv);
-        let (fc_ms, fc_mj) = self.fc_cost(&costing);
-        let (eva_ms, eva_mj) = self.eva2_cost(net);
-        FrameCost {
-            latency_ms: conv_ms + fc_ms + eva_ms,
-            energy_mj: conv_mj + fc_mj + eva_mj,
-            eyeriss_mj: conv_mj,
-            eie_mj: fc_mj,
-            eva2_mj: eva_mj,
-            eyeriss_ms: conv_ms,
-            eie_ms: fc_ms,
-            eva2_ms: eva_ms,
-        }
+        let costing = self.figures(&Self::costing_net(net));
+        Self::frame(
+            self.conv_cost(&net.name, costing.suffix_conv_macs),
+            self.fc_cost(&costing),
+            self.eva2_cost(net),
+        )
     }
 
     /// Average per-frame cost at a given key-frame fraction (Table I's

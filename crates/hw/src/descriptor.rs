@@ -1,96 +1,43 @@
-//! Shape-level network descriptors.
+//! Full-scale network descriptions.
 //!
 //! The cost model never executes these networks — it only needs layer
 //! geometry to count MACs (the paper's §IV-A formulas) and to locate the AMC
-//! prefix/suffix split. Keeping full-scale shapes here and executable
-//! scaled-down analogues in `eva2-cnn` separates the two faithfully: energy
-//! numbers come from real AlexNet/VGG shapes, accuracy numbers from networks
-//! we can actually train.
+//! prefix/suffix split. A [`NetDescriptor`] lists its layers in the IR the
+//! executable `eva2-cnn` layers describe themselves in
+//! ([`LayerInfo`](eva2_cnn::describe::LayerInfo), without weight
+//! statistics); shapes, MACs and receptive fields come from `eva2-analysis`.
+//! Energy numbers come from these real AlexNet/VGG shapes, accuracy numbers
+//! from the scaled-down analogues in `eva2-cnn` that we can train.
 
-use serde::{Deserialize, Serialize};
+use eva2_cnn::describe::{LayerInfo, LayerKind};
+use eva2_cnn::layer::LayerGeometry;
+use eva2_tensor::Shape3;
 
-/// The kind and geometry of one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LayerKind {
-    /// Convolution. `groups` models grouped convolution (AlexNet's split
-    /// layers); MACs divide by the group count.
-    Conv {
-        /// Input channels.
-        in_channels: usize,
-        /// Output channels (filters).
-        out_channels: usize,
-        /// Square kernel side.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-        /// Zero padding per side.
-        padding: usize,
-        /// Filter groups (1 = dense).
-        groups: usize,
-    },
-    /// Max pooling.
-    Pool {
-        /// Window side.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// Element-wise activation (free in the MAC model).
-    Relu,
-    /// Fully-connected layer over the flattened input.
-    Fc {
-        /// Output features.
-        out_features: usize,
-    },
-}
-
-/// One named layer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct LayerDesc {
-    /// Layer name (paper convention, e.g. `conv5_3`).
-    pub name: String,
-    /// Geometry.
-    pub kind: LayerKind,
-}
-
-/// A `(channels, height, width)` shape.
-pub type Shape = (usize, usize, usize);
-
-/// A full network as a list of layer shapes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A full network as a list of described layers.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetDescriptor {
     /// Network name (paper convention).
     pub name: String,
-    /// Input shape `(c, h, w)`.
-    pub input: Shape,
+    /// Input shape.
+    pub input: Shape3,
     /// Layers in execution order.
-    pub layers: Vec<LayerDesc>,
-}
-
-fn conv_out(n: usize, kernel: usize, stride: usize, padding: usize) -> usize {
-    let padded = n + 2 * padding;
-    if padded < kernel {
-        0
-    } else {
-        (padded - kernel) / stride + 1
-    }
+    pub layers: Vec<LayerInfo>,
 }
 
 impl NetDescriptor {
     /// Builder: starts an empty descriptor.
-    pub fn new(name: impl Into<String>, input: Shape) -> Self {
+    pub fn new(name: impl Into<String>, input: impl Into<Shape3>) -> Self {
         Self {
             name: name.into(),
-            input,
+            input: input.into(),
             layers: Vec::new(),
         }
     }
 
-    /// Appends a dense convolution followed by an implicit ReLU-free count
-    /// (ReLUs are free; add them explicitly only when the layer list should
-    /// mirror the paper's tables).
+    /// Appends a dense convolution (ReLUs are free in the MAC model, so the
+    /// paper's tables list none).
     pub fn conv(
-        mut self,
+        self,
         name: &str,
         in_channels: usize,
         out_channels: usize,
@@ -98,24 +45,13 @@ impl NetDescriptor {
         stride: usize,
         padding: usize,
     ) -> Self {
-        self.layers.push(LayerDesc {
-            name: name.into(),
-            kind: LayerKind::Conv {
-                in_channels,
-                out_channels,
-                kernel,
-                stride,
-                padding,
-                groups: 1,
-            },
-        });
-        self
+        self.conv_grouped(name, in_channels, out_channels, kernel, stride, padding, 1)
     }
 
     /// Appends a grouped convolution (AlexNet's two-GPU split).
     #[allow(clippy::too_many_arguments)]
     pub fn conv_grouped(
-        mut self,
+        self,
         name: &str,
         in_channels: usize,
         out_channels: usize,
@@ -124,202 +60,94 @@ impl NetDescriptor {
         padding: usize,
         groups: usize,
     ) -> Self {
-        self.layers.push(LayerDesc {
-            name: name.into(),
-            kind: LayerKind::Conv {
-                in_channels,
-                out_channels,
-                kernel,
-                stride,
-                padding,
-                groups,
-            },
+        let kind = LayerKind::Conv {
+            in_channels,
+            out_channels,
+            groups,
+        };
+        let geometry = LayerGeometry {
+            kernel,
+            stride,
+            padding,
+        };
+        self.push(name.into(), kind, Some(geometry))
+    }
+
+    /// Appends a max-pooling layer.
+    pub fn pool(self, name: &str, kernel: usize, stride: usize) -> Self {
+        let geometry = LayerGeometry {
+            kernel,
+            stride,
+            padding: 0,
+        };
+        self.push(name.into(), LayerKind::Pool, Some(geometry))
+    }
+
+    /// Appends a fully-connected layer over the flattened activation the
+    /// layers so far produce.
+    pub fn fc(self, name: &str, out_features: usize) -> Self {
+        let kind = LayerKind::FullyConnected {
+            in_features: 0,
+            out_features,
+        };
+        self.push(name.into(), kind, None)
+    }
+
+    /// Appends one layer; a fully-connected layer's `in_features` is the
+    /// length of the running activation shape.
+    fn push(mut self, name: String, mut kind: LayerKind, geometry: Option<LayerGeometry>) -> Self {
+        if let LayerKind::FullyConnected { in_features, .. } = &mut kind {
+            let shape = self
+                .layers
+                .iter()
+                .try_fold(self.input, |s, l| l.output_shape(s));
+            *in_features = shape.map_or(0, |s| s.len());
+        }
+        self.layers.push(LayerInfo {
+            name,
+            kind,
+            geometry,
+            channels: Vec::new(),
         });
         self
     }
 
-    /// Appends a pooling layer.
-    pub fn pool(mut self, name: &str, kernel: usize, stride: usize) -> Self {
-        self.layers.push(LayerDesc {
-            name: name.into(),
-            kind: LayerKind::Pool { kernel, stride },
-        });
-        self
-    }
-
-    /// Appends a fully-connected layer.
-    pub fn fc(mut self, name: &str, out_features: usize) -> Self {
-        self.layers.push(LayerDesc {
-            name: name.into(),
-            kind: LayerKind::Fc { out_features },
-        });
-        self
-    }
-
-    /// Returns a copy evaluating the same layers at a different input size.
+    /// Returns the same layers evaluated at a different input size; each
+    /// fully-connected layer's width follows the new input.
     ///
     /// Used by the cost model: FODLAM sums *published* per-layer results,
     /// which exist at the publication resolutions (227² AlexNet, 224²
     /// VGG-16), while receptive-field geometry and the §IV-A analysis use
     /// the true detection resolution.
-    pub fn with_input(&self, input: Shape) -> Self {
-        Self {
-            name: self.name.clone(),
-            input,
-            layers: self.layers.clone(),
+    pub fn with_input(&self, input: impl Into<Shape3>) -> Self {
+        let mut net = Self::new(self.name.clone(), input);
+        for l in &self.layers {
+            net = net.push(l.name.clone(), l.kind, l.geometry);
         }
-    }
-
-    /// Shape of the activation *after* layer `i`.
-    pub fn shape_after(&self, i: usize) -> Shape {
-        let mut s = self.input;
-        for layer in &self.layers[..=i] {
-            s = Self::apply(s, &layer.kind);
-        }
-        s
-    }
-
-    /// Shape entering layer `i`.
-    pub fn shape_before(&self, i: usize) -> Shape {
-        if i == 0 {
-            self.input
-        } else {
-            self.shape_after(i - 1)
-        }
-    }
-
-    fn apply(s: Shape, kind: &LayerKind) -> Shape {
-        let (c, h, w) = s;
-        match *kind {
-            LayerKind::Conv {
-                out_channels,
-                kernel,
-                stride,
-                padding,
-                ..
-            } => (
-                out_channels,
-                conv_out(h, kernel, stride, padding),
-                conv_out(w, kernel, stride, padding),
-            ),
-            LayerKind::Pool { kernel, stride } => (
-                c,
-                conv_out(h, kernel, stride, 0),
-                conv_out(w, kernel, stride, 0),
-            ),
-            LayerKind::Relu => s,
-            LayerKind::Fc { out_features } => (out_features, 1, 1),
-        }
-    }
-
-    /// MACs of layer `i` — "outputs × MACs per output" (§IV-A).
-    pub fn layer_macs(&self, i: usize) -> u64 {
-        let before = self.shape_before(i);
-        let after = self.shape_after(i);
-        match self.layers[i].kind {
-            LayerKind::Conv {
-                in_channels,
-                kernel,
-                groups,
-                ..
-            } => {
-                let outputs = (after.0 * after.1 * after.2) as u64;
-                let per_output = (in_channels * kernel * kernel) as u64 / groups.max(1) as u64;
-                outputs * per_output
-            }
-            LayerKind::Fc { .. } => {
-                let inputs = (before.0 * before.1 * before.2) as u64;
-                inputs * after.0 as u64
-            }
-            LayerKind::Pool { .. } | LayerKind::Relu => 0,
-        }
-    }
-
-    /// Total MACs of a full forward pass.
-    pub fn total_macs(&self) -> u64 {
-        (0..self.layers.len()).map(|i| self.layer_macs(i)).sum()
-    }
-
-    /// MACs of layers `0..=target` (the AMC prefix).
-    pub fn prefix_macs(&self, target: usize) -> u64 {
-        (0..=target).map(|i| self.layer_macs(i)).sum()
-    }
-
-    /// MACs executed on the convolutional accelerator (Eyeriss).
-    pub fn conv_macs(&self) -> u64 {
-        (0..self.layers.len())
-            .filter(|&i| matches!(self.layers[i].kind, LayerKind::Conv { .. }))
-            .map(|i| self.layer_macs(i))
-            .sum()
-    }
-
-    /// MACs executed on the fully-connected accelerator (EIE).
-    pub fn fc_macs(&self) -> u64 {
-        (0..self.layers.len())
-            .filter(|&i| matches!(self.layers[i].kind, LayerKind::Fc { .. }))
-            .map(|i| self.layer_macs(i))
-            .sum()
-    }
-
-    /// Conv MACs restricted to the prefix / suffix split at `target`.
-    pub fn conv_macs_split(&self, target: usize) -> (u64, u64) {
-        let mut prefix = 0;
-        let mut suffix = 0;
-        for i in 0..self.layers.len() {
-            if matches!(self.layers[i].kind, LayerKind::Conv { .. }) {
-                if i <= target {
-                    prefix += self.layer_macs(i);
-                } else {
-                    suffix += self.layer_macs(i);
-                }
-            }
-        }
-        (prefix, suffix)
+        net
     }
 
     /// Index of the last spatial layer (the paper's default target).
     pub fn last_spatial_layer(&self) -> Option<usize> {
-        let mut last = None;
-        for (i, l) in self.layers.iter().enumerate() {
-            match l.kind {
-                LayerKind::Fc { .. } => break,
-                _ => last = Some(i),
-            }
-        }
-        last
+        self.layers
+            .iter()
+            .position(|l| matches!(l.kind, LayerKind::FullyConnected { .. }))
+            .unwrap_or(self.layers.len())
+            .checked_sub(1)
     }
 
     /// Index of the layer with the given name.
     pub fn layer_index(&self, name: &str) -> Option<usize> {
         self.layers.iter().position(|l| l.name == name)
     }
-
-    /// Receptive-field `(size, stride, padding)` of the activation after
-    /// layer `target`, as seen from the input.
-    pub fn receptive_field(&self, target: usize) -> (usize, usize, usize) {
-        let mut rf = (1usize, 1usize, 0usize);
-        for l in &self.layers[..=target] {
-            let (k, s, p) = match l.kind {
-                LayerKind::Conv {
-                    kernel,
-                    stride,
-                    padding,
-                    ..
-                } => (kernel, stride, padding),
-                LayerKind::Pool { kernel, stride } => (kernel, stride, 0),
-                LayerKind::Relu => (1, 1, 0),
-                LayerKind::Fc { .. } => panic!("receptive field through FC layer"),
-            };
-            rf = (rf.0 + (k - 1) * rf.1, rf.1 * s, rf.2 + p * rf.1);
-        }
-        rf
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{AmcCostConfig, HwModel, NetFigures};
 
+    /// c1 → p1 → c2 → fc1, with the MACs of c1, c2 and fc1.
     fn toy() -> NetDescriptor {
         NetDescriptor::new("toy", (1, 32, 32))
             .conv("c1", 1, 8, 3, 1, 1)
@@ -327,50 +155,57 @@ mod tests {
             .conv("c2", 8, 16, 3, 1, 1)
             .fc("fc1", 10)
     }
+    const C1: u64 = 32 * 32 * 8 * 9;
+    const C2: u64 = 16 * 16 * 16 * 8 * 9;
+    const FC1: u64 = 16 * 16 * 16 * 10;
+
+    fn figures(net: &NetDescriptor, target: usize) -> NetFigures {
+        let amc = AmcCostConfig {
+            target: Some(target),
+            ..AmcCostConfig::default()
+        };
+        HwModel { amc }.figures(net)
+    }
 
     #[test]
     fn shapes_propagate() {
         let n = toy();
-        assert_eq!(n.shape_after(0), (8, 32, 32));
-        assert_eq!(n.shape_after(1), (8, 16, 16));
-        assert_eq!(n.shape_after(2), (16, 16, 16));
-        assert_eq!(n.shape_after(3), (10, 1, 1));
+        let shapes = [0, 1, 2].map(|t| figures(&n, t).target_shape);
+        assert_eq!(shapes, [(8, 32, 32), (8, 16, 16), (16, 16, 16)]);
+        // The FC width is the flattened shape before it, at any input size.
+        let in_features = |n: &NetDescriptor| match n.layers[3].kind {
+            LayerKind::FullyConnected { in_features, .. } => in_features,
+            _ => 0,
+        };
+        assert_eq!(in_features(&n), 16 * 16 * 16);
+        assert_eq!(in_features(&n.with_input((1, 16, 16))), 16 * 8 * 8);
     }
 
     #[test]
     fn macs_formula() {
-        let n = toy();
-        assert_eq!(n.layer_macs(0), 32 * 32 * 8 * 9);
-        assert_eq!(n.layer_macs(1), 0);
-        assert_eq!(n.layer_macs(2), 16 * 16 * 16 * 8 * 9);
-        assert_eq!(n.layer_macs(3), 16 * 16 * 16 * 10);
-        assert_eq!(
-            n.total_macs(),
-            n.layer_macs(0) + n.layer_macs(2) + n.layer_macs(3)
-        );
+        let f = figures(&toy(), 2);
+        assert_eq!((f.total_macs, f.prefix_macs), (C1 + C2 + FC1, C1 + C2));
     }
 
     #[test]
     fn grouped_conv_divides_macs() {
         let dense = NetDescriptor::new("d", (96, 27, 27)).conv("c", 96, 256, 5, 1, 2);
         let grouped = NetDescriptor::new("g", (96, 27, 27)).conv_grouped("c", 96, 256, 5, 1, 2, 2);
-        assert_eq!(dense.layer_macs(0), 2 * grouped.layer_macs(0));
+        let (d, g) = (figures(&dense, 0), figures(&grouped, 0));
+        assert_eq!(d.total_macs, 2 * g.total_macs);
+        assert_eq!(d.target_shape, g.target_shape);
     }
 
     #[test]
     fn conv_fc_split() {
-        let n = toy();
-        assert_eq!(n.conv_macs() + n.fc_macs(), n.total_macs());
-        assert_eq!(n.fc_macs(), 16 * 16 * 16 * 10);
+        let f = figures(&toy(), 2);
+        assert_eq!((f.conv_macs, f.fc_macs), (C1 + C2, FC1));
     }
 
     #[test]
     fn prefix_and_split() {
-        let n = toy();
-        assert_eq!(n.prefix_macs(1), n.layer_macs(0));
-        let (pre, suf) = n.conv_macs_split(1);
-        assert_eq!(pre, n.layer_macs(0));
-        assert_eq!(suf, n.layer_macs(2));
+        let f = figures(&toy(), 1);
+        assert_eq!((f.prefix_macs, f.suffix_conv_macs), (C1, C2));
     }
 
     #[test]
@@ -383,8 +218,7 @@ mod tests {
 
     #[test]
     fn receptive_field_fold() {
-        let n = toy();
         // c1 (3,1,1) → rf (3,1,1); p1 (2,2) → (4,2,1); c2 → (8,2,3).
-        assert_eq!(n.receptive_field(2), (8, 2, 3));
+        assert_eq!(figures(&toy(), 2).receptive_field, (8, 2, 3));
     }
 }

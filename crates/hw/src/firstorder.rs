@@ -3,6 +3,9 @@
 //! "AMC eliminates ~10¹¹ MACs in the CNN prefix and incurs only ~10⁷
 //! additions for motion estimation. AMC's advantages stem from this large
 //! difference between savings and overhead."
+//!
+//! [`HwModel::rfbme_params`](crate::cost::HwModel::rfbme_params) fills the
+//! parameters from `eva2-analysis`'s report on a network.
 
 use serde::{Deserialize, Serialize};
 
@@ -79,8 +82,7 @@ mod tests {
         assert!((un - 3.0e9).abs() / 3.0e9 < 0.35, "unoptimized {un:.3e}");
         assert!((opt - 1.3e7).abs() / 1.3e7 < 0.35, "optimized {opt:.3e}");
         // The headline gap: prefix MACs / RFBME ops ≈ 4 orders of magnitude.
-        let target = net.layer_index("conv5_3").unwrap();
-        let ratio = net.prefix_macs(target) as f64 / opt;
+        let ratio = model.figures(&net).prefix_macs as f64 / opt;
         assert!(ratio > 3.0e3, "savings ratio {ratio:.3e}");
     }
 

@@ -7,8 +7,10 @@
 //! multiply–accumulate counts (§IV-B — their FODLAM model, ref \[36\]). This
 //! crate reimplements that methodology:
 //!
-//! * [`descriptor`] — layer-shape descriptors for *full-scale* networks, so
-//!   MAC counts (the model's input) are the real ones.
+//! * [`descriptor`] — *full-scale* networks in `eva2-cnn`'s layer IR, so
+//!   MAC counts (the model's input) are the real ones. MACs, shapes and
+//!   receptive fields come from [`analyze_layers`](eva2_analysis::analyze_layers),
+//!   the pipeline that verifies the zoo the engine runs.
 //! * [`nets`] — AlexNet, Faster16 (VGG-16-based Faster R-CNN at 1000×562),
 //!   and FasterM (CNN-M-based) exactly as the paper evaluates them.
 //! * [`calib`] — calibration anchors from the published Eyeriss (JSSC'17)
@@ -44,4 +46,4 @@ pub mod firstorder;
 pub mod nets;
 
 pub use cost::{FrameCost, HwModel, NetFigures};
-pub use descriptor::{LayerDesc, LayerKind, NetDescriptor};
+pub use descriptor::NetDescriptor;

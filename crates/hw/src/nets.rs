@@ -111,11 +111,15 @@ pub fn by_name(name: &str) -> Option<NetDescriptor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{HwModel, NetFigures};
+
+    fn figures(net: &NetDescriptor) -> NetFigures {
+        HwModel::default().figures(net)
+    }
 
     #[test]
     fn alexnet_conv_macs_canonical() {
-        let n = alexnet();
-        let macs = n.conv_macs();
+        let macs = figures(&alexnet()).conv_macs;
         // Canonical grouped AlexNet: ≈666M conv MACs (tolerate the usual
         // ±10% from output-size conventions).
         assert!(
@@ -126,9 +130,8 @@ mod tests {
 
     #[test]
     fn alexnet_fc_macs_canonical() {
-        let n = alexnet();
         // 9216*4096 + 4096*4096 + 4096*1000 ≈ 58.6M.
-        let macs = n.fc_macs();
+        let macs = figures(&alexnet()).fc_macs;
         assert!(
             (macs as f64 - 58.6e6).abs() / 58.6e6 < 0.05,
             "AlexNet FC MACs = {macs}"
@@ -139,9 +142,7 @@ mod tests {
     fn faster16_prefix_matches_paper_section4a() {
         // "For a Faster16 prefix ending at layer conv5_3 on 1000×562 images
         // … the total is 1.7 × 10^11 MACs."
-        let n = faster16();
-        let target = n.layer_index("conv5_3").expect("conv5_3");
-        let prefix = n.prefix_macs(target);
+        let prefix = figures(&faster16()).prefix_macs;
         assert!(
             (prefix as f64 - 1.7e11).abs() / 1.7e11 < 0.10,
             "Faster16 prefix MACs = {prefix:.3e}"
@@ -150,28 +151,26 @@ mod tests {
 
     #[test]
     fn faster16_rf_at_conv5_3() {
-        let n = faster16();
-        let target = n.layer_index("conv5_3").unwrap();
-        let (size, stride, _) = n.receptive_field(target);
+        let (size, stride, _) = figures(&faster16()).receptive_field;
         // VGG-16 conv5_3: canonical receptive field 196, stride 16.
-        assert_eq!(stride, 16);
-        assert_eq!(size, 196);
+        assert_eq!((size, stride), (196, 16));
     }
 
     #[test]
     fn workload_ordering() {
         // Total cost ordering matches the paper: Faster16 ≫ FasterM ≫ AlexNet.
-        let a = alexnet().total_macs();
-        let m = fasterm().total_macs();
-        let v = faster16().total_macs();
+        let a = figures(&alexnet()).total_macs;
+        let m = figures(&fasterm()).total_macs;
+        let v = figures(&faster16()).total_macs;
         assert!(v > 5 * m, "faster16 {v} vs fasterm {m}");
         assert!(m > 5 * a, "fasterm {m} vs alexnet {a}");
     }
 
     #[test]
     fn detection_nets_share_input() {
-        assert_eq!(faster16().input, (3, DETECTION_H, DETECTION_W));
-        assert_eq!(fasterm().input, (3, DETECTION_H, DETECTION_W));
+        let input = (3, DETECTION_H, DETECTION_W).into();
+        assert_eq!(faster16().input, input);
+        assert_eq!(fasterm().input, input);
     }
 
     #[test]
@@ -194,11 +193,8 @@ mod tests {
 
     #[test]
     fn fasterm_prefix_is_much_smaller_than_faster16() {
-        let f16 = faster16();
-        let fm = fasterm();
-        let t16 = f16.layer_index("conv5_3").unwrap();
-        let tm = fm.layer_index("conv5").unwrap();
-        let r = f16.prefix_macs(t16) as f64 / fm.prefix_macs(tm) as f64;
+        // Canonical targets: conv5_3 and conv5.
+        let r = figures(&faster16()).prefix_macs as f64 / figures(&fasterm()).prefix_macs as f64;
         // The paper's energy ratio between the two detection nets is ~9x.
         assert!(r > 4.0, "ratio {r}");
     }

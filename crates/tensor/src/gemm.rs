@@ -128,8 +128,8 @@ pub const KC: usize = 256;
 pub const NC: usize = 264;
 const _: () = assert!(NC.is_multiple_of(NR));
 
-/// Output spatial length of a convolution along one axis (floor convention,
-/// matching `LayerGeometry::output_len` in `eva2-cnn`).
+/// Output spatial length of a convolution along one axis (floor convention;
+/// `LayerGeometry::output_len` in `eva2-cnn` calls this).
 pub fn conv_output_len(n: usize, kernel: usize, stride: usize, padding: usize) -> usize {
     let padded = n + 2 * padding;
     if padded < kernel {

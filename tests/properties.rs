@@ -111,8 +111,8 @@ proptest! {
         prop_assert_eq!(center, MotionVector::new(-dy as f32, -dx as f32));
     }
 
-    /// The receptive-field arithmetic agrees with the hardware descriptor's
-    /// independent implementation for random conv/pool stacks.
+    /// The receptive field of a runtime conv/pool stack agrees with the one
+    /// `eva2-analysis` folds over the same stack described for `eva2-hw`.
     #[test]
     fn receptive_field_impls_agree(
         k1 in 1usize..6, s1 in 1usize..3, p1 in 0usize..3,
@@ -129,7 +129,8 @@ proptest! {
         let desc = eva2::hw::NetDescriptor::new("x", (1, 64, 64))
             .conv("c", 1, 1, k1, s1, p1)
             .pool("p", k2, s2);
-        let (size, stride, padding) = desc.receptive_field(1);
+        let amc = eva2::hw::cost::AmcCostConfig { target: Some(1), ..Default::default() };
+        let (size, stride, padding) = eva2::hw::HwModel { amc }.figures(&desc).receptive_field;
         prop_assert_eq!(rf.size, size);
         prop_assert_eq!(rf.stride, stride);
         prop_assert_eq!(rf.padding, padding);
