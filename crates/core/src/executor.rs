@@ -6,6 +6,12 @@
 //! either (a) forwards pixels to the full CNN and refreshes the sparse key
 //! activation buffer, or (b) warps the stored activation and invokes only
 //! the CNN suffix.
+//!
+//! [`AmcConfig`] is plain data. Its [`WarpMode`] chooses between the
+//! paper's two predicted-frame updates (§IV-E1): warp the stored
+//! activation, always with bilinear interpolation as the hardware does
+//! (Fig 11), or memoize it unchanged. Its [`PolicyConfig`] is the key-frame
+//! choice module. A session copies both and reads them directly.
 
 use crate::error::AmcError;
 use crate::policy::{FrameMetrics, PolicyConfig};
@@ -19,23 +25,16 @@ use eva2_tensor::{GemmScratch, GrayImage, Tensor3};
 use serde::{Deserialize, Serialize};
 
 /// How predicted frames update the stored activation (§IV-E1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum WarpMode {
-    /// Full activation motion compensation (detection networks).
-    MotionCompensate {
-        /// Interpolation used for fractional destinations.
-        bilinear: bool,
-    },
+    /// Full activation motion compensation (detection networks), with
+    /// bilinear interpolation at fractional source positions (§II-C3).
+    #[default]
+    MotionCompensate,
     /// Reuse the stored activation unchanged — "simple memoization", which
     /// the paper found *better* for translation-insensitive classification
     /// (AlexNet): warping "can even degrade them by introducing noise".
     Memoize,
-}
-
-impl Default for WarpMode {
-    fn default() -> Self {
-        WarpMode::MotionCompensate { bilinear: true }
-    }
 }
 
 /// Configuration for an [`AmcExecutor`].
@@ -117,24 +116,7 @@ impl AmcConfig {
         if self.max_residual_error.is_nan() || self.max_residual_error < 0.0 {
             return invalid("max residual error must be non-negative (INFINITY disables it)");
         }
-        match self.policy {
-            PolicyConfig::AlwaysKey => {}
-            PolicyConfig::StaticRate { period } => {
-                if period == 0 {
-                    return invalid("static-rate period must be at least 1");
-                }
-            }
-            PolicyConfig::BlockError { threshold, max_gap }
-            | PolicyConfig::MotionMagnitude { threshold, max_gap } => {
-                if threshold.is_nan() {
-                    return invalid("policy threshold must not be NaN");
-                }
-                if max_gap == 0 {
-                    return invalid("policy max_gap must be at least 1");
-                }
-            }
-        }
-        Ok(())
+        self.policy.validate()
     }
 
     /// Runs the `eva2-analysis` pass pipeline for this configuration over

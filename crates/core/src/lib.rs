@@ -67,7 +67,7 @@ pub mod warp;
 
 pub use error::AmcError;
 pub use executor::{AmcConfig, AmcConfigBuilder, AmcExecutor, AmcFrameResult, WarpMode};
-pub use policy::{FrameMetrics, KeyFramePolicy};
+pub use policy::FrameMetrics;
 pub use serve::{Engine, EngineLimits, StreamSession};
 pub use sparse::{QuantizedActivation, RleActivation};
 pub use target::TargetSelection;

@@ -1,9 +1,11 @@
-//! Key-frame selection policies.
+//! Key-frame selection: the paper's key-frame choice module.
 //!
 //! "The primary control that AMC has over vision accuracy and execution
-//! efficiency is the allocation of key frames" (§II-C4). The paper considers
-//! a static rate and two adaptive features measurable from RFBME's own
-//! bookkeeping:
+//! efficiency is the allocation of key frames" (§II-C4). The paper's module
+//! is a fixed comparator over a closed set of choices, and
+//! [`PolicyConfig`] is that set, one variant each: always key (the `orig`
+//! baseline), a static rate, or a threshold on one of two features
+//! measurable from RFBME's own bookkeeping, each with a forced gap:
 //!
 //! * **Pixel compensation error** — the aggregate block-match error; high
 //!   error means motion estimation failed to explain the frame (occlusion,
@@ -11,8 +13,13 @@
 //!   because "block errors are byproducts of RFBME" (§IV-E5).
 //! * **Total motion magnitude** — the summed length of the motion vectors;
 //!   large motion accumulates more warp error.
+//!
+//! Every rule about a policy lives on [`PolicyConfig`]: the per-frame
+//! decision ([`PolicyConfig::decide`], a pure function of the value and the
+//! frame's [`FrameMetrics`]), its parameter checks, its report name and the
+//! longest key-frame gap it allows. Code elsewhere only constructs variants.
 
-use eva2_motion::field::VectorField;
+use crate::error::AmcError;
 use serde::{Deserialize, Serialize};
 
 /// Per-frame features available to a key-frame policy, produced by the
@@ -44,19 +51,6 @@ impl FrameMetrics {
             frames_since_key,
         }
     }
-
-    /// Builds metrics directly from a vector field and error total (for
-    /// non-RFBME estimators).
-    pub fn from_field(field: &VectorField, block_error: u64, frames_since_key: usize) -> Self {
-        let cells = (field.grid_h() * field.grid_w()).max(1);
-        let cell = field.cell().max(1);
-        Self {
-            block_error,
-            block_error_per_pixel: block_error as f32 / (cells * cell * cell) as f32,
-            motion_magnitude: field.magnitude_sum(),
-            frames_since_key,
-        }
-    }
 }
 
 /// A key-frame decision.
@@ -68,155 +62,110 @@ pub enum FrameKind {
     Predicted,
 }
 
-/// Decides, per frame, whether to spend a key frame.
-///
-/// Implementations may keep internal state (e.g. hysteresis), but must
-/// mutate it only in [`KeyFramePolicy::note_key_frame`]:
-/// [`KeyFramePolicy::decide`] is called once per non-initial frame the
-/// serving engine *classifies*, and a classified frame may still be shed
-/// by backpressure before it executes (see
-/// [`serve`](crate::serve#lifecycle--failure-modes)) — a `decide` with
-/// side effects would observe frames that never ran. All shipped policies
-/// are pure functions of the metrics.
-pub trait KeyFramePolicy: std::fmt::Debug + Send {
-    /// Chooses the frame kind given the motion metrics. Must be
-    /// side-effect-free (the call may be speculative; see the trait docs).
-    fn decide(&mut self, metrics: &FrameMetrics) -> FrameKind;
-
-    /// Notifies the policy that a key frame was executed.
-    fn note_key_frame(&mut self) {}
-
-    /// Policy name for reports.
-    fn name(&self) -> &str;
-}
-
-/// Every `n`-th frame is a key frame; the rest are predicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StaticRate {
-    /// Key-frame period (1 = every frame is a key frame).
-    pub period: usize,
-}
-
-impl KeyFramePolicy for StaticRate {
-    fn decide(&mut self, metrics: &FrameMetrics) -> FrameKind {
-        if metrics.frames_since_key >= self.period.max(1) {
-            FrameKind::Key
-        } else {
-            FrameKind::Predicted
-        }
-    }
-
-    fn name(&self) -> &str {
-        "static-rate"
-    }
-}
-
-/// Always run the full CNN (the paper's `orig` baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct AlwaysKey;
-
-impl KeyFramePolicy for AlwaysKey {
-    fn decide(&mut self, _metrics: &FrameMetrics) -> FrameKind {
-        FrameKind::Key
-    }
-
-    fn name(&self) -> &str {
-        "always-key"
-    }
-}
-
-/// Adaptive policy on the pixel compensation error: a key frame whenever the
-/// normalised block-match error exceeds `threshold`, or `max_gap` predicted
-/// frames have accumulated (a safety net against unbounded drift).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BlockErrorAdaptive {
-    /// Per-pixel error threshold (intensity units).
-    pub threshold: f32,
-    /// Maximum consecutive predicted frames before forcing a key frame.
-    pub max_gap: usize,
-}
-
-impl KeyFramePolicy for BlockErrorAdaptive {
-    fn decide(&mut self, metrics: &FrameMetrics) -> FrameKind {
-        if metrics.block_error_per_pixel > self.threshold
-            || metrics.frames_since_key >= self.max_gap.max(1)
-        {
-            FrameKind::Key
-        } else {
-            FrameKind::Predicted
-        }
-    }
-
-    fn name(&self) -> &str {
-        "block-error"
-    }
-}
-
-/// Adaptive policy on the total motion magnitude: a key frame whenever the
-/// summed vector magnitude exceeds `threshold` pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MotionMagnitudeAdaptive {
-    /// Motion magnitude threshold in summed pixels.
-    pub threshold: f32,
-    /// Maximum consecutive predicted frames before forcing a key frame.
-    pub max_gap: usize,
-}
-
-impl KeyFramePolicy for MotionMagnitudeAdaptive {
-    fn decide(&mut self, metrics: &FrameMetrics) -> FrameKind {
-        if metrics.motion_magnitude > self.threshold
-            || metrics.frames_since_key >= self.max_gap.max(1)
-        {
-            FrameKind::Key
-        } else {
-            FrameKind::Predicted
-        }
-    }
-
-    fn name(&self) -> &str {
-        "motion-magnitude"
-    }
-}
-
-/// Serializable policy configuration (for experiment configs / builders).
+/// The key-frame choice module's configuration: one of the paper's closed
+/// set of choices (see the [module docs](self)). A plain `Copy` value that
+/// a session holds and asks per frame through [`PolicyConfig::decide`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PolicyConfig {
-    /// See [`AlwaysKey`].
+    /// Always run the full CNN (the paper's `orig` baseline).
     AlwaysKey,
-    /// See [`StaticRate`].
+    /// Every `period`-th frame is a key frame; the rest are predicted.
     StaticRate {
-        /// Key-frame period.
+        /// Key-frame period (1 = every frame is a key frame).
         period: usize,
     },
-    /// See [`BlockErrorAdaptive`].
+    /// A key frame whenever the normalised block-match error exceeds
+    /// `threshold`, or `max_gap` predicted frames have accumulated (a
+    /// safety net against unbounded drift).
     BlockError {
-        /// Per-pixel error threshold.
+        /// Per-pixel error threshold (intensity units).
         threshold: f32,
-        /// Forced key-frame gap.
+        /// Maximum consecutive predicted frames before forcing a key frame.
         max_gap: usize,
     },
-    /// See [`MotionMagnitudeAdaptive`].
+    /// A key frame whenever the summed vector magnitude exceeds `threshold`
+    /// pixels, or `max_gap` predicted frames have accumulated.
     MotionMagnitude {
-        /// Summed-magnitude threshold.
+        /// Motion magnitude threshold in summed pixels.
         threshold: f32,
-        /// Forced key-frame gap.
+        /// Maximum consecutive predicted frames before forcing a key frame.
         max_gap: usize,
     },
 }
 
 impl PolicyConfig {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn KeyFramePolicy> {
-        match self {
-            PolicyConfig::AlwaysKey => Box::new(AlwaysKey),
-            PolicyConfig::StaticRate { period } => Box::new(StaticRate { period }),
+    /// Chooses the frame kind given the motion metrics.
+    ///
+    /// A pure function of `self` and `metrics`: the serving engine
+    /// classifies a frame before admitting it, and a classified frame may
+    /// still be shed by backpressure
+    /// (see [`serve`](crate::serve#lifecycle--failure-modes)).
+    pub fn decide(&self, metrics: &FrameMetrics) -> FrameKind {
+        let key = match *self {
+            PolicyConfig::AlwaysKey => true,
+            PolicyConfig::StaticRate { period } => metrics.frames_since_key >= period.max(1),
             PolicyConfig::BlockError { threshold, max_gap } => {
-                Box::new(BlockErrorAdaptive { threshold, max_gap })
+                metrics.block_error_per_pixel > threshold
+                    || metrics.frames_since_key >= max_gap.max(1)
             }
             PolicyConfig::MotionMagnitude { threshold, max_gap } => {
-                Box::new(MotionMagnitudeAdaptive { threshold, max_gap })
+                metrics.motion_magnitude > threshold || metrics.frames_since_key >= max_gap.max(1)
+            }
+        };
+        if key {
+            FrameKind::Key
+        } else {
+            FrameKind::Predicted
+        }
+    }
+
+    /// Policy name for reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PolicyConfig::AlwaysKey => "always-key",
+            PolicyConfig::StaticRate { .. } => "static-rate",
+            PolicyConfig::BlockError { .. } => "block-error",
+            PolicyConfig::MotionMagnitude { .. } => "motion-magnitude",
+        }
+    }
+
+    /// The most frames that can pass between two key frames under this
+    /// policy: the period, the forced gap, or 1 for [`PolicyConfig::AlwaysKey`].
+    pub(crate) fn max_key_gap(&self) -> usize {
+        match *self {
+            PolicyConfig::AlwaysKey => 1,
+            PolicyConfig::StaticRate { period } => period.max(1),
+            PolicyConfig::BlockError { max_gap, .. }
+            | PolicyConfig::MotionMagnitude { max_gap, .. } => max_gap.max(1),
+        }
+    }
+
+    /// Checks the policy's parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AmcError::InvalidConfig`] for a zero period or gap, or a
+    /// NaN threshold.
+    pub(crate) fn validate(&self) -> Result<(), AmcError> {
+        let invalid = |reason: &'static str| Err(AmcError::InvalidConfig { reason });
+        match *self {
+            PolicyConfig::AlwaysKey => {}
+            PolicyConfig::StaticRate { period } => {
+                if period == 0 {
+                    return invalid("static-rate period must be at least 1");
+                }
+            }
+            PolicyConfig::BlockError { threshold, max_gap }
+            | PolicyConfig::MotionMagnitude { threshold, max_gap } => {
+                if threshold.is_nan() {
+                    return invalid("policy threshold must not be NaN");
+                }
+                if max_gap == 0 {
+                    return invalid("policy max_gap must be at least 1");
+                }
             }
         }
+        Ok(())
     }
 }
 
@@ -235,7 +184,7 @@ mod tests {
 
     #[test]
     fn static_rate_fires_on_period() {
-        let mut p = StaticRate { period: 3 };
+        let p = PolicyConfig::StaticRate { period: 3 };
         assert_eq!(p.decide(&metrics(0.0, 0.0, 1)), FrameKind::Predicted);
         assert_eq!(p.decide(&metrics(0.0, 0.0, 2)), FrameKind::Predicted);
         assert_eq!(p.decide(&metrics(100.0, 100.0, 3)), FrameKind::Key);
@@ -243,13 +192,13 @@ mod tests {
 
     #[test]
     fn always_key_ignores_metrics() {
-        let mut p = AlwaysKey;
+        let p = PolicyConfig::AlwaysKey;
         assert_eq!(p.decide(&metrics(0.0, 0.0, 1)), FrameKind::Key);
     }
 
     #[test]
     fn block_error_thresholds() {
-        let mut p = BlockErrorAdaptive {
+        let p = PolicyConfig::BlockError {
             threshold: 2.0,
             max_gap: 100,
         };
@@ -259,7 +208,7 @@ mod tests {
 
     #[test]
     fn block_error_max_gap_forces_key() {
-        let mut p = BlockErrorAdaptive {
+        let p = PolicyConfig::BlockError {
             threshold: 1e9,
             max_gap: 5,
         };
@@ -269,27 +218,29 @@ mod tests {
 
     #[test]
     fn motion_magnitude_thresholds() {
-        let mut p = MotionMagnitudeAdaptive {
+        let p = PolicyConfig::MotionMagnitude {
             threshold: 10.0,
             max_gap: 100,
         };
         assert_eq!(p.decide(&metrics(5.0, 9.0, 1)), FrameKind::Predicted);
         assert_eq!(p.decide(&metrics(0.0, 11.0, 1)), FrameKind::Key);
+        let gapped = PolicyConfig::MotionMagnitude {
+            threshold: 1e9,
+            max_gap: 5,
+        };
+        assert_eq!(gapped.decide(&metrics(0.0, 0.0, 4)), FrameKind::Predicted);
+        assert_eq!(gapped.decide(&metrics(0.0, 0.0, 5)), FrameKind::Key);
     }
 
     #[test]
-    fn config_builds_matching_policies() {
-        assert_eq!(PolicyConfig::AlwaysKey.build().name(), "always-key");
-        assert_eq!(
-            PolicyConfig::StaticRate { period: 2 }.build().name(),
-            "static-rate"
-        );
+    fn config_names_match_policies() {
+        assert_eq!(PolicyConfig::AlwaysKey.name(), "always-key");
+        assert_eq!(PolicyConfig::StaticRate { period: 2 }.name(), "static-rate");
         assert_eq!(
             PolicyConfig::BlockError {
                 threshold: 1.0,
                 max_gap: 10
             }
-            .build()
             .name(),
             "block-error"
         );
@@ -298,21 +249,8 @@ mod tests {
                 threshold: 1.0,
                 max_gap: 10
             }
-            .build()
             .name(),
             "motion-magnitude"
         );
-    }
-
-    #[test]
-    fn metrics_from_field_normalises() {
-        use eva2_motion::field::{MotionVector, VectorField};
-        let f = VectorField::uniform(2, 2, 4, MotionVector::new(3.0, 4.0));
-        let m = FrameMetrics::from_field(&f, 640, 2);
-        assert_eq!(m.motion_magnitude, 20.0);
-        assert_eq!(m.block_error, 640);
-        // 4 cells × 16 px/cell = 64 px → 10 per pixel.
-        assert!((m.block_error_per_pixel - 10.0).abs() < 1e-6);
-        assert_eq!(m.frames_since_key, 2);
     }
 }

@@ -6,7 +6,6 @@
 use super::session::SessionCore;
 use crate::error::AmcError;
 use crate::executor::AmcConfig;
-use crate::policy::PolicyConfig;
 use eva2_cnn::network::Network;
 use serde::{Deserialize, Serialize};
 
@@ -232,12 +231,7 @@ impl EngineLimitsBuilder {
                          could not build for this network/config (W-COST-002)",
             });
         };
-        let key_gap = match config.policy {
-            PolicyConfig::AlwaysKey => 1,
-            PolicyConfig::StaticRate { period } => period.max(1),
-            PolicyConfig::BlockError { max_gap, .. }
-            | PolicyConfig::MotionMagnitude { max_gap, .. } => max_gap.max(1),
-        };
+        let key_gap = config.policy.max_key_gap();
         let session_bytes = session_memory_bound(net, config)?;
         let plan = cost.capacity_plan(slo_ms, gflops, key_gap, session_bytes);
         self.limits.max_frames_per_tick = plan.max_frames_per_tick;

@@ -14,12 +14,13 @@
 //! * [`StreamSession`] holds exactly the per-stream state: the stored key
 //!   frame and one dense Q8.8 copy of its target activation
 //!   ([`QuantizedActivation`](crate::sparse::QuantizedActivation)), the
-//!   key-frame policy, and per-stream statistics. Sessions are cheap,
-//!   independent, and `Send`; a session owns no scratch, so its memory is
-//!   its key state and nothing else — a fixed size per (network, target),
-//!   which [`session_memory_bound`] states to the byte. No decoded, RLE or
-//!   non-zero copy is kept: the warp reads the Q8.8 planes, and the
-//!   suffix's non-zero view is built per frame.
+//!   key-frame policy and warp mode (plain values), and per-stream
+//!   statistics. Sessions are cheap, independent, and `Send`; a session
+//!   owns no scratch, so its memory is its key state and nothing else — a
+//!   fixed size per (network, target), which [`session_memory_bound`]
+//!   states to the byte. No decoded, RLE or non-zero copy is kept: the
+//!   warp reads the Q8.8 planes, and the suffix's non-zero view is built
+//!   per frame.
 //!
 //! Files by concern: `limits`, `session` (the per-stream state machine),
 //! `engine` (admission, housekeeping), `tick` (one
@@ -96,9 +97,12 @@
 //!   [`EngineLimits::max_key_frames_per_tick`] bound the work one tick may
 //!   admit; excess frames are *shed* strictly before any state mutation, so
 //!   resubmitting one next tick is bit-identical to having submitted it
-//!   then. (Key-frame policies keep their state in
-//!   [`KeyFramePolicy::note_key_frame`](crate::KeyFramePolicy::note_key_frame),
-//!   never in `decide`, which makes the classify step side-effect-free.)
+//!   then. The classify step is side-effect-free by type, not by
+//!   convention: a session holds its key-frame policy as a plain
+//!   [`PolicyConfig`](crate::policy::PolicyConfig) value,
+//!   [`PolicyConfig::decide`](crate::policy::PolicyConfig::decide) and the
+//!   session's classify both take `&self`, and only the commit that follows
+//!   admission takes `&mut`.
 //! * **Eviction & rehydration.** [`StreamSession::memory_footprint`]
 //!   audits a session's heap use by allocated capacity (struct, key image
 //!   and Q8.8 key activation).

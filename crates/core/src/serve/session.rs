@@ -7,7 +7,7 @@
 use super::Engine;
 use crate::error::AmcError;
 use crate::executor::{AmcConfig, AmcFrameResult, ExecStats, WarpMode};
-use crate::policy::{FrameKind, FrameMetrics, KeyFramePolicy};
+use crate::policy::{FrameKind, FrameMetrics, PolicyConfig};
 use crate::sparse::{QuantizedActivation, RleActivation};
 use crate::warp::{warp_quantized_fixed_sparse, warp_quantized_sparse};
 use eva2_cnn::network::Network;
@@ -70,7 +70,7 @@ pub(crate) struct SessionCore {
     /// validated against it before any state is touched.
     input_h: usize,
     input_w: usize,
-    policy: Box<dyn KeyFramePolicy>,
+    policy: PolicyConfig,
     pub(super) state: Option<KeyState>,
     frames_since_key: usize,
     stats: ExecStats,
@@ -106,7 +106,7 @@ impl SessionCore {
             max_residual_error: config.max_residual_error,
             input_h: net.input_shape().height,
             input_w: net.input_shape().width,
-            policy: config.policy.build(),
+            policy: config.policy,
             state: None,
             frames_since_key: 0,
             stats: ExecStats::default(),
@@ -139,7 +139,7 @@ impl SessionCore {
         self.total_macs
     }
 
-    pub(crate) fn policy_name(&self) -> &str {
+    pub(crate) fn policy_name(&self) -> &'static str {
         self.policy.name()
     }
 
@@ -217,7 +217,7 @@ impl SessionCore {
     /// the incoming frame *would* see, asks the policy, and applies the
     /// residual-error confidence bound. Counters are untouched, so a plan
     /// may be discarded (frame shed) with no trace.
-    pub(crate) fn classify(&mut self, motion: &Option<RfbmeResult>) -> FramePlan {
+    pub(crate) fn classify(&self, motion: &Option<RfbmeResult>) -> FramePlan {
         let metrics = motion
             .as_ref()
             .map(|m| FrameMetrics::from_rfbme(m, self.frames_since_key + 1));
@@ -281,7 +281,6 @@ impl SessionCore {
             image: image.clone(),
             act,
         });
-        self.policy.note_key_frame();
         self.frames_since_key = 0;
         self.stats.key_frames += 1;
         self.stats.macs += self.total_macs;
@@ -325,17 +324,17 @@ impl SessionCore {
         // dense-warp-then-`from_dense` on the dequantized store.
         let (sparse, warp_stats) = match self.warp_mode {
             WarpMode::Memoize => (state.act.to_sparse(), None),
-            WarpMode::MotionCompensate { bilinear } => {
+            WarpMode::MotionCompensate => {
                 let field = &motion.field;
                 let (sparse, ws) = if self.fixed_point {
                     warp_quantized_fixed_sparse(&state.act, field, self.rf.stride)
                 } else {
-                    let method = if bilinear {
-                        Interpolation::Bilinear
-                    } else {
-                        Interpolation::NearestNeighbor
-                    };
-                    warp_quantized_sparse(&state.act, field, self.rf.stride, method)
+                    warp_quantized_sparse(
+                        &state.act,
+                        field,
+                        self.rf.stride,
+                        Interpolation::Bilinear,
+                    )
                 };
                 (sparse, Some(ws))
             }

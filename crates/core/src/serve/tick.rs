@@ -298,7 +298,7 @@ impl<'a> Job<'a> {
             return Ok(()); // the estimate refused the job
         };
         let session = &mut *self.session;
-        let core = &mut session.core;
+        let core = &session.core;
         let plan = tick.run(EnginePhase::Admit, session.id, || core.classify(motion))?;
         if plan.kind == FrameKind::Key {
             // Deadline watchdog: once the tick is past its soft budget, no

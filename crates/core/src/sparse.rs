@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn derived_views_match_the_reference_encoder() {
         use crate::warp::{
-            warp_activation_fixed_sparse, warp_activation_sparse, warp_quantized_fixed_sparse,
+            warp_activation_fixed, warp_activation_sparse, warp_quantized_fixed_sparse,
             warp_quantized_sparse,
         };
         use eva2_motion::field::{MotionVector, VectorField};
@@ -476,9 +476,10 @@ mod tests {
                     "case {case}: {method:?} warp"
                 );
             }
+            let (fixed, fixed_stats) = warp_activation_fixed(&dense, &field, stride);
             assert_eq!(
                 warp_quantized_fixed_sparse(&act, &field, stride),
-                warp_activation_fixed_sparse(&dense, &field, stride),
+                (SparseActivation::from_dense(&fixed, 0.0), fixed_stats),
                 "case {case}: Q8.8 warp"
             );
         }

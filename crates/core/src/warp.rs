@@ -40,14 +40,13 @@
 //!   session's stored [`QuantizedActivation`] — the float path dequantizes
 //!   each plane exactly, the Q8.8 path copies its bits. These are what
 //!   `eva2_core::serve` runs; no decoded copy of the key is ever kept.
-//! * [`warp_activation_sparse`] / [`warp_activation_fixed_sparse`] read a
-//!   dense `f32` tensor, for callers holding one.
+//! * [`warp_activation_sparse`] reads a dense `f32` tensor, for callers
+//!   holding one (the benchmark's stage replay).
 //!
-//! Entry values and [`WarpStats`] are **bit-identical** to
-//! dense-then-extract (same operations in the same order per element; tests
-//! pin this), and the store readers are bit-identical to the tensor readers
-//! on the dequantized store, which is what lets the engine feed the CNN
-//! suffix from the fused output without changing a single output bit.
+//! Entry values and [`WarpStats`] are **bit-identical** to dense-then-extract
+//! on the dequantized store (same operations in the same order per element;
+//! tests pin this), which is what lets the engine feed the CNN suffix from
+//! the fused output without changing a single output bit.
 
 // lint: hot-path
 
@@ -430,32 +429,6 @@ pub fn warp_activation_sparse(
     })
 }
 
-/// [`warp_activation_fixed`] fused with sparse extraction — the Q8.8
-/// companion of [`warp_activation_sparse`].
-///
-/// The interpolator weights are computed once per output position
-/// ([`BilinearInterpolator::weights`]) and applied per channel, which is
-/// both the hardware's structure (one warp request covers a 2×2
-/// neighbourhood across channels) and a C-fold reduction of the
-/// coordinate/weight arithmetic. Entries and statistics are bit-identical
-/// to `SparseActivation::from_dense(&warp_activation_fixed(..).0, 0.0)`.
-///
-/// # Panics
-///
-/// Panics when the field's grid does not match the activation's spatial
-/// dimensions.
-pub fn warp_activation_fixed_sparse(
-    key: &Tensor3,
-    field: &VectorField,
-    rf_stride: usize,
-) -> (SparseActivation, WarpStats) {
-    warp_fixed(key.shape(), field, rf_stride, |c, plane| {
-        for (p, &v) in plane.iter_mut().zip(key.channel(c)) {
-            *p = Fixed::from_f32(v);
-        }
-    })
-}
-
 /// [`warp_activation_sparse`] reading the stored Q8.8 key activation
 /// directly, each plane dequantized exactly on load — the predicted-frame
 /// production path of `eva2_core::serve` in `f32` mode. Bit-identical to
@@ -478,10 +451,16 @@ pub fn warp_quantized_sparse(
     })
 }
 
-/// [`warp_activation_fixed_sparse`] reading the stored Q8.8 bits directly
-/// — the predicted-frame production path of `eva2_core::serve` in
-/// fixed-point mode. Bit-identical to
-/// `warp_activation_fixed_sparse(&key.dequantize(), ..)`.
+/// [`warp_activation_fixed`] fused with sparse extraction, reading the
+/// stored Q8.8 bits directly — the predicted-frame production path of
+/// `eva2_core::serve` in fixed-point mode.
+///
+/// The interpolator weights are computed once per output position
+/// ([`BilinearInterpolator::weights`]) and applied per channel, which is
+/// both the hardware's structure (one warp request covers a 2×2
+/// neighbourhood across channels) and a C-fold reduction of the
+/// coordinate/weight arithmetic. Entries and statistics are bit-identical
+/// to `SparseActivation::from_dense(&warp_activation_fixed(&key.dequantize(), ..).0, 0.0)`.
 ///
 /// # Panics
 ///
@@ -660,9 +639,10 @@ mod tests {
     #[test]
     fn fused_fixed_sparse_warp_is_bit_identical_to_dense_then_extract() {
         let (key, field) = sparse_key_and_field();
-        let (dense, dense_stats) = warp_activation_fixed(&key, &field, 4);
+        let key = QuantizedActivation::quantize(&key, 0.0);
+        let (dense, dense_stats) = warp_activation_fixed(&key.dequantize(), &field, 4);
         let expect = eva2_tensor::SparseActivation::from_dense(&dense, 0.0);
-        let (fused, fused_stats) = warp_activation_fixed_sparse(&key, &field, 4);
+        let (fused, fused_stats) = warp_quantized_fixed_sparse(&key, &field, 4);
         assert_eq!(fused, expect, "fixed-point entries must match exactly");
         assert_eq!(fused_stats, dense_stats, "fixed-point stats must match");
     }

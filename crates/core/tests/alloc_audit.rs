@@ -38,6 +38,11 @@ const PREDICTED_FRAME_ALLOCS: u64 = 11;
 /// non-zero view and layer outputs, the stored key image, and the result.
 const KEY_FRAME_ALLOCS: u64 = 16;
 
+/// Allocator calls [`Engine::open_session`] makes on the default config
+/// once the engine's slot list has room: the shared session slot. The
+/// session's policy and warp mode are plain values inside it.
+const OPEN_SESSION_ALLOCS: u64 = 1;
+
 /// Counts allocator calls and tracks live bytes on top of [`System`].
 struct CountingAlloc;
 
@@ -213,5 +218,25 @@ fn steady_state_predicted_frames_cause_no_net_heap_growth() {
         live_end - live_before,
         0,
         "warmed RFBME estimation must cause zero net heap growth"
+    );
+
+    // --- Phase 4: opening a session on the default config ----------------
+    // A first open grows the engine's slot list; the audited second open
+    // allocates only what the session itself holds.
+    let net = Arc::new(zoo::tiny_fasterm(0).network);
+    let limits = EngineLimits::builder()
+        .worker_threads(1)
+        .build()
+        .expect("valid limits");
+    let mut engine = Engine::with_limits(net, AmcConfig::default(), limits).expect("valid engine");
+    drop(engine.open_session().expect("capacity"));
+    let (calls_before, _) = snapshot();
+    let session = engine.open_session().expect("capacity");
+    let (calls_after, _) = snapshot();
+    drop(session);
+    assert_eq!(
+        calls_after - calls_before,
+        OPEN_SESSION_ALLOCS,
+        "opening a session on the default config must allocate only its slot"
     );
 }

@@ -7,9 +7,12 @@
 //! what lets the eviction/rehydration checks compare damaged streams
 //! against fresh sessions frame by frame.
 
+mod common;
+
+use common::assert_result_eq;
 use eva2_cnn::zoo;
 use eva2_core::error::AmcError;
-use eva2_core::executor::{AmcConfig, AmcFrameResult};
+use eva2_core::executor::AmcConfig;
 use eva2_core::policy::PolicyConfig;
 use eva2_core::serve::{Engine, EngineLimits, FrameOutcome, StreamSession};
 use eva2_tensor::GrayImage;
@@ -39,18 +42,6 @@ fn workers_from_env(mut limits: EngineLimits) -> EngineLimits {
 fn engine(limits: EngineLimits) -> Engine {
     let net = Arc::new(zoo::tiny_fasterm(3).network);
     Engine::with_limits(net, AmcConfig::default(), workers_from_env(limits)).expect("valid config")
-}
-
-fn assert_result_eq(a: &AmcFrameResult, b: &AmcFrameResult, label: &str) {
-    assert_eq!(a.is_key, b.is_key, "{label}: kind");
-    assert_eq!(
-        a.output.as_slice(),
-        b.output.as_slice(),
-        "{label}: output bits"
-    );
-    assert_eq!(a.macs_executed, b.macs_executed, "{label}: MACs");
-    assert_eq!(a.rfbme_ops, b.rfbme_ops, "{label}: RFBME ops");
-    assert_eq!(a.compression, b.compression, "{label}: compression");
 }
 
 /// The flagship property: a storm of dropped, corrupted, saturated,

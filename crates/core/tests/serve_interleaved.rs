@@ -9,6 +9,9 @@
 //! Worker counts here are *forced* ([`EngineLimits::worker_threads`]), so
 //! the fan-out code path is exercised even on a single-CPU container.
 
+mod common;
+
+use common::assert_result_eq;
 use eva2_cnn::zoo;
 use eva2_core::error::AmcError;
 use eva2_core::executor::{AmcConfig, AmcExecutor, AmcFrameResult, WarpMode};
@@ -49,18 +52,6 @@ fn engine_with(config: AmcConfig, workers: usize) -> Engine {
         .build()
         .expect("valid limits");
     Engine::with_limits(net, config, limits).expect("valid engine config")
-}
-
-fn assert_result_eq(a: &AmcFrameResult, b: &AmcFrameResult, label: &str) {
-    assert_eq!(a.is_key, b.is_key, "{label}: kind");
-    assert_eq!(
-        a.output.as_slice(),
-        b.output.as_slice(),
-        "{label}: output bits"
-    );
-    assert_eq!(a.macs_executed, b.macs_executed, "{label}: MACs");
-    assert_eq!(a.rfbme_ops, b.rfbme_ops, "{label}: RFBME ops");
-    assert_eq!(a.compression, b.compression, "{label}: compression");
 }
 
 /// Two engines must agree on the *whole* outcome: the same variant, the

@@ -20,9 +20,12 @@
 //! re-runs the whole soak through the threaded engine; outcomes are
 //! bit-identical for any worker count, so every assertion holds unchanged.
 
+mod common;
+
+use common::assert_result_eq;
 use eva2_cnn::zoo;
 use eva2_core::error::AmcError;
-use eva2_core::executor::{AmcConfig, AmcExecutor, AmcFrameResult};
+use eva2_core::executor::{AmcConfig, AmcExecutor};
 use eva2_core::serve::{Engine, EngineLimits, FakeClock, FrameOutcome, SeededChaos, StreamSession};
 use eva2_tensor::GrayImage;
 use eva2_video::load::{LoadConfig, LoadGenerator};
@@ -59,18 +62,6 @@ fn quiet_chaos_panics() {
             }
         }));
     });
-}
-
-fn assert_result_eq(a: &AmcFrameResult, b: &AmcFrameResult, label: &str) {
-    assert_eq!(a.is_key, b.is_key, "{label}: kind");
-    assert_eq!(
-        a.output.as_slice(),
-        b.output.as_slice(),
-        "{label}: output bits"
-    );
-    assert_eq!(a.macs_executed, b.macs_executed, "{label}: MACs");
-    assert_eq!(a.rfbme_ops, b.rfbme_ops, "{label}: RFBME ops");
-    assert_eq!(a.compression, b.compression, "{label}: compression");
 }
 
 #[test]

@@ -134,7 +134,7 @@ fn main() {
     memo_cfg.policy = PolicyConfig::StaticRate { period: 12 };
     let memo = run_policy(&tw.zoo, &tw.test, memo_cfg);
     let mut warp_cfg = memo_cfg;
-    warp_cfg.warp = WarpMode::MotionCompensate { bilinear: true };
+    warp_cfg.warp = WarpMode::MotionCompensate;
     let warp = run_policy(&tw.zoo, &tw.test, warp_cfg);
     println!("  orig accuracy            = {}", pct(orig));
     println!(

@@ -30,7 +30,7 @@ pub const SEARCH: SearchParams = SearchParams {
 pub fn amc_config_for(workload: Workload) -> AmcConfig {
     let warp = match workload {
         Workload::AlexNet => WarpMode::Memoize,
-        _ => WarpMode::MotionCompensate { bilinear: true },
+        _ => WarpMode::MotionCompensate,
     };
     AmcConfig {
         target: TargetSelection::Late,

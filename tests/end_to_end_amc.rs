@@ -106,10 +106,7 @@ fn fixed_point_pipeline_stays_close_to_float() {
 fn memoization_and_warping_agree_on_static_scenes() {
     let workload = zoo::tiny_fasterm(6);
     let frames = scene_frames(MotionRegime::Frozen, 31, 6);
-    let configs = [
-        WarpMode::Memoize,
-        WarpMode::MotionCompensate { bilinear: true },
-    ];
+    let configs = [WarpMode::Memoize, WarpMode::MotionCompensate];
     let mut outputs = Vec::new();
     for warp in configs {
         let cfg = AmcConfig {
