@@ -66,7 +66,9 @@ pub struct CostSummary {
     pub predicted_frame_macs: u64,
     /// Exact RFBME arithmetic ops per estimate ([`Rfbme::ops_bound`]; the
     /// dense search's cost depends on the geometry alone); must equal
-    /// `AmcFrameResult::rfbme_ops` on every frame that has key state.
+    /// `AmcFrameResult::rfbme_ops` on every frame that runs the search —
+    /// one with key state that the policy has not already made a key
+    /// frame (the others report zero).
     pub rfbme_ops_bound: u64,
     /// Upper bound on warp interpolations per predicted frame: one per
     /// target activation value.

@@ -254,12 +254,17 @@ pub struct AmcFrameResult {
     /// MACs actually executed on the layer accelerators (prefix + suffix
     /// for key frames; suffix only for predicted frames).
     pub macs_executed: u64,
-    /// RFBME adds performed (zero on the very first frame).
+    /// RFBME adds performed: zero when no search ran — the session had
+    /// no key state (first frame, after a reset or an eviction), or the
+    /// policy had already made the frame a key frame
+    /// ([`PolicyConfig::forces_key`](crate::policy::PolicyConfig::forces_key)).
     pub rfbme_ops: u64,
     /// Warp-engine statistics for predicted frames with motion
     /// compensation.
     pub warp: Option<WarpStats>,
-    /// Motion metrics that informed the key-frame decision.
+    /// Motion metrics that informed the key-frame decision; `None` exactly
+    /// when `rfbme_ops` is zero (no search ran, and the frame is a key
+    /// frame).
     pub metrics: Option<FrameMetrics>,
     /// Compression the hardware's RLE activation store would achieve on
     /// this key frame's activation (key frames; see
@@ -446,10 +451,14 @@ impl<'n> AmcExecutor<'n> {
     /// Processes one frame with an externally computed motion estimate.
     ///
     /// `motion` must be what [`AmcExecutor::rfbme`] would produce from the
-    /// stored key image to `image` (and `None` exactly when no key state is
-    /// stored) for results to match [`AmcExecutor::process`]. This is the
-    /// entry point for callers that compute motion elsewhere, e.g.
-    /// replayed codec vectors.
+    /// stored key image to `image` (`None` when no key state is stored)
+    /// for results to match [`AmcExecutor::process`]. On a frame the
+    /// policy has already made a key frame
+    /// ([`PolicyConfig::forces_key`](crate::policy::PolicyConfig::forces_key)
+    /// of the frames since the last key) `motion` is ignored, exactly as
+    /// `process` skips the search there, so passing an estimate anyway
+    /// changes nothing. This is the entry point for callers that compute
+    /// motion elsewhere, e.g. replayed codec vectors.
     ///
     /// # Panics
     ///

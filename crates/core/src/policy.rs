@@ -16,8 +16,11 @@
 //!
 //! Every rule about a policy lives on [`PolicyConfig`]: the per-frame
 //! decision ([`PolicyConfig::decide`], a pure function of the value and the
-//! frame's [`FrameMetrics`]), its parameter checks, its report name and the
-//! longest key-frame gap it allows. Code elsewhere only constructs variants.
+//! frame's [`FrameMetrics`]), its motion-free part
+//! ([`PolicyConfig::forces_key`], which lets a session skip RFBME on a
+//! frame that is a key frame whatever the motion), its parameter checks,
+//! its report name and the longest key-frame gap it allows. Code elsewhere
+//! only constructs variants.
 
 use crate::error::AmcError;
 use serde::{Deserialize, Serialize};
@@ -101,22 +104,32 @@ impl PolicyConfig {
     /// still be shed by backpressure
     /// (see [`serve`](crate::serve#lifecycle--failure-modes)).
     pub fn decide(&self, metrics: &FrameMetrics) -> FrameKind {
-        let key = match *self {
-            PolicyConfig::AlwaysKey => true,
-            PolicyConfig::StaticRate { period } => metrics.frames_since_key >= period.max(1),
-            PolicyConfig::BlockError { threshold, max_gap } => {
-                metrics.block_error_per_pixel > threshold
-                    || metrics.frames_since_key >= max_gap.max(1)
-            }
-            PolicyConfig::MotionMagnitude { threshold, max_gap } => {
-                metrics.motion_magnitude > threshold || metrics.frames_since_key >= max_gap.max(1)
-            }
-        };
+        let key = self.forces_key(metrics.frames_since_key)
+            || match *self {
+                PolicyConfig::AlwaysKey | PolicyConfig::StaticRate { .. } => false,
+                PolicyConfig::BlockError { threshold, .. } => {
+                    metrics.block_error_per_pixel > threshold
+                }
+                PolicyConfig::MotionMagnitude { threshold, .. } => {
+                    metrics.motion_magnitude > threshold
+                }
+            };
         if key {
             FrameKind::Key
         } else {
             FrameKind::Predicted
         }
+    }
+
+    /// The motion-free part of [`PolicyConfig::decide`]: whether the frame
+    /// `frames_since_key` frames after the last key frame is a key frame
+    /// whatever its motion — every frame under
+    /// [`PolicyConfig::AlwaysKey`], the period under
+    /// [`PolicyConfig::StaticRate`], the forced gap under the two threshold
+    /// policies. When it holds, `decide` returns [`FrameKind::Key`] for any
+    /// metrics, so a caller may skip motion estimation for the frame.
+    pub fn forces_key(&self, frames_since_key: usize) -> bool {
+        frames_since_key >= self.max_key_gap()
     }
 
     /// Policy name for reports.
@@ -230,6 +243,48 @@ mod tests {
         };
         assert_eq!(gapped.decide(&metrics(0.0, 0.0, 4)), FrameKind::Predicted);
         assert_eq!(gapped.decide(&metrics(0.0, 0.0, 5)), FrameKind::Key);
+    }
+
+    #[test]
+    fn forces_key_is_the_motion_free_part_of_decide() {
+        let policies = [
+            PolicyConfig::AlwaysKey,
+            PolicyConfig::StaticRate { period: 1 },
+            PolicyConfig::StaticRate { period: 7 },
+            PolicyConfig::BlockError {
+                threshold: 2.0,
+                max_gap: 5,
+            },
+            PolicyConfig::MotionMagnitude {
+                threshold: 10.0,
+                max_gap: 16,
+            },
+        ];
+        for p in policies {
+            for n in 1..=40 {
+                let still = p.decide(&metrics(0.0, 0.0, n));
+                let wild = p.decide(&metrics(1e9, 1e9, n));
+                if p.forces_key(n) {
+                    assert_eq!(
+                        (still, wild),
+                        (FrameKind::Key, FrameKind::Key),
+                        "{p:?} n={n}"
+                    );
+                    continue;
+                }
+                let want = match p {
+                    // Thresholds still see the motion below the gap.
+                    PolicyConfig::BlockError { .. } | PolicyConfig::MotionMagnitude { .. } => {
+                        (FrameKind::Predicted, FrameKind::Key)
+                    }
+                    // Nothing else decides: motion cannot make a key.
+                    PolicyConfig::AlwaysKey | PolicyConfig::StaticRate { .. } => {
+                        (FrameKind::Predicted, FrameKind::Predicted)
+                    }
+                };
+                assert_eq!((still, wild), want, "{p:?} n={n}");
+            }
+        }
     }
 
     #[test]

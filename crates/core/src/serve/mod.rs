@@ -50,7 +50,10 @@
 //! 1. **Screen** — side-effect-free refusals (foreign engine, retired or
 //!    quarantined session, off-geometry frame).
 //! 2. **Estimate** — per-stream RFBME for the first `max_frames_per_tick`
-//!    screened-in jobs, stream-per-worker.
+//!    screened-in jobs, stream-per-worker. A frame whose kind cannot
+//!    depend on motion — no key state yet, or a key frame the policy
+//!    forces ([`PolicyConfig::forces_key`](crate::policy::PolicyConfig::forces_key))
+//!    — skips the search and is classified a key frame.
 //! 3. **Admit** — a serial walk in submission order: budget shedding, the
 //!    key-frame decision, counter commits. Serial is what keeps budget
 //!    semantics independent of the worker count.

@@ -200,28 +200,40 @@ impl SessionCore {
         self.state.as_ref().map(|s| &s.image)
     }
 
-    /// Runs this stream's RFBME from the stored key frame to `image`
-    /// (`None` when no key state exists yet) in the caller's scratch — one
-    /// per worker, shared by every stream that worker serves; its contents
-    /// never influence a result (see `RfbmeScratch`).
+    /// Whether the next frame's kind depends on its motion: key state is
+    /// stored and the policy has not already made the frame a key frame
+    /// ([`PolicyConfig::forces_key`]). When it is false the frame is a key
+    /// frame and no motion estimate is read.
+    pub(crate) fn needs_motion(&self) -> bool {
+        self.state.is_some() && !self.policy.forces_key(self.frames_since_key + 1)
+    }
+
+    /// Runs this stream's RFBME from the stored key frame to `image` in the
+    /// caller's scratch — one per worker, shared by every stream that
+    /// worker serves; its contents never influence a result (see
+    /// `RfbmeScratch`). `None`, without searching, when the frame does not
+    /// [need motion](SessionCore::needs_motion).
     pub(crate) fn estimate_motion(
         &self,
         image: &GrayImage,
         scratch: &mut RfbmeScratch,
     ) -> Option<RfbmeResult> {
-        let state = self.state.as_ref()?;
+        let state = self.state.as_ref().filter(|_| self.needs_motion())?;
         Some(self.rfbme.estimate_with(&state.image, image, scratch))
     }
 
     /// Classifies a frame without committing anything: derives the metrics
     /// the incoming frame *would* see, asks the policy, and applies the
     /// residual-error confidence bound. Counters are untouched, so a plan
-    /// may be discarded (frame shed) with no trace.
+    /// may be discarded (frame shed) with no trace. A frame that does not
+    /// [need motion](SessionCore::needs_motion) is a key frame with no
+    /// metrics and no RFBME ops, whatever estimate the caller supplies, so
+    /// a caller that estimated anyway gets the same plan as one that did
+    /// not.
     pub(crate) fn classify(&self, motion: &Option<RfbmeResult>) -> FramePlan {
-        let metrics = motion
-            .as_ref()
-            .map(|m| FrameMetrics::from_rfbme(m, self.frames_since_key + 1));
-        let rfbme_ops = motion.as_ref().map_or(0, |m| m.ops());
+        let motion = motion.as_ref().filter(|_| self.needs_motion());
+        let metrics = motion.map(|m| FrameMetrics::from_rfbme(m, self.frames_since_key + 1));
+        let rfbme_ops = motion.map_or(0, |m| m.ops());
         let mut kind = match &metrics {
             None => FrameKind::Key,
             Some(m) => self.policy.decide(m),
@@ -365,14 +377,17 @@ impl SessionCore {
         image: &GrayImage,
     ) -> Result<AmcFrameResult, AmcError> {
         self.check_geometry(image)?;
-        // EVA² always runs RFBME — its block errors drive the key-frame
-        // choice module even when warping is disabled (memoization mode).
+        // RFBME runs whenever the frame's kind depends on it — its block
+        // errors drive the key-frame choice module even when warping is
+        // disabled (memoization mode) — and is skipped on a frame the
+        // policy has already made key.
         let motion = self.estimate_motion(image, motion_scratch);
         self.process_with_motion(net, scratch, image, motion)
     }
 
     /// [`SessionCore::process`] with an externally computed motion
-    /// estimate: decide, execute.
+    /// estimate: decide, execute. The estimate is ignored on a frame that
+    /// does not [need motion](SessionCore::needs_motion).
     pub(crate) fn process_with_motion(
         &mut self,
         net: &Network,

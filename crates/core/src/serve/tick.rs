@@ -166,7 +166,9 @@ enum Stage {
     Screened {
         geometry: Option<AmcError>,
     },
-    /// Motion estimated (`None` while the session has no key state).
+    /// Motion estimated: `None` when the frame needs none — the session
+    /// has no key state, or its policy has already made the frame a key
+    /// frame — which classifies it as a key frame.
     Estimated(Option<RfbmeResult>),
     /// Admitted and committed, so the frame must complete. `stats_before`
     /// turns the session's totals into this frame's delta.
@@ -254,10 +256,12 @@ impl<'a> Job<'a> {
         self.stage = Stage::Done(FrameOutcome::from_error(e));
     }
 
-    /// Runs this stream's RFBME in a worker's scratch: it reads only the
-    /// session's key state and writes only the scratch, whose contents
-    /// never influence a result — so estimating a frame the walk later
-    /// sheds leaves no trace, and a panic here costs only this frame.
+    /// Runs this stream's RFBME in a worker's scratch, unless the frame
+    /// needs no motion (no key state, or a key frame the policy has already
+    /// decided). It reads only the session's key state and writes only the
+    /// scratch, whose contents never influence a result — so estimating a
+    /// frame the walk later sheds leaves no trace, and a panic here costs
+    /// only this frame.
     fn estimate(&mut self, tick: &Tick<'_>, scratch: &mut RfbmeScratch) {
         let (core, frame) = (&self.session.core, self.frame);
         match tick.run(EnginePhase::Estimate, self.session.id, || {
@@ -507,8 +511,10 @@ impl Engine {
     /// idle-eviction clock.
     ///
     /// Every frame is classified by its own session's RFBME estimate and
-    /// policy, in submission order; then each session completes its frame,
-    /// a key frame running its own CNN prefix first. Results come
+    /// policy, in submission order; a frame that is a key frame whatever
+    /// its motion (no key state, or the policy's forced gap or static
+    /// period) is classified without a search. Then each session completes
+    /// its frame, a key frame running its own CNN prefix first. Results come
     /// back in submission order, bit-identical to processing each
     /// `(session, frame)` pair serially through [`Engine::process`], at any
     /// [`EngineLimits::worker_threads`] (see the

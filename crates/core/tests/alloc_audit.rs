@@ -33,9 +33,10 @@ use std::sync::Arc;
 /// sparse output, the suffix's layer outputs, and the result.
 const PREDICTED_FRAME_ALLOCS: u64 = 11;
 
-/// Allocator calls one key frame makes on a warmed engine after a session
-/// reset: the prefix's layer outputs, the Q8.8 store, the suffix's
-/// non-zero view and layer outputs, the stored key image, and the result.
+/// Allocator calls one key frame makes on a warmed engine, after a session
+/// reset or at a policy's forced gap (which runs no RFBME): the prefix's
+/// layer outputs, the Q8.8 store, the suffix's non-zero view and layer
+/// outputs, the stored key image, and the result.
 const KEY_FRAME_ALLOCS: u64 = 16;
 
 /// Allocator calls [`Engine::open_session`] makes on the default config
@@ -183,7 +184,41 @@ fn steady_state_predicted_frames_cause_no_net_heap_growth() {
         "a key frame restores exactly the keyed footprint"
     );
 
-    // --- Phase 3: warmed RFBME allocates only its result ------------------
+    // --- Phase 3: a gap-forced key on a keyed session ---------------------
+    // The policy makes every fourth frame a key whatever the motion, so no
+    // RFBME runs for it: it allocates exactly what the rehydration key
+    // above does, and nothing for a search result. The engine's scratch is
+    // warm from phase 1.
+    let gapped_config = AmcConfig::builder()
+        .policy(PolicyConfig::BlockError {
+            threshold: f32::INFINITY,
+            max_gap: 4,
+        })
+        .max_residual_error(f32::INFINITY)
+        .build()
+        .expect("valid config");
+    let mut gapped = engine
+        .open_session_with(gapped_config)
+        .expect("same target");
+    for (t, f) in frames[..4].iter().enumerate() {
+        let r = engine.process(&mut gapped, f).expect("admitted");
+        assert_eq!(r.is_key, t == 0, "a key, then three predicted frames");
+    }
+    let (calls_before, _) = snapshot();
+    let r = engine.process(&mut gapped, &frames[4]).expect("admitted");
+    assert!(r.is_key, "the fourth frame since the key is forced key");
+    assert_eq!(r.rfbme_ops, 0, "a gap-forced key runs no search");
+    drop(r);
+    let (calls_after, _) = snapshot();
+    let gap_key_allocs = calls_after - calls_before;
+    assert_eq!(
+        (gap_key_allocs, key_allocs),
+        (KEY_FRAME_ALLOCS, KEY_FRAME_ALLOCS),
+        "a gap-forced key and a rehydration key must each make exactly \
+         {KEY_FRAME_ALLOCS} allocations"
+    );
+
+    // --- Phase 4: warmed RFBME allocates only its result ------------------
     // With warm scratch, `estimate_with`'s allocation count equals that of
     // simply cloning its result: the search itself touches no allocator.
     let rfbme = Rfbme::new(
@@ -220,7 +255,7 @@ fn steady_state_predicted_frames_cause_no_net_heap_growth() {
         "warmed RFBME estimation must cause zero net heap growth"
     );
 
-    // --- Phase 4: opening a session on the default config ----------------
+    // --- Phase 5: opening a session on the default config ----------------
     // A first open grows the engine's slot list; the audited second open
     // allocates only what the session itself holds.
     let net = Arc::new(zoo::tiny_fasterm(0).network);

@@ -33,15 +33,22 @@ const FRAMES: usize = 14;
 /// every batch mixes key and predicted frames at some point.
 fn stream_frame(s: usize, t: usize) -> GrayImage {
     let cut = 5 + 3 * s;
+    if t < cut {
+        return pan_frame(s, t);
+    }
+    let d = t - cut;
     GrayImage::from_fn(48, 48, |y, x| {
-        if t < cut {
-            let xs = (x + t * (s + 1)) as f32;
-            (120.0 + 46.0 * ((y as f32 * (0.27 + 0.02 * s as f32)).sin() + (xs * 0.21).cos())) as u8
-        } else {
-            let d = t - cut;
-            let v = ((y + d + 7 * s) * 17 + (x + 2 * d) * 23) % 200;
-            (30 + v) as u8
-        }
+        let v = ((y + d + 7 * s) * 17 + (x + 2 * d) * 23) % 200;
+        (30 + v) as u8
+    })
+}
+
+/// Stream `s`, frame `t` of its pan, with no cut: after the first frame,
+/// only a policy's gap or period makes a key frame.
+fn pan_frame(s: usize, t: usize) -> GrayImage {
+    GrayImage::from_fn(48, 48, |y, x| {
+        let xs = (x + t * (s + 1)) as f32;
+        (120.0 + 46.0 * ((y as f32 * (0.27 + 0.02 * s as f32)).sin() + (xs * 0.21).cos())) as u8
     })
 }
 
@@ -606,5 +613,111 @@ fn heterogeneous_sessions_match_their_serial_counterparts() {
     }
     for (session, serial) in sessions.iter().zip(&serials) {
         assert_eq!(session.stats(), serial.stats(), "hetero aggregate stats");
+    }
+}
+
+/// Frames the policy has already made key — its forced gap, its static
+/// period — skip RFBME entirely, in the engine and in the serial executor
+/// alike, and stay bit-identical to it when the key budget sheds such a
+/// frame and it is resubmitted: the pre-decided key reports no metrics and
+/// zero RFBME ops, and a stream's RFBME total is one search per frame that
+/// needed motion.
+#[test]
+fn pre_decided_keys_skip_the_search_and_match_serial() {
+    const PERIOD: usize = 3;
+    const TICKS: usize = 12;
+    let policies = [
+        PolicyConfig::BlockError {
+            threshold: 1e9,
+            max_gap: PERIOD,
+        },
+        PolicyConfig::StaticRate { period: PERIOD },
+    ];
+    let z = zoo::tiny_fasterm(3);
+    for policy in policies {
+        for workers in [1, 3] {
+            let label = format!("{}/{workers}w", policy.name());
+            let config = AmcConfig {
+                policy,
+                ..AmcConfig::default()
+            };
+            let limits = EngineLimits::builder()
+                .max_key_frames_per_tick(1)
+                .worker_threads(workers)
+                .build()
+                .expect("valid limits");
+            let net = Arc::new(zoo::tiny_fasterm(3).network);
+            let mut engine = Engine::with_limits(net, config, limits).expect("valid engine");
+            let mut sessions: Vec<_> = (0..STREAMS)
+                .map(|_| engine.open_session().expect("capacity"))
+                .collect();
+            let mut serials: Vec<AmcExecutor> = (0..STREAMS)
+                .map(|_| AmcExecutor::try_new(&z.network, config).expect("valid config"))
+                .collect();
+            let search_ops = serials[0].rfbme().ops_bound(48, 48);
+            // Per stream: the next frame to submit (a shed frame is
+            // resubmitted), whether key state is stored, and the frames
+            // served since the last key frame.
+            let mut next = [0usize; STREAMS];
+            let mut keyed = [false; STREAMS];
+            let mut since = [0usize; STREAMS];
+            let mut searched = [0u64; STREAMS];
+            let (mut pre_decided, mut shed_pre_decided) = (0usize, 0usize);
+            for t in 0..TICKS {
+                // Every stream submits every tick, except that stream 0
+                // sits out tick 1: the first keys are shed into ticks 0, 1
+                // and 2, and streams 0 and 1 then reach their gap in the
+                // same tick and contend for the one key slot.
+                let live: Vec<usize> = (0..STREAMS).filter(|&s| (s, t) != (0, 1)).collect();
+                let frames: Vec<GrayImage> = live.iter().map(|&s| pan_frame(s, next[s])).collect();
+                let outcomes = engine.process_batch(
+                    sessions
+                        .iter_mut()
+                        .enumerate()
+                        .filter(|(s, _)| live.contains(s))
+                        .map(|(_, session)| session)
+                        .zip(frames.iter()),
+                );
+                for ((&s, frame), outcome) in live.iter().zip(&frames).zip(&outcomes) {
+                    let forced = keyed[s] && since[s] + 1 >= PERIOD;
+                    let at = format!("{label}: stream {s} tick {t}");
+                    if let FrameOutcome::Shed(AmcError::BudgetExceeded { .. }) = outcome {
+                        shed_pre_decided += usize::from(forced);
+                        continue;
+                    }
+                    let got = outcome.frame().expect("served or shed");
+                    assert_result_eq(got, &serials[s].process(frame), &at);
+                    if forced {
+                        pre_decided += 1;
+                        assert!(got.is_key, "{at}: the policy's key");
+                        assert!(got.metrics.is_none(), "{at}: no metrics without a search");
+                        assert_eq!(got.rfbme_ops, 0, "{at}: no search");
+                    } else if keyed[s] {
+                        assert!(!got.is_key, "{at}: smooth pan below the gap is predicted");
+                        assert_eq!(got.rfbme_ops, search_ops, "{at}: one search");
+                        searched[s] += 1;
+                    }
+                    keyed[s] = true;
+                    since[s] = if got.is_key { 0 } else { since[s] + 1 };
+                    next[s] += 1;
+                }
+            }
+            for (s, (session, serial)) in sessions.iter().zip(&serials).enumerate() {
+                assert_eq!(session.stats(), serial.stats(), "{label}: stream {s} stats");
+                assert_eq!(
+                    session.stats().rfbme_ops,
+                    searched[s] * search_ops,
+                    "{label}: stream {s} searched only the frames that needed motion"
+                );
+            }
+            assert!(
+                pre_decided >= STREAMS,
+                "{label}: {pre_decided} pre-decided keys"
+            );
+            assert!(
+                shed_pre_decided >= 1,
+                "{label}: the key budget never shed a pre-decided key"
+            );
+        }
     }
 }
