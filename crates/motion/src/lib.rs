@@ -82,3 +82,44 @@ pub trait MotionEstimator {
     /// Estimates motion from `key` (reference) to `new` (current frame).
     fn estimate(&self, key: &GrayImage, new: &GrayImage) -> MotionResult;
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hornschunck::HornSchunck;
+    use crate::lucas_kanade::LucasKanade;
+
+    /// FNV-1a over the `f32` bits of every vector, row-major, `dy` first.
+    fn field_digest(field: &VectorField) -> u64 {
+        field
+            .iter()
+            .flat_map(|v| [v.dy.to_bits(), v.dx.to_bits()])
+            .fold(0xcbf2_9ce4_8422_2325, |h, bits| {
+                (h ^ u64::from(bits)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The two optical-flow baselines of Fig 14, pinned bit for bit at
+    /// their default settings, so that refactoring what they share cannot
+    /// move a vector.
+    #[test]
+    fn flow_baselines_are_pinned() {
+        let key = GrayImage::from_fn(48, 48, |y, x| {
+            (128.0 + 55.0 * ((y as f32 * 0.31).sin() + (x as f32 * 0.23).cos())) as u8
+        });
+        let new = key.translate(1, 2, 0);
+        let lk = LucasKanade::default().run(&key, &new);
+        let hs = HornSchunck::default().run(&key, &new);
+        let got = [
+            (field_digest(&lk.field), lk.ops, lk.total_error),
+            (field_digest(&hs.field), hs.ops, hs.total_error),
+        ];
+        assert_eq!(
+            got,
+            [
+                (0x6603_9723_cde8_ec72, 3_056_760, None),
+                (0x5291_b772_3db4_37d7, 5_119_632, None),
+            ]
+        );
+    }
+}
