@@ -1,9 +1,8 @@
-//! End-to-end pipeline benchmarks: key-frame vs predicted-frame cost
-//! through the full AMC executor (Fig 1 at software scale), and the
-//! delta-network baseline for comparison.
+//! End-to-end pipeline benchmarks: a key frame against a predicted frame
+//! through the full AMC executor (Fig 1 at software scale), the predicted
+//! frame once per warp datapath.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eva2_cnn::delta::DeltaExecutor;
 use eva2_cnn::zoo;
 use eva2_core::executor::{AmcConfig, AmcExecutor};
 use eva2_core::policy::PolicyConfig;
@@ -65,13 +64,6 @@ fn bench_amc_frames(c: &mut Criterion) {
         let mut amc = AmcExecutor::try_new(&z.network, memo).unwrap();
         amc.process(&f0);
         b.iter(|| black_box(amc.process(&f1)))
-    });
-
-    // The §II delta-network strawman processes every layer every frame.
-    group.bench_function("delta_network_frame", |b| {
-        let mut delta = DeltaExecutor::new(1e-4);
-        delta.process(&z.network, &f0.to_tensor());
-        b.iter(|| black_box(delta.process(&z.network, &f1.to_tensor())))
     });
     group.finish();
 }

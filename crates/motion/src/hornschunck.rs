@@ -10,6 +10,7 @@
 //! offline, and training FlowNet2-s needs ImageNet-scale data.
 
 use crate::field::{MotionVector, VectorField};
+use crate::lucas_kanade::{coarse_to_fine, sample};
 use crate::{MotionEstimator, MotionResult};
 use eva2_tensor::GrayImage;
 
@@ -32,34 +33,6 @@ impl Default for HornSchunck {
             levels: 3,
         }
     }
-}
-
-fn downsample(img: &GrayImage) -> GrayImage {
-    let h = (img.height() / 2).max(1);
-    let w = (img.width() / 2).max(1);
-    GrayImage::from_fn(h, w, |y, x| {
-        let mut sum = 0u32;
-        for dy in 0..2 {
-            for dx in 0..2 {
-                sum += img.get_clamped((2 * y + dy) as isize, (2 * x + dx) as isize) as u32;
-            }
-        }
-        (sum / 4) as u8
-    })
-}
-
-fn sample(img: &GrayImage, y: f32, x: f32) -> f32 {
-    let y0 = y.floor();
-    let x0 = x.floor();
-    let v = y - y0;
-    let u = x - x0;
-    let y0 = y0 as isize;
-    let x0 = x0 as isize;
-    let p00 = img.get_clamped(y0, x0) as f32;
-    let p01 = img.get_clamped(y0, x0 + 1) as f32;
-    let p10 = img.get_clamped(y0 + 1, x0) as f32;
-    let p11 = img.get_clamped(y0 + 1, x0 + 1) as f32;
-    p00 * (1.0 - u) * (1.0 - v) + p01 * u * (1.0 - v) + p10 * (1.0 - u) * v + p11 * u * v
 }
 
 impl HornSchunck {
@@ -154,35 +127,10 @@ impl HornSchunck {
 
     /// Runs pyramidal Horn–Schunck, producing a dense per-pixel field.
     pub fn run(&self, key: &GrayImage, new: &GrayImage) -> MotionResult {
-        assert_eq!(
-            (key.height(), key.width()),
-            (new.height(), new.width()),
-            "frame size mismatch"
-        );
-        let mut keys = vec![key.clone()];
-        let mut news = vec![new.clone()];
-        for _ in 1..self.levels.max(1) {
-            keys.push(downsample(keys.last().expect("level")));
-            news.push(downsample(news.last().expect("level")));
-        }
-        let top = keys.len() - 1;
-        let mut field = VectorField::zeros(keys[top].height(), keys[top].width(), 1);
         let mut ops = 0u64;
-        for level in (0..=top).rev() {
-            if level != top {
-                let prev = field;
-                let h = keys[level].height();
-                let w = keys[level].width();
-                field = VectorField::from_fn(h, w, 1, |y, x| {
-                    prev.get(
-                        (y / 2).min(prev.grid_h() - 1),
-                        (x / 2).min(prev.grid_w() - 1),
-                    )
-                    .scaled(2.0)
-                });
-            }
-            self.solve_level(&keys[level], &news[level], &mut field, &mut ops);
-        }
+        let field = coarse_to_fine(key, new, self.levels, |k, n, f| {
+            self.solve_level(k, n, f, &mut ops)
+        });
         MotionResult {
             field,
             ops,

@@ -2,23 +2,22 @@
 //!
 //! "Motion estimation is the problem of computing a vector field describing
 //! the visual displacement between two input frames" (§II-C1 of the EVA²
-//! paper). This crate implements the paper's new algorithm and every baseline
-//! its evaluation compares against:
+//! paper). This crate implements the paper's new algorithm, the two
+//! optical-flow baselines its Fig 14 evaluation compares against, and a
+//! replay of codec-supplied vectors:
 //!
 //! * [`rfbme`] — **receptive field block motion estimation**, the paper's
 //!   contribution (§III-A), structured exactly like the hardware: a
 //!   [`rfbme::DiffTileProducer`] computing tile-level absolute differences
 //!   and a [`rfbme::DiffTileConsumer`] aggregating them into receptive-field
 //!   differences with rolling add/subtract reuse (Fig 8).
-//! * [`block`] — classic block-matching searches (exhaustive, three-step,
-//!   diamond) from the video-codec literature the paper cites [19, 20].
 //! * [`lucas_kanade`] — the classic sparse-to-dense optical flow baseline of
 //!   Fig 14.
-//! * [`precomputed`] — codec-supplied motion vectors (the paper's §VI
-//!   future-work direction), replayed through the same interface.
 //! * [`hornschunck`] — dense variational optical flow, standing in for the
 //!   FlowNet2-s learned-flow baseline of Fig 14: no learned-flow weights
 //!   are available offline, so the classical dense method takes its place.
+//! * [`precomputed`] — codec-supplied motion vectors (the paper's §VI
+//!   future-work direction), replayed through the same interface.
 //!
 //! Every estimator reports an arithmetic **operation count** so the
 //! first-order efficiency model of §IV-A can be evaluated empirically.
@@ -43,7 +42,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod block;
 pub mod field;
 pub mod hornschunck;
 pub mod lucas_kanade;

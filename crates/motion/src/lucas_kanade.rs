@@ -47,6 +47,48 @@ fn downsample(img: &GrayImage) -> GrayImage {
     })
 }
 
+/// Coarse-to-fine dense flow over a `levels`-deep box-filter pyramid, the
+/// scheme Lucas–Kanade and Horn–Schunck share: `solve` refines a per-pixel
+/// field at one level, starting from the coarser level's field upsampled
+/// ×2 in grid and magnitude (zeros at the coarsest level).
+pub(crate) fn coarse_to_fine(
+    key: &GrayImage,
+    new: &GrayImage,
+    levels: usize,
+    mut solve: impl FnMut(&GrayImage, &GrayImage, &mut VectorField),
+) -> VectorField {
+    assert_eq!(
+        (key.height(), key.width()),
+        (new.height(), new.width()),
+        "frame size mismatch"
+    );
+    // Level 0 = full resolution.
+    let mut keys = vec![key.clone()];
+    let mut news = vec![new.clone()];
+    for _ in 1..levels.max(1) {
+        keys.push(downsample(keys.last().expect("level")));
+        news.push(downsample(news.last().expect("level")));
+    }
+    let top = keys.len() - 1;
+    let mut field = VectorField::zeros(keys[top].height(), keys[top].width(), 1);
+    for level in (0..=top).rev() {
+        if level != top {
+            let prev = field;
+            let h = keys[level].height();
+            let w = keys[level].width();
+            field = VectorField::from_fn(h, w, 1, |y, x| {
+                prev.get(
+                    (y / 2).min(prev.grid_h() - 1),
+                    (x / 2).min(prev.grid_w() - 1),
+                )
+                .scaled(2.0)
+            });
+        }
+        solve(&keys[level], &news[level], &mut field);
+    }
+    field
+}
+
 /// Bilinear sample of a row-major `f32` grid with border clamping.
 fn sample_f32(data: &[f32], h: usize, w: usize, y: f32, x: f32) -> f32 {
     let at = |yy: isize, xx: isize| {
@@ -66,8 +108,9 @@ fn sample_f32(data: &[f32], h: usize, w: usize, y: f32, x: f32) -> f32 {
         + at(y0 + 1, x0 + 1) * u * v
 }
 
-/// Bilinear sample with border clamping, `f32` output.
-fn sample(img: &GrayImage, y: f32, x: f32) -> f32 {
+/// Bilinear sample with border clamping, `f32` output (also Horn–Schunck's
+/// key-frame warp).
+pub(crate) fn sample(img: &GrayImage, y: f32, x: f32) -> f32 {
     let y0 = y.floor();
     let x0 = x.floor();
     let v = y - y0;
@@ -156,39 +199,10 @@ impl LucasKanade {
 
     /// Runs pyramidal LK, returning a dense per-pixel field.
     pub fn run(&self, key: &GrayImage, new: &GrayImage) -> MotionResult {
-        assert_eq!(
-            (key.height(), key.width()),
-            (new.height(), new.width()),
-            "frame size mismatch"
-        );
-        // Build pyramids (level 0 = full resolution).
-        let mut keys = vec![key.clone()];
-        let mut news = vec![new.clone()];
-        for _ in 1..self.levels.max(1) {
-            keys.push(downsample(keys.last().expect("level")));
-            news.push(downsample(news.last().expect("level")));
-        }
         let mut ops = 0u64;
-        // Coarse-to-fine.
-        let top = keys.len() - 1;
-        let mut field = VectorField::zeros(keys[top].height(), keys[top].width(), 1);
-        for level in (0..=top).rev() {
-            if level != top {
-                // Upsample the previous level's field (×2 in grid and
-                // magnitude).
-                let prev = field;
-                let h = keys[level].height();
-                let w = keys[level].width();
-                field = VectorField::from_fn(h, w, 1, |y, x| {
-                    let v = prev.get(
-                        (y / 2).min(prev.grid_h() - 1),
-                        (x / 2).min(prev.grid_w() - 1),
-                    );
-                    v.scaled(2.0)
-                });
-            }
-            self.refine_level(&keys[level], &news[level], &mut field, &mut ops);
-        }
+        let field = coarse_to_fine(key, new, self.levels, |k, n, f| {
+            self.refine_level(k, n, f, &mut ops)
+        });
         MotionResult {
             field,
             ops,
