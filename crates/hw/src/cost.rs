@@ -3,8 +3,11 @@
 //! Cost of one frame on the VPU of Fig 5:
 //!
 //! * **Key frame** — Eyeriss runs every conv layer, EIE every FC layer, and
-//!   EVA² stores the target activation (its motion-estimation work still
-//!   runs, deciding *that* this is a key frame).
+//!   EVA² stores the target activation. The model charges every key frame
+//!   EVA²'s motion estimation too, as if the search had decided *that* it is
+//!   a key. The software engine skips RFBME on keys the policy decides
+//!   before searching (a forced gap, a static rate, always-key), so this
+//!   over-prices those; ROADMAP item 11 re-prices frames from served counts.
 //! * **Predicted frame** — EVA² runs RFBME + warping; Eyeriss runs only the
 //!   conv layers after the target; EIE runs the FC layers.
 
@@ -245,8 +248,9 @@ impl HwModel {
     /// is exactly this, with zero EVA² contribution).
     pub fn key_frame_cost(&self, net: &NetDescriptor) -> FrameCost {
         let costing = self.figures(&Self::costing_net(net));
-        // Key frames still pay EVA²'s motion estimation (it made the
-        // decision) — a negligible but honest inclusion.
+        // Every key pays EVA²'s motion estimation here, although the engine
+        // runs no RFBME on a key the policy decided before searching.
+        // ROADMAP item 11 re-prices this from served counts.
         Self::frame(
             self.conv_cost(&net.name, costing.conv_macs),
             self.fc_cost(&costing),

@@ -24,10 +24,10 @@
 //!
 //! The scanner masks comments and string literals before matching (doc
 //! examples legitimately show `.unwrap()`), and skips `#[cfg(test)]`
-//! blocks, `tests/`, `benches/`, and `tests.rs` modules by brace
-//! counting. `--self-test` seeds one violation per rule through the same
-//! scanner and exits zero only if every seeded violation is caught — CI
-//! runs it so a silently broken linter cannot keep a green badge.
+//! blocks, `tests/`, and `tests.rs` modules by brace counting.
+//! `--self-test` seeds one violation per rule through the same scanner and
+//! exits zero only if every seeded violation is caught — CI runs it so a
+//! silently broken linter cannot keep a green badge.
 
 #![forbid(unsafe_code)]
 
@@ -422,12 +422,8 @@ fn is_test_path(path: &Path) -> bool {
     if name == "tests.rs" || name.ends_with("_tests.rs") {
         return true;
     }
-    path.components().any(|c| {
-        matches!(
-            c.as_os_str().to_str(),
-            Some("tests") | Some("benches") | Some("examples")
-        )
-    })
+    path.components()
+        .any(|c| matches!(c.as_os_str().to_str(), Some("tests") | Some("examples")))
 }
 
 /// Recursively collects `.rs` files under `dir`.

@@ -96,17 +96,24 @@
 //! callers can use [`with_thread_scratch`], which reuses a thread-local
 //! scratch.
 //!
-//! # Reproducing the benchmarks
+//! # Measuring the kernels
+//!
+//! The serving benchmark's traced pass times these kernels where they run:
 //!
 //! ```text
-//! cargo bench -p eva2-bench --bench cnn -- gemm_micro   # packed GEMM, prefix shape
-//! cargo bench -p eva2-bench --bench cnn -- conv_paths   # naive vs direct conv
-//! cargo bench -p eva2-bench --bench sparse -- suffix    # sparse suffix
+//! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+//!     run --workload cut_storm_deep --seconds 8 --trace 1
+//! objdump -d --no-show-raw-insn benchmark/target/release/eva2-benchmark \
+//!     | grep -c vfmadd231ps
 //! ```
 //!
-//! GFLOP/s for a `M×N×K` product is `2·M·N·K / median_ns`. Re-measure after
-//! touching this module — the numbers depend on `.cargo/config.toml`'s
-//! `target-cpu=native`.
+//! `tensor.gemm.peak_gmacs_per_s` is packed [`gemm_nn`] at the prefix shape
+//! 32×1024×144; `cnn.layer.<name>.gmacs_per_s` is each prefix GEMM layer's
+//! [`conv2d_forward`] rate at serving geometry. The `objdump` count is 48
+//! while the micro-kernel's depth loops stay on `ymm` FMAs (12 per unrolled
+//! depth step); a scalar fallback shows up as `vfmadd231ss` and as the peak
+//! rate falling by more than half. Re-measure after touching this module —
+//! the numbers depend on `.cargo/config.toml`'s `target-cpu=native`.
 
 // lint: hot-path
 
