@@ -566,6 +566,11 @@ fn pool_block<const N: usize>(rows: &[f32], w: usize, k: usize, s: usize) -> [f3
 /// One output row of a max-pool, in [`pool_block`]s of eight (a `ymm`
 /// register); a ragged end is covered by a last block that overlaps its
 /// neighbour, and rows narrower than a block go output by output.
+///
+/// Eight even on an AVX-512 target (not `eva2_tensor::F32_LANES`): the
+/// zoo's pooled rows are 4–24 outputs wide, and with 16-lane blocks the
+/// rows of 6–12 fall through to the per-output path — measured slower
+/// (`cut_storm_deep`: `cnn.other_layers.busy_us` 3.7 → 5.4).
 #[inline(always)]
 fn pool_row(m: &mut [f32], rows: &[f32], w: usize, k: usize, s: usize) {
     const LANES: usize = 8;

@@ -14,7 +14,7 @@
 //! as well, at `EVA2_CONV_CASES=20000`.
 
 use eva2_cnn::layer::{Conv2d, FullyConnected, Layer, MaxPool2d};
-use eva2_tensor::gemm::{gemm_nn, im2col_into, GemmScratch};
+use eva2_tensor::gemm::{gemm_nn, im2col_into, GemmScratch, NR};
 use eva2_tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -80,8 +80,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(conv_cases()))]
 
     /// `Conv2d::forward` == a bias-prefilled `gemm_nn` over `im2col_into`,
-    /// bit for bit: output rows narrower and wider than one register tile,
-    /// tiles straddling rows, strides that split the input into phases,
+    /// bit for bit: output rows narrower than one register tile and wider
+    /// than two (`w` reaches past `2·NR` at either register width), tiles
+    /// straddling rows, strides that split the input into phases,
     /// ragged channel panels, several depth blocks, 1×1 and empty outputs,
     /// all through a scratch another geometry used first.
     #[test]
@@ -89,12 +90,12 @@ proptest! {
         c_in in channels(),
         c_out in channels(),
         h in 1usize..=14,
-        w in prop_oneof![1usize..=14, 15usize..=40],
+        w in prop_oneof![1usize..=14, 15usize..=2 * NR + 8],
         k in 1usize..=5,
         s in 1usize..=3,
         p in 0usize..=2,
         seed in 0u64..1_000_000,
-        dirty in (1usize..=8, 1usize..=24, 1usize..=24, 1usize..=5, 1usize..=3, 0usize..=2),
+        dirty in (1usize..=8, 1usize..=24, 1usize..=2 * NR + 8, 1usize..=5, 1usize..=3, 0usize..=2),
     ) {
         let mut scratch = GemmScratch::new();
         let (dc, dh, dw, dk, ds, dp) = dirty;

@@ -41,7 +41,8 @@
 //! * **Consumer: `dy` is the lane.** Tile SADs land in `[tile row][lane]`
 //!   order, one lane per vertical offset, so "sum the tile rows a field row
 //!   covers" and "sum the tile columns a field covers" are lane-wise adds
-//!   of whole rows — every `dy` at once, eight lanes per register.
+//!   of whole rows — every `dy` at once, one register of lanes per add
+//!   (16 `u32` in a `zmm` on an AVX-512 target, 8 in a `ymm` otherwise).
 //!   The lanes at which a tile row is valid, and those at which a field
 //!   row is admitted, are contiguous ranges derived once per call from the
 //!   per-axis `AxisSpan`s (one per offset per axis, not one per offset
@@ -78,7 +79,12 @@
 //! (a horizontal minimum and a scalar register test per `dx` and field)
 //! cost ≈ 18 µs of a ≈ 46 µs call at radius 4, where each field covers
 //! about one tile and the consumer did as much work per tile as the
-//! producer; the whole call was 30–31 µs at radius 8.
+//! producer; the whole call was 30–31 µs at radius 8. Those stage figures
+//! were taken with 8-lane blocks at LLVM's 256-bit preference. With
+//! 16-lane `zmm` blocks (`-prefer-256-bit`, [`eva2_tensor::F32_LANES`]) the
+//! serving benchmark's traced `motion.rfbme.busy_us` went 30.6 → 28.0 µs on
+//! `steady` (radius 8) and 38.2 → 34.3 µs on `early_churn` (radius 4), one
+//! 8-s pass each; the stages were not re-split.
 //!
 //! Measured on the way here, so nobody re-tries them blind (48×48, RF
 //! 27/8/10, radius 8, interleaved min-of-60 against the per-row `psadbw`
@@ -625,9 +631,11 @@ fn copy_column(px: &[u8], w: usize, x0: usize, s: usize, dst: &mut [u8]) {
     }
 }
 
-/// Lanes are summed in blocks of this many `u32`s (one `ymm` register), so
-/// every lane row is padded to a whole number of blocks.
-const LANE_BLOCK: usize = 8;
+/// Lanes are summed in blocks of this many `u32`s, one vector register
+/// ([`eva2_tensor::F32_LANES`]: 16 in a `zmm` on an AVX-512 target, 8 in a
+/// `ymm` otherwise), so every lane row is padded to a whole number of
+/// blocks. The served radius-8 search has 17 lanes: two 16-lane blocks.
+const LANE_BLOCK: usize = eva2_tensor::F32_LANES;
 
 /// Writes the SAD of `tile` against each window of `windows` into `out`:
 /// window `i` is the `tile.len()` bytes starting `i · pitch` bytes in.

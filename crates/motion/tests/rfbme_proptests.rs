@@ -262,7 +262,7 @@ proptest! {
         stride in prop_oneof![Just(4usize), Just(8usize), Just(16usize), 1usize..=13],
         size in 1usize..=30,
         padding in 0usize..=20,
-        radius in 0usize..=7,
+        radius in 0usize..=16,
         step in 1usize..=4,
         dirty_stride in 1usize..=9,
         dirty_radius in 0usize..=5,
@@ -271,7 +271,9 @@ proptest! {
         // strides with and without a fixed-width kernel, steps that do not
         // divide the radius, non-square frames that are not a multiple of
         // the stride or are smaller than one tile, padding beyond the
-        // stride, receptive fields narrower than a tile.
+        // stride, receptive fields narrower than a tile, and radii whose
+        // 1–33 `dy` lanes fill one to three 16-lane blocks (the served
+        // radius 8 has 17).
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

@@ -66,20 +66,26 @@
 //! L1-resident while every weight panel streams against them.
 //!
 //! The micro-kernel is a fused multiply-add — per depth step 12
-//! `vfmadd231ps` on `ymm`, FMA-bound at 6 cycles — and the zoo's
-//! convolutions run at 28–37 GMAC/s on the development host. What is left
-//! is per-tile overhead: a few tens of ns a kernel call, and
+//! `vfmadd231ps`, FMA-bound at 6 cycles — on `zmm` (`MR·NR = 4·48`) for an
+//! AVX-512 target and on `ymm` (4·24) otherwise. In the serving
+//! benchmark's traced pass on the development host (2 shared AVX-512
+//! vCPUs) the `tiny_faster16` prefix convolutions run at 40–54 GMAC/s
+//! with the `zmm` tile, against 26–29 with the `ymm` one, and the
+//! 1-channel first layers at 16–18 (13 with `ymm`). What is left is
+//! per-tile overhead: a few tens of ns a kernel call, and
 //! `store_grid_tile`'s row-straddling path (≈ 8 % of the `tiny_faster16`
-//! prefix, measured by storing every tile through the fixed-width path).
-//! Inline fixed-width moves in place of its per-run `memcpy` measured
-//! *slower*; removing the straddle takes a tile walk anchored to output
-//! rows (ROADMAP, "FMA micro-kernel").
+//! prefix at `NR = 24`, measured by storing every tile through the
+//! fixed-width path; at `NR = 48` a pitch-50 row is barely wider than a
+//! tile, so nearly every tile straddles). Inline fixed-width moves in
+//! place of its per-run `memcpy` measured *slower*; removing the straddle
+//! takes a tile walk anchored to output rows (ROADMAP, "Row-anchored tile
+//! walk").
 //!
 //! The GEMM transpose variants ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) run
 //! one BLIS-style nest: `A` is packed once into `MR`-row kernel-order
 //! panels (`pack.rs`); for each [`NC`]-wide column block and `KC`-deep
 //! depth block, `B` is packed into `NR`-column panels (`KC × NC × 4 B =
-//! 264 KiB`, L2-resident while `A`'s panels stream against it); the inner
+//! 288 KiB`, L2-resident while `A`'s panels stream against it); the inner
 //! loops walk `MR × NR` tiles of `C`. Ragged `M`/`N` edges are zero-padded
 //! during packing; ragged `K` tails shorten the depth loop. Transposed
 //! operands are handled by the *packers* through strided views, so no
@@ -109,11 +115,17 @@
 //!
 //! `tensor.gemm.peak_gmacs_per_s` is packed [`gemm_nn`] at the prefix shape
 //! 32×1024×144; `cnn.layer.<name>.gmacs_per_s` is each prefix GEMM layer's
-//! [`conv2d_forward`] rate at serving geometry. The `objdump` count is 48
-//! while the micro-kernel's depth loops stay on `ymm` FMAs (12 per unrolled
-//! depth step); a scalar fallback shows up as `vfmadd231ss` and as the peak
-//! rate falling by more than half. Re-measure after touching this module —
-//! the numbers depend on `.cargo/config.toml`'s `target-cpu=native`.
+//! [`conv2d_forward`] rate at serving geometry. The `objdump` count is 24
+//! on an AVX-512 host while the micro-kernel's depth loops stay on `zmm`
+//! FMAs (2 kernels × 12 per depth step, none on `ymm`). An AVX2-only build
+//! (`-C target-cpu=x86-64-v3`, the 4×24 tile) counts 24 on `ymm`; the 48
+//! that `target-cpu=native` counted on `ymm` before the flag was the same
+//! tile with `gemm_packed`'s depth step unrolled twice. A scalar fallback
+//! shows up as `vfmadd231ss` and as the peak rate falling by more than
+//! half; CI's benchmark job fails on a binary with no packed
+//! `vfmadd231ps`. Re-measure after touching this module — the numbers
+//! depend on `.cargo/config.toml`'s `target-cpu=native` and
+//! `-prefer-256-bit`.
 
 // lint: hot-path
 
@@ -130,9 +142,10 @@ pub use crate::pack::{MR, NR};
 pub const KC: usize = 256;
 
 /// Column-blocking factor: the `N` extent of one packed `B` block, a
-/// multiple of [`NR`] so no block ends in a ragged panel. `KC × NC` f32 =
-/// 264 KiB, L2-resident while every `MR`-row panel of `A` streams against it.
-pub const NC: usize = 264;
+/// multiple of [`NR`] at either register width (6 panels of 48, 12 of 24)
+/// so no block ends in a ragged panel. `KC × NC` f32 = 288 KiB, L2-resident
+/// while every `MR`-row panel of `A` streams against it.
+pub const NC: usize = 288;
 const _: () = assert!(NC.is_multiple_of(NR));
 
 /// Output spatial length of a convolution along one axis (floor convention;
@@ -1090,8 +1103,9 @@ mod tests {
             (2usize, 6usize, 5usize, 3usize, 3usize, 1usize, 1usize),
             (3, 8, 8, 4, 5, 2, 2),
             (1, 4, 4, 2, 4, 4, 0),
-            // Padded row pitch 7 < NR: tiles straddle output rows.
-            (2, 5, 5, 3, 3, 1, 1),
+            // Padded row pitch 7 < NR over NR/2 rows: several tiles, each
+            // straddling output rows.
+            (2, NR / 2, 5, 3, 3, 1, 1),
             // Whole output narrower than one NR tile.
             (2, 3, 3, 5, 3, 1, 0),
             // K_dim = 8·6² = 288 > KC: two depth blocks.
@@ -1101,15 +1115,15 @@ mod tests {
             // One output column in a pitch of 5: the fourth tile starts in
             // the grid's unused columns, past the end of the last channel.
             (1, 11, 1, 2, 5, 1, 2),
-            // The zoo's pitches. 50: tiles alternate between one output row
-            // and two; 26: every tile but a row's first straddles; 14: a
-            // tile covers parts of three rows.
+            // The zoo's pitches, 50, 26 and 14: at either register width a
+            // tile covers parts of one to five output rows, starting at a
+            // different column each time.
             (2, 5, 48, 5, 3, 1, 1),
             (2, 5, 24, 5, 3, 1, 1),
             (2, 5, 12, 5, 3, 1, 1),
-            // Pitch 33, between NR and 2·NR: a row is one whole tile and a
-            // part of the next.
-            (2, 4, 31, 5, 3, 1, 1),
+            // Pitch NR + 9, between NR and 2·NR: a row is one whole tile and
+            // a part of the next.
+            (2, 4, NR + 7, 5, 3, 1, 1),
         ] {
             let input = seq_input(c, h, w);
             let (weights, bias) = weights_for(oc, c, k);

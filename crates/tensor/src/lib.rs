@@ -15,7 +15,7 @@
 //! * [`gemm`] — the convolution engine behind `eva2_cnn::Conv2d`: a
 //!   padded-domain direct convolution for the forward pass and a packed,
 //!   register-blocked f32 GEMM over im2col for training, both on one
-//!   4×24 fused-multiply-add micro-kernel.
+//!   4×48 (4×24 without AVX-512) fused-multiply-add micro-kernel.
 //! * [`sparse`] — [`SparseActivation`], the non-zero view the sparse-aware
 //!   CNN suffix consumes (the software analogue of the Fig 10 decoder-lane
 //!   output).
@@ -49,3 +49,20 @@ pub use image::GrayImage;
 pub use shape::Shape3;
 pub use sparse::SparseActivation;
 pub use tensor::Tensor3;
+
+/// 32-bit lanes in one vector register of the build target: 16 (a `zmm`)
+/// when it has AVX-512F, 8 (a `ymm`) otherwise.
+///
+/// The register-blocked kernels are sized from it: the micro-kernel's tile
+/// width [`gemm::NR`] is three registers, RFBME's lane block in
+/// `eva2-motion` is one. Like the micro-kernel's choice of fused
+/// multiply-add, it is fixed at build time from the target, not an option:
+/// one code path per build. The 16-lane shapes assume the build also drops
+/// LLVM's `prefer-256-bit` tuning (`.cargo/config.toml` does); with it, the
+/// compiler sizes every vector for `ymm`, and a 48-wide tile row becomes six
+/// `ymm` FMAs a depth step instead of three `zmm` ones.
+pub const F32_LANES: usize = if cfg!(target_feature = "avx512f") {
+    16
+} else {
+    8
+};

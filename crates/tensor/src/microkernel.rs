@@ -3,9 +3,10 @@
 //!
 //! One invocation computes a full `MR × NR` tile of `A·B` for one depth
 //! block, keeping all `MR·NR` partial sums in an accumulator array that
-//! lives in registers for the whole depth loop. With `MR = 4`, `NR = 24`
-//! the tile is 12 YMM registers under AVX2, which with 3 for the `B` row
-//! and 1 for the `A` broadcast is exactly the 16-register file; 12
+//! lives in registers for the whole depth loop. `NR` is three vector
+//! registers ([`crate::F32_LANES`]): with `MR = 4` the tile is 12
+//! accumulators, plus 3 for the `B` row and 1 for the `A` broadcast — 16
+//! `zmm` of AVX-512's 32 (4×48), or exactly AVX2's 16 `ymm` (4×24). 12
 //! independent chains cover the FMA latency × 2 ports.
 //!
 //! `A` always arrives as a kernel-ordered panel from [`crate::pack`].
@@ -13,16 +14,25 @@
 //! [`microkernel_taps`] reads each depth step's `NR` values at an offset
 //! into a padded input buffer (the direct convolution, which packs no `B`
 //! at all). Both run [`rank1`] per depth step — one `fmac` chain over the
-//! depth index per `(i, j)`, from zero — hence the same bits.
+//! depth index per `(i, j)`, from zero — hence the same bits, at either
+//! width.
 //!
 //! **What it compiles to.** Per depth step, 3 `vmovups` of `B`, 4
-//! `vbroadcastss` of `A` and 12 `vfmadd231ps` on `ymm`, no stack traffic
-//! (`objdump -d`: the depth loops of `conv_tiles` and `gemm_packed`) —
-//! FMA-bound at 6 cycles a step. The form is fragile *per tile shape and per
-//! target*: with `mul_add`, 4×16 compiled the taps form but took the packed
-//! form to 13 GMAC/s, 8×16 and 8×32 went scalar under `target-cpu=native`
-//! on an AVX-512 host, and so did a flat `[f32; MR*NR]` accumulator walked
-//! with `chunks_exact_mut(NR).zip(..)`. Read the disassembly after any edit.
+//! `vbroadcastss` of `A` and 12 `vfmadd231ps` on `zmm` (on `ymm` for an
+//! AVX2-only target), no stack traffic (`objdump -d`: the depth loops of
+//! `conv_tiles` and `gemm_packed`) — FMA-bound at 6 cycles a step. The
+//! `zmm` form needs `.cargo/config.toml`'s `-prefer-256-bit`: LLVM's
+//! default AVX-512 tuning sizes every vector for `ymm`. The form is fragile
+//! *per tile shape and per target*; measured on an AVX-512 host:
+//! * at 256-bit preference, 4×24 was the shape that stayed vector; with
+//!   `mul_add`, 4×16 compiled the taps form but took the packed form to 13
+//!   GMAC/s, and 8×16, 8×32 and a flat `[f32; MR*NR]` accumulator walked
+//!   with `chunks_exact_mut(NR).zip(..)` went scalar;
+//! * with the flag, 4×24 got slower (1.5 `zmm` a row, 8 chains:
+//!   `cut_storm_deep`'s `cnn.prefix.busy_us` 267 → 306 µs), 8×32 still
+//!   compiled to 63 `ymm` FMAs, and 4×64 measured no better than 4×48.
+//!
+//! Read the disassembly after any edit.
 //!
 //! The kernel is branch-free over ragged edges: packing zero-pads partial
 //! `A` panels (and `B` panels in the GEMM driver), so partial tiles cost a
@@ -180,7 +190,7 @@ mod tests {
     #[test]
     fn taps_form_matches_the_scalar_chain_across_grid_rows() {
         // A 3×3 window over two planes of pitch 7 < NR: the NR lanes of one
-        // tap run through four grid rows of its plane.
+        // tap run through several grid rows (and into the next plane).
         let (pitch, rows, planes) = (7, 6, 2);
         let buf = operands(planes * rows * pitch + NR, 5);
         let taps: Vec<usize> = (0..planes * 9)

@@ -19,9 +19,13 @@
 /// Micro-kernel tile height: rows of `C` computed per kernel invocation.
 pub const MR: usize = 4;
 
-/// Micro-kernel tile width: columns of `C` computed per kernel invocation
-/// (three 8-lane `ymm` registers per tile row).
-pub const NR: usize = 24;
+/// Micro-kernel tile width: columns of `C` computed per kernel invocation,
+/// three vector registers per tile row — 48 (three `zmm`) on an AVX-512
+/// target, 24 (three `ymm`) otherwise; see [`crate::F32_LANES`]. Either way
+/// the tile's 12 accumulators, 3 `B` loads and 1 broadcast take 16
+/// registers: half of AVX-512's 32, all of AVX2's 16.
+pub const NR: usize = 3 * crate::F32_LANES;
+const _: () = assert!(NR.is_multiple_of(crate::F32_LANES));
 
 /// A read-only strided matrix view: `element(r, c) = data[r*rs + c*cs]`.
 ///
