@@ -167,8 +167,8 @@ impl Network {
     ///
     /// The first suffix layer consumes the non-zero entries via
     /// [`Layer::forward_sparse`] when it has a sparse-fed path: a
-    /// fully-connected head does one AXPY per non-zero and skips the zeros'
-    /// work, mirroring the paper's skip-zero hardware (§IV). Every other
+    /// fully-connected head adds one weight row per non-zero and skips the
+    /// zeros' work, mirroring the paper's skip-zero hardware (§IV). Every other
     /// head densifies first — a convolution head included: on
     /// `tiny_fasterm`'s early-target head, densify + the dense conv
     /// measured 7.1 µs against 12.3 µs for scattering the ≈ 735 non-zeros

@@ -145,7 +145,7 @@ proptest! {
 }
 
 /// The served suffixes: at both of every zoo network's targets the sparse
-/// suffix entry point — an AXPY-fed FC head late, a densified conv head
+/// suffix entry point — a sparse-fed FC head late, a densified conv head
 /// early — equals the dense suffix on the densified activation, bit for
 /// bit.
 #[test]

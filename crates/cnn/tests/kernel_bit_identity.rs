@@ -2,9 +2,10 @@
 //!
 //! Each of the three forward bodies that were re-shaped for the vector unit
 //! — the padded-domain direct convolution, the row-slice max-pool and the
-//! AXPY fully-connected product — must return exactly the bits of the
-//! definition it replaced, built here only from retained public functions
-//! (`im2col_into` + `gemm_nn`, `Tensor3::from_fn`, a scalar dot product).
+//! register-blocked fully-connected product, dense and sparse-fed — must
+//! return exactly the bits of the definition it replaced, built here only
+//! from retained public functions (`im2col_into` + `gemm_nn`,
+//! `Tensor3::from_fn`, a scalar dot product).
 //! The serving engine's replayability rests on that: key frames, predicted
 //! frames and the full-CNN reference all run these kernels, and a digest
 //! recorded by one build must verify on the next.
@@ -15,7 +16,7 @@
 
 use eva2_cnn::layer::{Conv2d, FullyConnected, Layer, MaxPool2d};
 use eva2_tensor::gemm::{gemm_nn, im2col_into, GemmScratch, NR};
-use eva2_tensor::{Shape3, Tensor3};
+use eva2_tensor::{Shape3, SparseActivation, Tensor3};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -180,6 +181,46 @@ proptest! {
             })
             .collect();
         let got = fc.forward(&Tensor3::from_vec(Shape3::new(n_in, 1, 1), x));
+        prop_assert_eq!(bits(got.as_slice()), bits(&want));
+    }
+
+    /// `FullyConnected::forward_sparse` == one scalar `acc += w·x` chain
+    /// per output over the non-zeros only, in flat (channel-major) order,
+    /// started from the bias, bit for bit — over several output blocks and
+    /// a narrower last one, and inputs with every entry zero.
+    #[test]
+    fn sparse_fc_bit_identical_to_scalar_chains_over_non_zeros(
+        c in 1usize..=4,
+        h in 1usize..=5,
+        w in 1usize..=5,
+        n_out in 1usize..=110,
+        zero_draw in 0u32..20,
+        seed in 0u64..1_000_000,
+    ) {
+        let n_in = c * h * w;
+        let mut fc = FullyConnected::new("f", n_in, n_out, &mut ChaCha8Rng::seed_from_u64(seed));
+        let mut params = fc.params();
+        params[n_in * n_out..].copy_from_slice(&fill(n_out, seed ^ 7));
+        fc.load_params(&params);
+        // One case in twenty has no non-zero at all: the output is the bias.
+        let x = if zero_draw == 0 { vec![0.0; n_in] } else { fill(n_in, seed ^ 9) };
+        let want: Vec<f32> = (0..n_out)
+            .map(|o| {
+                let mut acc = params[n_in * n_out + o];
+                for (wt, &v) in params[o * n_in..(o + 1) * n_in].iter().zip(&x) {
+                    if v != 0.0 {
+                        acc += wt * v;
+                    }
+                }
+                acc
+            })
+            .collect();
+        let dense = Tensor3::from_vec(Shape3::new(c, h, w), x);
+        let sparse = SparseActivation::from_dense(&dense, 0.0);
+        let got = fc
+            .forward_sparse(&sparse, &mut GemmScratch::new())
+            .expect("a fully-connected layer has a sparse-fed path");
+        prop_assert_eq!(got.shape(), Shape3::new(n_out, 1, 1));
         prop_assert_eq!(bits(got.as_slice()), bits(&want));
     }
 }

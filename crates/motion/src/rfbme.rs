@@ -27,73 +27,71 @@
 //! One loop structure serves every stride; strides 4, 8 and 16 run it with
 //! the stride as a constant.
 //!
-//! * **Producer: contiguous tiles against a contiguous strip.** `new` is
-//!   copied once per call tile-major, tile column after tile column, so a
-//!   tile is `stride²` contiguous bytes. The horizontal offset `dx` is the
-//!   outer loop; for each tile column whose windows stay in the key frame
-//!   at that `dx`, the key frame's `stride`-byte-wide column displaced by
-//!   `dx` is copied into one contiguous strip. The tile SAD at vertical
-//!   offset `dy` is then a SAD of two contiguous `stride²`-byte runs — the
-//!   tile against the strip from row `ty·stride + dy` — and consecutive
-//!   `dy` are `stride` bytes apart. `sad::sad_tile` compares the
-//!   runs in 32-byte blocks (`vpsadbw` on `ymm` operands; one 16-byte
-//!   block at stride 4, a runtime-length run at other strides).
-//! * **Consumer: `dy` is the lane.** Tile SADs land in `[tile row][lane]`
-//!   order, one lane per vertical offset, so "sum the tile rows a field row
-//!   covers" and "sum the tile columns a field covers" are lane-wise adds
-//!   of whole rows — every `dy` at once, one register of lanes per add
-//!   (16 `u32` in a `zmm` on an AVX-512 target, 8 in a `ymm` otherwise).
-//!   The lanes at which a tile row is valid, and those at which a field
-//!   row is admitted, are contiguous ranges derived once per call from the
-//!   per-axis `AxisSpan`s (one per offset per axis, not one per offset
-//!   pair).
-//! * **A deferred, lane-wise min-check.** Each field keeps one `u64` key
-//!   per lane, `(error << 32) | rank(dx)` with `rank(dx) = 2·|dx| +
-//!   (dx > 0)`, and every `dx` folds its field sums in with a lane-wise
-//!   `min` (`vpminuq`) in the same loop that sums them. Inside a lane `dy`
-//!   is fixed, so the reference's order — error, then `dy² + dx²`, then
-//!   `(dy, dx)` — reduces to error, `|dx|`, `dx`, which is the key's
-//!   order. After the last `dx`, one pass per field takes the smallest key
-//!   over the field's admitted lanes; the lanes that share its error meet
-//!   the register in lane order, not the reference's row-major order, so
-//!   it applies the reference's rule in its order-free form
-//!   (`RfMatch::yields_to`): smaller error, then smaller `dy² + dx²`,
-//!   then lexicographically smaller `(dy, dx)` — exactly "first visited in
-//!   row-major order".
+//! * **Every search offset is a lane.** With `n` offsets per axis, lane
+//!   `xi·n + yi` holds the offset `(dy, dx)` whose indices on the two axes
+//!   are `yi` and `xi`. The `n²` lanes are padded once, at the end, to whole
+//!   vector registers (16 `u32` in a `zmm` on an AVX-512 target, 8 in a
+//!   `ymm` otherwise): 81 → 96 lanes for the early target's radius 4,
+//!   289 → 304 for the late target's radius 8.
+//! * **Producer: contiguous tiles against a contiguous strip, one tile
+//!   column at a time.** `new` is copied once per call tile-major, so a
+//!   tile is `stride²` contiguous bytes. For each `dx` at which tile column
+//!   `tx`'s windows stay in the key frame, the key frame's
+//!   `stride`-byte-wide column displaced by `dx` is copied into one
+//!   contiguous strip. The tile SAD at vertical offset `dy` is then a SAD
+//!   of two contiguous `stride²`-byte runs — the tile against the strip
+//!   from row `ty·stride + dy` — and consecutive `dy` are `stride` bytes
+//!   apart. `sad::sad_tile` compares the runs in 32-byte blocks (`vpsadbw`;
+//!   one 16-byte block at stride 4, a runtime-length run at other strides).
+//!   The SADs fill a `[tile row][lane]` plane for the column, at the valid
+//!   (tile, offset) pairs only.
+//! * **Consumer, first half: a ring of tile-row sums.** For each field row,
+//!   the lane-wise sum of the plane rows it covers goes into a ring that
+//!   holds the last few tile columns, as many as the widest field is wide.
+//! * **Consumer, second half: one min-check per receptive field.** Once a
+//!   field's last tile column is done, the lane-wise sum of its ring slots
+//!   is keyed `(sum << 32) | rank[lane]` and reduced by one vector minimum
+//!   (`vpminuq`). The rank is `(dy² + dx²)·n² + yi·n + xi`: it orders the
+//!   offsets as the reference's register does among equal errors (smaller
+//!   `dy² + dx²`, then first in row-major order), so the smallest key is
+//!   the reference's answer and there is no tie pass. Lanes where the field
+//!   is not admitted (one of its windows leaves the key frame) have their
+//!   sum forced to `u32::MAX` by OR-ing one mask per field row and one per
+//!   field column; every admitted sum is below that.
+//! * **What the geometry fixes is kept.** The rank table, the masks, the
+//!   two axes' plans and the operation counts depend on `(rf, params, h,
+//!   w)` alone. [`RfbmeScratch`] keeps them until a call brings another
+//!   geometry.
 //!
 //! Results are bit-identical to the reference. The cost depends on the
 //! geometry only, never on frame contents: [`Rfbme::ops_bound`] is the
 //! exact operation count of every call, and the counts a result reports
 //! are computed from the same per-axis totals rather than tallied in the
 //! loop. Sums are exact in `u32` for frames below [`Rfbme::MAX_PIXELS`],
-//! which [`Rfbme::estimate_with`] checks.
+//! and ranks fit in `u32` up to radius 151 at step 1; [`Rfbme::estimate_with`]
+//! checks both.
 //!
-//! Where a call's time goes (48×48 frames of the synthetic streaming
-//! scenes, min-of-300 per stage, found by deleting stages from the back on
-//! an AVX-512 host): at RF 27/8/10, radius 8 (the late target), ≈ 28 µs —
-//! tile SADs ≈ 13, tile-row sums ≈ 4, field sums folded into the keys ≈ 7,
-//! the per-field pass under 1, strip copies, per-call planning and the
-//! returned result ≈ 4.5; at RF 7/4/2, radius 4 (the early target), ≈ 32
-//! µs — SADs ≈ 10.5, tile-row sums ≈ 5, field sums and keys ≈ 8, the
-//! per-field pass ≈ 3, the rest ≈ 5. The eager min-check this replaced
-//! (a horizontal minimum and a scalar register test per `dx` and field)
-//! cost ≈ 18 µs of a ≈ 46 µs call at radius 4, where each field covers
-//! about one tile and the consumer did as much work per tile as the
-//! producer; the whole call was 30–31 µs at radius 8. Those stage figures
-//! were taken with 8-lane blocks at LLVM's 256-bit preference. With
-//! 16-lane `zmm` blocks (`-prefer-256-bit`, [`eva2_tensor::F32_LANES`]) the
-//! serving benchmark's traced `motion.rfbme.busy_us` went 30.6 → 28.0 µs on
-//! `steady` (radius 8) and 38.2 → 34.3 µs on `early_churn` (radius 4), one
-//! 8-s pass each; the stages were not re-split.
+//! Where a call's time goes (48×48 frames, a textured pair shifted by
+//! (1, 2), on an AVX-512 host; stages deleted from the back, minimum over
+//! 40 interleaved rounds of 100 calls): at RF 7/4/2, radius 4 (the early
+//! target), ≈ 22 µs — tile SADs and strip copies ≈ 15.3, tile-row sums
+//! into the ring ≈ 1.2, the field minimums ≈ 4.4, and copying `new`, the
+//! geometry check and the returned result ≈ 1.4; at RF 27/8/10, radius 8
+//! (the late target), ≈ 23.5 µs — SADs ≈ 17.5, ring ≈ 1.9, minimums ≈ 3.7,
+//! the rest ≈ 0.6. The `dy`-lane search this replaced kept one `u64` key
+//! per field per `dy` lane, folded every `dx` into it and settled ties in
+//! a pass per field. In the same harness it took 28.4–28.7 µs at radius 4,
+//! where every field covers a single tile and ≈ 13 µs of its consumer
+//! summed nothing, and 26.1–26.9 µs at radius 8.
 //!
 //! Measured on the way here, so nobody re-tries them blind (48×48, RF
 //! 27/8/10, radius 8, interleaved min-of-60 against the per-row `psadbw`
 //! search this replaced at 69 µs a call, unless stated):
 //!
-//! * Making `dx` the lane instead, with the per-row 8-byte kernel, took
-//!   the producer from 35 to 55 µs: per-lane bounds checks and spilled row
-//!   pointers. `dy` lanes need neither, because a strip makes consecutive
-//!   lanes' windows one fixed pitch apart.
+//! * Making `dx` the lane of the producer, with the per-row 8-byte kernel,
+//!   took it from 35 to 55 µs: per-lane bounds checks and spilled row
+//!   pointers. Within one `dx`, `dy` lanes need neither, because a strip
+//!   makes consecutive lanes' windows one fixed pitch apart.
 //! * The tile SAD must be straight-line blocks of a constant size. Fed
 //!   through the runtime-length run kernel ([`crate::sad::sad_row`]) with
 //!   a length the compiler could have folded, the SAD stayed scalar or
@@ -101,12 +99,27 @@
 //!   search); see also the kernel notes in [`crate::sad`].
 //! * Summing runtime-length lane ranges (`copy_from_slice` then adds over
 //!   the 9–17 admitted lanes) costs a `memcpy` call and a scalar epilogue
-//!   per row; whole padded rows in register-wide blocks, with zero in the
-//!   lanes a tile is not searched at, are what made the consumer cheap.
-//! * The key's rank must be the closed form above. Ranking the offsets by
-//!   a table or a sort built on every call measured slower (43 µs a call
-//!   against 29 at radius 8), and a sort of more than 20 offsets
-//!   allocates, which the serving engine's warmed estimate may not.
+//!   per row; whole padded rows in register-wide blocks, with zero or an
+//!   earlier tile's SAD in the lanes a tile is not searched at, are what
+//!   made the consumer cheap.
+//! * Building the rank table, or sorting the offsets, on every call
+//!   measured slower than a closed form (43 µs a call against 29 at radius
+//!   8, with the earlier `dy`-lane consumer), and a sort of more than 20
+//!   offsets allocates, which the serving engine's warmed estimate may not.
+//!   The table is built from the closed form once per geometry instead.
+//! * A `u32` error plus a blended `dx` index as the key, with `dx` visited
+//!   in rank order (on the earlier `dy`-lane consumer): medians 31.6 → 41.4
+//!   µs a call at radius 4, 29.1 → 37.4 at radius 8.
+//! * Folding fields that cover a single tile straight from the `dy`-lane
+//!   plane, skipping the tile-row sums: only 10 % off that consumer.
+//! * Moving the tile-row loop inside the out-of-line producer call, and a
+//!   branch-free producer that fills every lane from a padded strip, gained
+//!   nothing over valid lanes only — and the second would make the
+//!   reported operation count understate the work.
+//! * Summing a field's ring slots into a lane buffer first, then taking
+//!   the minimum over the buffer: level at radius 4, 1.12–1.14× the call
+//!   at radius 8, where fields span three tile columns and the sums make a
+//!   round trip through memory that the register sum here avoids.
 
 // lint: hot-path
 
@@ -165,6 +178,11 @@ impl SearchParams {
     fn axis(&self) -> impl Iterator<Item = isize> + Clone {
         let r = self.radius as isize;
         (-r..=r).step_by(self.step.max(1))
+    }
+
+    /// The offset at index `i` of [`SearchParams::axis`].
+    fn offset(&self, i: usize) -> isize {
+        (i * self.step.max(1)) as isize - self.radius as isize
     }
 
     /// The search offsets along one axis: `-radius..=radius` step `step`.
@@ -295,24 +313,6 @@ impl RfMatch {
         error: u32::MAX,
         pixels: 0,
     };
-
-    /// Whether offset `(dy, dx)` with `error` displaces this register: the
-    /// [`DiffTileConsumer`]'s rule in a form that does not depend on visit
-    /// order. The consumer sees offsets in row-major order and replaces on
-    /// a strictly smaller error, or an equal error and a strictly smaller
-    /// `dy² + dx²` — so of several offsets equal in both it keeps the first
-    /// visited, which is the lexicographically smallest `(dy, dx)`. The
-    /// dense search meets a field's per-lane winners in `dy` order, each
-    /// at its own `dx`, and needs that third clause spelled out.
-    fn yields_to(&self, error: u32, dy: isize, dx: isize) -> bool {
-        if error != self.error {
-            return error < self.error;
-        }
-        let held = self.vector;
-        let mag = (dy * dy + dx * dx) as f32;
-        let held_mag = held.dy * held.dy + held.dx * held.dx;
-        mag < held_mag || (mag == held_mag && (dy as f32, dx as f32) < (held.dy, held.dx))
-    }
 }
 
 /// The diff tile consumer: aggregates tile differences into receptive-field
@@ -529,8 +529,9 @@ impl AxisSpan {
     }
 }
 
-/// The search along one axis, derived once per call from the geometry:
-/// each receptive field's tile range and each offset's [`AxisSpan`].
+/// The search along one axis, derived from the geometry: each receptive
+/// field's tile range, each offset's [`AxisSpan`], and their transposes —
+/// the offsets at which each tile is searched and each field admitted.
 /// Everything the search costs factors through two of these.
 #[derive(Debug, Clone, Default)]
 struct AxisPlan {
@@ -538,6 +539,11 @@ struct AxisPlan {
     ranges: Vec<(usize, usize)>,
     /// What each search offset admits, in visit order.
     spans: Vec<AxisSpan>,
+    /// The offsets (indices in visit order) at which each tile is searched:
+    /// its window stays in the key frame and the offset admits some field.
+    tile_offsets: Vec<Range<usize>>,
+    /// The offsets at which each receptive field is admitted.
+    field_offsets: Vec<Range<usize>>,
 }
 
 impl AxisPlan {
@@ -546,7 +552,12 @@ impl AxisPlan {
         let s = rfbme.rf.stride.max(1);
         let tiles = n / s;
         let consumer = DiffTileConsumer { rf: rfbme.rf };
-        let Self { ranges, spans } = self;
+        let Self {
+            ranges,
+            spans,
+            tile_offsets,
+            field_offsets,
+        } = self;
         ranges.clear();
         ranges.extend((0..rfbme.rf.grid_len(n)).map(|a| consumer.tile_range(a, tiles)));
         spans.clear();
@@ -556,6 +567,25 @@ impl AxisPlan {
                 .axis()
                 .map(|d| AxisSpan::new(ranges, tiles, s, d, n)),
         );
+        // Both conditions bound the offset from two sides, so each tile's
+        // and each field's offsets are one contiguous run.
+        tile_offsets.clear();
+        tile_offsets.resize(tiles, 0..0);
+        field_offsets.clear();
+        field_offsets.resize(ranges.len(), 0..0);
+        let live = spans
+            .iter()
+            .enumerate()
+            .filter(|(_, span)| !span.fields.is_empty());
+        for (i, span) in live {
+            let tiles = tile_offsets[span.tiles.clone()].iter_mut();
+            for r in tiles.chain(&mut field_offsets[span.fields.clone()]) {
+                if r.start == r.end {
+                    r.start = i;
+                }
+                r.end = i + 1;
+            }
+        }
     }
 
     /// The offsets that admit at least one receptive field, with their
@@ -600,7 +630,7 @@ struct AxisTotals {
 /// one candidate. All four factor per axis, so the sums over the window
 /// are products of per-axis totals. Saturating arithmetic keeps degenerate
 /// geometries from wrapping.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SearchCost {
     producer: u64,
     consumer: u64,
@@ -631,10 +661,12 @@ fn copy_column(px: &[u8], w: usize, x0: usize, s: usize, dst: &mut [u8]) {
     }
 }
 
-/// Lanes are summed in blocks of this many `u32`s, one vector register
-/// ([`eva2_tensor::F32_LANES`]: 16 in a `zmm` on an AVX-512 target, 8 in a
-/// `ymm` otherwise), so every lane row is padded to a whole number of
-/// blocks. The served radius-8 search has 17 lanes: two 16-lane blocks.
+/// Lanes are summed and compared in blocks of this many, one vector
+/// register of `u32` ([`eva2_tensor::F32_LANES`]: 16 in a `zmm` on an
+/// AVX-512 target, 8 in a `ymm` otherwise). The lanes are all the search
+/// offsets, padded once at the end to a whole number of blocks: the early
+/// target's radius-4 search has 81 offsets in 96 lanes, the late target's
+/// radius-8 one 289 in 304.
 const LANE_BLOCK: usize = eva2_tensor::F32_LANES;
 
 /// Writes the SAD of `tile` against each window of `windows` into `out`:
@@ -667,37 +699,145 @@ fn lane_block_sum(rows: &[u32], pitch: usize, b: usize, count: usize) -> [u32; L
     acc
 }
 
-/// Folds one candidate per lane into a field's min-check keys: the
-/// lane-wise sum of `count` lane rows `keys.len()` lanes apart, packed as
-/// `(sum << 32) | rank`, replaces a lane's key when smaller.
+/// One receptive field's min-check register over every lane at once.
+///
+/// The field's sum at a lane is the lane-wise sum of its tile columns' ring
+/// rows, `lanes` apart: `head` rows from the start of `ring`, then `tail`
+/// rows from the start of `wrapped` (where the ring wrapped). A lane at
+/// which the field is not admitted has its sum forced to `u32::MAX` by
+/// either mask. The result is the smallest `(sum << 32) | rank` over the
+/// lanes.
 #[inline(always)]
-fn min_lane_keys(rows: &[u32], count: usize, rank: u64, keys: &mut [u64]) {
-    let pitch = keys.len();
-    for (b, keys) in keys.chunks_exact_mut(LANE_BLOCK).enumerate() {
-        let sums = lane_block_sum(rows, pitch, b, count);
-        for (key, &sum) in keys.iter_mut().zip(&sums) {
-            *key = (*key).min(u64::from(sum) << 32 | rank);
+fn field_min(
+    (ring, head): (&[u32], usize),
+    (wrapped, tail): (&[u32], usize),
+    row_mask: &[u32],
+    col_mask: &[u32],
+    rank: &[u32],
+) -> u64 {
+    fn blocks(v: &[u32]) -> std::slice::ChunksExact<'_, u32> {
+        v.chunks_exact(LANE_BLOCK)
+    }
+    let lanes = rank.len();
+    let masks = blocks(row_mask).zip(blocks(col_mask));
+    let mut min = [u64::MAX; LANE_BLOCK];
+    for (b, ((rm, cm), rk)) in masks.zip(blocks(rank)).enumerate() {
+        let mut sums = lane_block_sum(ring, lanes, b, head);
+        for (sum, v) in sums.iter_mut().zip(lane_block_sum(wrapped, lanes, b, tail)) {
+            *sum += v;
+        }
+        let each = min.iter_mut().zip(sums).zip(rm.iter().zip(cm).zip(rk));
+        for ((m, sum), ((&rm, &cm), &rk)) in each {
+            *m = (*m).min(u64::from(sum | rm | cm) << 32 | u64::from(rk));
         }
     }
+    min.into_iter().fold(u64::MAX, u64::min)
 }
 
-/// The rank of horizontal offset `dx` among the offsets of one lane, where
-/// `dy` is fixed: the reference's tie-break after the error, smaller
-/// `dy² + dx²` and then smaller `(dy, dx)`, is smaller `|dx|` and then
-/// negative before positive.
+/// The reference's whole tie rule as one number per offset. Of two offsets
+/// with the same error, the reference keeps the smaller `dy² + dx²`, and of
+/// two equal in that too the one it visits first, in row-major order: the
+/// smaller `(dy, dx)`. With offset indices `yi`, `xi` in `0..n` on each
+/// axis that is the order of `(dy² + dx²)·n² + yi·n + xi`, and the rank is
+/// distinct per offset, so it also names the offset ([`decode_rank`]).
 #[inline]
-fn dx_rank(dx: isize) -> u64 {
-    2 * dx.unsigned_abs() as u64 + u64::from(dx > 0)
+fn offset_rank(params: SearchParams, n: usize, (yi, xi): (usize, usize)) -> u32 {
+    let (dy, dx) = (params.offset(yi), params.offset(xi));
+    let magnitude = (dy * dy + dx * dx) as usize;
+    (magnitude * n * n + yi * n + xi) as u32
 }
 
-/// The offset [`dx_rank`] ranked.
+/// The offset indices `(yi, xi)` that [`offset_rank`] ranked, given the
+/// number of offsets per axis `n`.
 #[inline]
-fn rank_dx(rank: u64) -> isize {
-    let magnitude = (rank >> 1) as isize;
-    if rank & 1 == 1 {
-        magnitude
-    } else {
-        -magnitude
+fn decode_rank(rank: u32, n: usize) -> (usize, usize) {
+    // `n²` fits in `u32` wherever the ranks do (`Rfbme::ranks_fit_u32`).
+    let n = n as u32;
+    let offset = rank % (n * n);
+    ((offset / n) as usize, (offset % n) as usize)
+}
+
+/// What the search derives from its geometry, `(rf, params, h, w)`, and
+/// keeps while that geometry lasts: the two axes' plans, the cost, and the
+/// per-lane tables of the min-check.
+///
+/// Lane `xi·n + yi` is the offset `(dy, dx)` with indices `(yi, xi)` in
+/// `0..n` on each axis; lanes from `n²` on are padding.
+#[derive(Debug, Clone, Default)]
+struct SearchPlan {
+    /// The geometry the rest was derived for.
+    geometry: Option<(Rfbme, usize, usize)>,
+    rows: AxisPlan,
+    cols: AxisPlan,
+    cost: SearchCost,
+    /// Offsets per axis.
+    n: usize,
+    /// `n²`, padded to a whole number of [`LANE_BLOCK`]s.
+    lanes: usize,
+    /// Tile columns the widest receptive field covers: the ring's length.
+    ring_len: usize,
+    /// [`offset_rank`] of each lane.
+    rank: Vec<u32>,
+    /// `[field row][lane]`: zero where the field row is admitted, else
+    /// `u32::MAX`.
+    row_mask: Vec<u32>,
+    /// `[field column][lane]`, likewise.
+    col_mask: Vec<u32>,
+}
+
+impl SearchPlan {
+    /// Derives everything for `rfbme` over `h`×`w` frames, unless it
+    /// already holds that geometry.
+    fn prepare(&mut self, rfbme: &Rfbme, h: usize, w: usize) {
+        if self.geometry == Some((*rfbme, h, w)) {
+            return;
+        }
+        let Self {
+            geometry,
+            rows,
+            cols,
+            cost,
+            n,
+            lanes,
+            ring_len,
+            rank,
+            row_mask,
+            col_mask,
+        } = self;
+        rows.fill(rfbme, h);
+        cols.fill(rfbme, w);
+        *cost = SearchCost::new(rfbme.rf.stride.max(1), rows.totals(), cols.totals());
+        *n = rfbme.params.axis().count();
+        *lanes = (*n * *n).next_multiple_of(LANE_BLOCK);
+        *ring_len = Self::widest(cols.ranges.iter().copied());
+        let lane_offsets =
+            || (0..*lanes).map(|lane| (lane < *n * *n).then(|| (lane % *n, lane / *n)));
+        rank.clear();
+        rank.extend(
+            lane_offsets().map(|o| o.map_or(u32::MAX, |o| offset_rank(rfbme.params, *n, o))),
+        );
+        let mask = |admitted: bool| if admitted { 0 } else { u32::MAX };
+        row_mask.clear();
+        row_mask.reserve_exact(rows.field_offsets.len() * *lanes);
+        for offsets in &rows.field_offsets {
+            row_mask.extend(
+                lane_offsets().map(|o| mask(o.is_some_and(|(yi, _)| offsets.contains(&yi)))),
+            );
+        }
+        col_mask.clear();
+        col_mask.reserve_exact(cols.field_offsets.len() * *lanes);
+        for offsets in &cols.field_offsets {
+            col_mask.extend(
+                lane_offsets().map(|o| mask(o.is_some_and(|(_, xi)| offsets.contains(&xi)))),
+            );
+        }
+        *geometry = Some((*rfbme, h, w));
+    }
+
+    /// The most tiles any of `ranges` covers, at least one.
+    fn widest(ranges: impl IntoIterator<Item = (usize, usize)>) -> usize {
+        let widths = ranges.into_iter().map(|(t0, t1)| t1.saturating_sub(t0));
+        widths.fold(1, usize::max)
     }
 }
 
@@ -705,19 +845,16 @@ fn rank_dx(rank: u64) -> isize {
 ///
 /// A frame-loop caller (each worker of the serving engine, the
 /// single-stream executor) holds one scratch so steady-state estimation
-/// allocates nothing but the returned [`RfbmeResult`]. Buffer contents
-/// never influence results — every value is rewritten before it is read —
-/// so sharing a scratch across streams, key images or geometries, or none
-/// at all, is purely a performance choice.
+/// allocates nothing but the returned [`RfbmeResult`]. What the search
+/// derives from its geometry (the lane ranks and admission masks) is kept
+/// between calls and rebuilt whenever `(rf, params, h, w)` differs from the
+/// last call's; every other value is rewritten before it is read. So
+/// sharing a scratch across streams, key images or geometries, or none at
+/// all, is purely a performance choice.
 #[derive(Debug, Clone, Default)]
 pub struct RfbmeScratch {
-    /// The search along each axis.
-    rows: AxisPlan,
-    cols: AxisPlan,
-    /// Lanes (indices into the vertical offsets) at which each tile row is
-    /// searched / each receptive-field row is admitted.
-    tile_lanes: Vec<Range<usize>>,
-    field_lanes: Vec<Range<usize>>,
+    /// What the last call's geometry derived.
+    plan: SearchPlan,
     /// Min-check register per receptive field.
     best: Vec<RfMatch>,
     /// `new`, one tile column after another, each `stride` bytes wide.
@@ -726,11 +863,9 @@ pub struct RfbmeScratch {
     strip: Vec<u8>,
     /// Tile SADs of one tile column: `[tile row][lane]`.
     plane: Vec<u32>,
-    /// Tile-row sums of one `dx`: `[field row][tile column][lane]`.
-    rowsum: Vec<u32>,
-    /// Each receptive field's best candidate so far at every lane, as
-    /// `(error << 32) | dx_rank(dx)`: `[field][lane]`.
-    keys: Vec<u64>,
+    /// Tile-row sums of the last `ring_len` tile columns:
+    /// `[field row][tile column mod ring_len][lane]`.
+    ring: Vec<u32>,
 }
 
 impl RfbmeScratch {
@@ -746,18 +881,23 @@ impl RfbmeScratch {
         fn vec_bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        vec_bytes(&self.rows.ranges)
-            + vec_bytes(&self.rows.spans)
-            + vec_bytes(&self.cols.ranges)
-            + vec_bytes(&self.cols.spans)
-            + vec_bytes(&self.tile_lanes)
-            + vec_bytes(&self.field_lanes)
+        let axis = |a: &AxisPlan| {
+            vec_bytes(&a.ranges)
+                + vec_bytes(&a.spans)
+                + vec_bytes(&a.tile_offsets)
+                + vec_bytes(&a.field_offsets)
+        };
+        let plan = &self.plan;
+        axis(&plan.rows)
+            + axis(&plan.cols)
+            + vec_bytes(&plan.rank)
+            + vec_bytes(&plan.row_mask)
+            + vec_bytes(&plan.col_mask)
             + vec_bytes(&self.best)
             + vec_bytes(&self.new_tiles)
             + vec_bytes(&self.strip)
             + vec_bytes(&self.plane)
-            + vec_bytes(&self.rowsum)
-            + vec_bytes(&self.keys)
+            + vec_bytes(&self.ring)
     }
 }
 
@@ -823,13 +963,16 @@ impl Rfbme {
 
     /// [`Rfbme::estimate`] reusing caller-owned scratch buffers, so a
     /// frame-loop caller performs no per-estimate allocation. Results are
-    /// identical to [`Rfbme::estimate`] — the scratch only carries
-    /// capacity, never values, between calls.
+    /// identical to [`Rfbme::estimate`]: between calls the scratch carries
+    /// capacity and what the last call's geometry derived, which a call
+    /// with another geometry derives afresh.
     ///
     /// # Panics
     ///
     /// Panics when the two frames differ in size, or hold
-    /// [`Rfbme::MAX_PIXELS`] pixels or more (the search sums in `u32`).
+    /// [`Rfbme::MAX_PIXELS`] pixels or more (the search sums in `u32`), or
+    /// when the search window is too large for its offsets' ranks to fit in
+    /// `u32` (beyond radius 151 at step 1).
     pub fn estimate_with(
         &self,
         key: &GrayImage,
@@ -844,6 +987,10 @@ impl Rfbme {
         assert!(
             Self::sums_fit_u32(new.height(), new.width()),
             "frame too large for RFBME's u32 sums"
+        );
+        assert!(
+            Self::ranks_fit_u32(self.params),
+            "search window too large for RFBME's u32 ranks"
         );
         // The stride as a constant is what turns the row copies into
         // single moves and the tile SAD into two (or one, or eight) block
@@ -868,6 +1015,15 @@ impl Rfbme {
         h.checked_mul(w).is_some_and(|p| p < Self::MAX_PIXELS)
     }
 
+    /// Whether every offset rank of the window fits in `u32`: with `n`
+    /// offsets per axis, each is below `(2·radius² + 1)·n²`.
+    fn ranks_fit_u32(params: SearchParams) -> bool {
+        let (r, n) = (params.radius as u64, params.axis().count() as u64);
+        r.checked_mul(2 * r)
+            .and_then(|m| (m + 1).checked_mul(n * n))
+            .is_some_and(|bound| bound <= 1 << 32)
+    }
+
     /// The dense search for tile side `S` (`0`: the runtime stride).
     fn search<const S: usize>(
         &self,
@@ -875,59 +1031,42 @@ impl Rfbme {
         new: &GrayImage,
         scratch: &mut RfbmeScratch,
     ) -> RfbmeResult {
+        let (h, w) = (new.height(), new.width());
+        scratch.plan.prepare(self, h, w);
         let RfbmeScratch {
-            rows,
-            cols,
-            tile_lanes,
-            field_lanes,
+            plan,
             best,
             new_tiles,
             strip,
             plane,
-            rowsum,
-            keys,
+            ring,
         } = scratch;
+        let SearchPlan {
+            rows,
+            cols,
+            cost,
+            n,
+            lanes,
+            ring_len,
+            ..
+        } = &*plan;
+        let (n, lanes, ring_len) = (*n, *lanes, *ring_len);
         let s = if S == 0 { self.rf.stride.max(1) } else { S };
         let s2 = s * s;
-        let (h, w) = (new.height(), new.width());
         let (tiles_y, tiles_x) = (h / s, w / s);
-        let (grid_h, grid_w) = (self.rf.grid_len(h), self.rf.grid_len(w));
+        let (grid_h, grid_w) = (rows.ranges.len(), cols.ranges.len());
         let (new_px, key_px) = (new.as_slice(), key.as_slice());
-        rows.fill(self, h);
-        cols.fill(self, w);
-        let cost = SearchCost::new(s, rows.totals(), cols.totals());
-
-        // Lane `i` is vertical offset `offset(i)`. The lanes at which a
-        // tile row is valid, and those at which a field row is admitted,
-        // are contiguous (both conditions bound `dy` from two sides).
-        let lanes = rows.spans.len().next_multiple_of(LANE_BLOCK);
         let step = self.params.step.max(1);
-        let offset = |lane: usize| (lane * step) as isize - self.params.radius as isize;
-        tile_lanes.clear();
-        tile_lanes.resize(tiles_y, 0..0);
-        field_lanes.clear();
-        field_lanes.resize(grid_h, 0..0);
-        for (lane, span) in rows.active() {
-            let tiles = tile_lanes[span.tiles.clone()].iter_mut();
-            for r in tiles.chain(&mut field_lanes[span.fields.clone()]) {
-                if r.start == r.end {
-                    r.start = lane;
-                }
-                r.end = lane + 1;
-            }
-        }
 
         best.clear();
         best.resize(grid_h * grid_w, RfMatch::UNMATCHED);
         new_tiles.resize(tiles_x * tiles_y * s2, 0);
         strip.resize(h * s, 0);
-        // Lanes at which a tile is not searched stay zero, so whole lane
-        // rows can be summed; only admitted lanes are ever compared.
+        // A lane a tile is not searched at keeps an earlier tile's SAD, or
+        // zero: its sums stay below `u32::MAX` and are masked off.
         plane.clear();
         plane.resize(tiles_y * lanes, 0);
-        rowsum.resize(grid_h * tiles_x * lanes, 0);
-        keys.clear();
-        keys.resize(grid_h * grid_w * lanes, u64::MAX);
+        ring.resize(grid_h * ring_len * lanes, 0);
         let column = tiles_y * s2;
         for tx in 0..tiles_x {
             copy_column(
@@ -939,74 +1078,77 @@ impl Rfbme {
             );
         }
 
-        for (xi, xs) in cols.active() {
-            let dx = offset(xi);
-            for tx in xs.tiles.clone() {
-                // Producer: every tile of this tile column against the key
-                // column displaced by `dx`, all vertical offsets at once.
-                // Consecutive lanes' windows start `step` strip rows apart.
+        let live_rows = || {
+            let rows = rows.ranges.iter().zip(&rows.field_offsets).enumerate();
+            rows.filter(|(_, (_, offsets))| !offsets.is_empty())
+        };
+        // The next field column whose last tile column is still to come.
+        let mut next_ax = 0;
+        let mut slot = 0;
+        for tx in 0..tiles_x {
+            // Producer: every tile of this tile column against the key
+            // column displaced by each `dx`, all vertical offsets at once.
+            // Consecutive `dy` lanes' windows start `step` strip rows apart.
+            for xi in cols.tile_offsets[tx].clone() {
+                let dx = self.params.offset(xi);
                 copy_column(key_px, w, ((tx * s) as isize + dx) as usize, s, strip);
                 let tiles = new_tiles[tx * column..][..column].chunks_exact(s2);
-                for ((ty, tile), tl) in tiles.enumerate().zip(tile_lanes.iter()) {
-                    if tl.is_empty() {
+                for ((ty, tile), yis) in tiles.enumerate().zip(&rows.tile_offsets) {
+                    if yis.is_empty() {
                         continue;
                     }
-                    let first = ((ty * s) as isize + offset(tl.start)) as usize * s;
-                    let sads = &mut plane[ty * lanes..][tl.clone()];
+                    let first = ((ty * s) as isize + self.params.offset(yis.start)) as usize * s;
+                    let sads = &mut plane[ty * lanes + xi * n..][yis.clone()];
                     tile_lane_sads::<S>(tile, &strip[first..], step * s, sads);
                 }
-                // Consumer, first half: the tile rows each field row covers.
-                for ((ay, fl), &(ty0, ty1)) in field_lanes.iter().enumerate().zip(&rows.ranges) {
-                    if fl.is_empty() {
-                        continue;
-                    }
-                    let sum = &mut rowsum[(ay * tiles_x + tx) * lanes..][..lanes];
-                    let (sads, count) = (&plane[ty0 * lanes..], ty1 - ty0);
-                    for (b, out) in sum.chunks_exact_mut(LANE_BLOCK).enumerate() {
-                        out.copy_from_slice(&lane_block_sum(sads, lanes, b, count));
-                    }
+            }
+            // Consumer, first half: the tile rows each field row covers,
+            // into this tile column's ring slot.
+            for (ay, (&(ty0, ty1), _)) in live_rows() {
+                let sum = &mut ring[(ay * ring_len + slot) * lanes..][..lanes];
+                let (sads, count) = (&plane[ty0 * lanes..], ty1 - ty0);
+                for (b, out) in sum.chunks_exact_mut(LANE_BLOCK).enumerate() {
+                    out.copy_from_slice(&lane_block_sum(sads, lanes, b, count));
                 }
             }
-            // Consumer, second half: the tile columns each field covers,
-            // folded into the field's per-lane keys.
-            let rank = dx_rank(dx);
-            for (ay, fl) in field_lanes.iter().enumerate() {
-                if fl.is_empty() {
+            // Consumer, second half: each field whose last tile column this
+            // is sums its ring slots and takes its min-check, every offset
+            // at once. Fields end in field order.
+            while next_ax < grid_w && cols.ranges[next_ax].1 <= tx + 1 {
+                let ax = next_ax;
+                next_ax += 1;
+                if cols.field_offsets[ax].is_empty() {
                     continue;
                 }
-                for ax in xs.fields.clone() {
-                    let (tx0, tx1) = cols.ranges[ax];
-                    let sums = &rowsum[(ay * tiles_x + tx0) * lanes..];
-                    let field_keys = &mut keys[(ay * grid_w + ax) * lanes..][..lanes];
-                    min_lane_keys(sums, tx1 - tx0, rank, field_keys);
+                let (tx0, tx1) = cols.ranges[ax];
+                let count = tx1 - tx0;
+                // The ring slots of tile columns `tx0..=tx`, which may wrap.
+                let first = (slot + 1 + ring_len - count) % ring_len;
+                let head = count.min(ring_len - first);
+                let col_mask = &plan.col_mask[ax * lanes..][..lanes];
+                // A live field row and a live field column share an
+                // admitted lane, so every minimum here is a real sum.
+                for (ay, (&(ty0, ty1), _)) in live_rows() {
+                    let rows = &ring[ay * ring_len * lanes..][..ring_len * lanes];
+                    let min = field_min(
+                        (&rows[first * lanes..], head),
+                        (rows, count - head),
+                        &plan.row_mask[ay * lanes..][..lanes],
+                        col_mask,
+                        &plan.rank,
+                    );
+                    let (yi, xi) = decode_rank(min as u32, n);
+                    best[ay * grid_w + ax] = RfMatch {
+                        vector: MotionVector::new(
+                            self.params.offset(yi) as f32,
+                            self.params.offset(xi) as f32,
+                        ),
+                        error: (min >> 32) as u32,
+                        pixels: ((ty1 - ty0) * count * s2) as u32,
+                    };
                 }
             }
-        }
-
-        // The min-check register, once per field: the lane winners that
-        // share the smallest error meet the reference's rule. A field no
-        // offset admitted keeps the sentinel.
-        for ((ay, fl), &(ty0, ty1)) in field_lanes.iter().enumerate().zip(&rows.ranges) {
-            for (ax, &(tx0, tx1)) in cols.ranges.iter().enumerate() {
-                let field = ay * grid_w + ax;
-                let field_keys = &keys[field * lanes..][fl.clone()];
-                let min = field_keys.iter().fold(u64::MAX, |m, &k| m.min(k));
-                if min == u64::MAX {
-                    continue;
-                }
-                let error = (min >> 32) as u32;
-                let b = &mut best[field];
-                for (lane, &key) in fl.clone().zip(field_keys) {
-                    let (dy, dx) = (offset(lane), rank_dx(key & u64::from(u32::MAX)));
-                    if key >> 32 == min >> 32 && b.yields_to(error, dy, dx) {
-                        *b = RfMatch {
-                            vector: MotionVector::new(dy as f32, dx as f32),
-                            error,
-                            pixels: ((ty1 - ty0) * (tx1 - tx0) * s2) as u32,
-                        };
-                    }
-                }
-            }
+            slot = if slot + 1 == ring_len { 0 } else { slot + 1 };
         }
 
         Self::result_from_matches(
@@ -1055,18 +1197,24 @@ impl Rfbme {
         let (tiles_y, tiles_x) = (h / s, w / s);
         let (grid_h, grid_w) = (self.rf.grid_len(h), self.rf.grid_len(w));
         let offsets = self.params.axis().count();
-        let lanes = offsets.next_multiple_of(LANE_BLOCK);
+        let lanes = (offsets * offsets).next_multiple_of(LANE_BLOCK);
+        let consumer = DiffTileConsumer { rf: self.rf };
+        let ring_len = SearchPlan::widest((0..grid_w).map(|a| consumer.tile_range(a, tiles_x)));
         bytes::<(usize, usize)>(grid_h) // rows.ranges
             + bytes::<(usize, usize)>(grid_w) // cols.ranges
             + 2 * bytes::<AxisSpan>(offsets) // rows.spans, cols.spans
-            + bytes::<Range<usize>>(tiles_y) // tile_lanes
-            + bytes::<Range<usize>>(grid_h) // field_lanes
+            + bytes::<Range<usize>>(tiles_y) // rows.tile_offsets
+            + bytes::<Range<usize>>(tiles_x) // cols.tile_offsets
+            + bytes::<Range<usize>>(grid_h) // rows.field_offsets
+            + bytes::<Range<usize>>(grid_w) // cols.field_offsets
+            + bytes::<u32>(lanes) // rank
+            + bytes::<u32>(grid_h * lanes) // row_mask
+            + bytes::<u32>(grid_w * lanes) // col_mask
             + bytes::<RfMatch>(grid_h * grid_w) // best
             + bytes::<u8>(tiles_x * tiles_y * s * s) // new_tiles
             + bytes::<u8>(h * s) // strip
             + bytes::<u32>(tiles_y * lanes) // plane
-            + bytes::<u32>(grid_h * tiles_x * lanes) // rowsum
-            + bytes::<u64>(grid_h * grid_w * lanes) // keys
+            + bytes::<u32>(grid_h * ring_len * lanes) // ring
     }
 
     /// Finalises per-field matches into an [`RfbmeResult`], mapping fields
@@ -1157,6 +1305,43 @@ mod tests {
                 assert_eq!(p.window_len(), n * n, "{p:?}");
             }
         }
+    }
+
+    #[test]
+    fn ranks_order_offsets_like_the_reference_and_decode() {
+        // Sorting the offsets by rank must give the reference's preference
+        // among equal errors: smaller `dy² + dx²`, then smaller `dy`, then
+        // smaller `dx`; and every rank must name its own offset.
+        for radius in 0..=16 {
+            for step in 1..=4 {
+                let params = SearchParams { radius, step };
+                let axis = params.offsets();
+                let n = axis.len();
+                let mut by_rank: Vec<(usize, usize)> = (0..n)
+                    .flat_map(|yi| (0..n).map(move |xi| (yi, xi)))
+                    .collect();
+                by_rank.sort_by_key(|&o| offset_rank(params, n, o));
+                let offsets: Vec<(isize, isize)> = by_rank
+                    .iter()
+                    .map(|&(yi, xi)| (axis[yi], axis[xi]))
+                    .collect();
+                let mut want = offsets.clone();
+                want.sort_by_key(|&(dy, dx)| (dy * dy + dx * dx, dy, dx));
+                assert_eq!(offsets, want, "{params:?}");
+                for o in by_rank {
+                    assert_eq!(decode_rank(offset_rank(params, n, o), n), o, "{params:?}");
+                }
+            }
+        }
+        // The window's largest rank fits in `u32` up to radius 151 at step 1.
+        assert!(Rfbme::ranks_fit_u32(SearchParams {
+            radius: 151,
+            step: 1
+        }));
+        assert!(!Rfbme::ranks_fit_u32(SearchParams {
+            radius: 152,
+            step: 1
+        }));
     }
 
     #[test]
@@ -1582,8 +1767,8 @@ mod tests {
         // A checkerboard against its inverse: every offset with odd
         // `dy + dx` matches exactly, so the four unit offsets tie at error 0
         // and magnitude 1. The reference visits (-1, 0) first; the dense
-        // search, which meets them in another order, must still prefer it
-        // — the third clause of `RfMatch::yields_to`.
+        // search, which takes every offset at once, must still prefer it —
+        // the row-major term `yi·n + xi` of the offset rank.
         let key = GrayImage::from_fn(48, 48, |y, x| 255 * ((y + x) & 1) as u8);
         let new = GrayImage::from_fn(48, 48, |y, x| 255 * ((y + x + 1) & 1) as u8);
         for (rf, radius) in served() {
@@ -1614,8 +1799,8 @@ mod tests {
 
     #[test]
     fn later_visited_smaller_dx_wins_a_lane_tie() {
-        // Horizontal period `radius + 1`, shifted by one: in the `dy = 0`
-        // lane, `dx = -radius` and `dx = +1` both match exactly. `-radius`
+        // Horizontal period `radius + 1`, shifted by one: at `dy = 0`,
+        // `dx = -radius` and `dx = +1` both match exactly. `-radius`
         // is visited first; `+1` must displace it, being the smaller
         // displacement. Every other row offset mismatches: the rows' term
         // is quadratic in `y`.

@@ -266,14 +266,16 @@ proptest! {
         step in 1usize..=4,
         dirty_stride in 1usize..=9,
         dirty_radius in 0usize..=5,
+        sibling_size in 1usize..=30,
+        sibling_padding in 0usize..=20,
     ) {
         // Everything the dense search specialises on, drawn at random:
         // strides with and without a fixed-width kernel, steps that do not
         // divide the radius, non-square frames that are not a multiple of
         // the stride or are smaller than one tile, padding beyond the
         // stride, receptive fields narrower than a tile, and radii whose
-        // 1–33 `dy` lanes fill one to three 16-lane blocks (the served
-        // radius 8 has 17).
+        // 1–1,089 offset lanes fill one to 69 16-lane blocks (the served
+        // radius 8 has 289 lanes in 19 blocks, radius 4 has 81 in 6).
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -300,6 +302,18 @@ proptest! {
         prop_assert_eq!(fast.total_error, reference.total_error);
         prop_assert_eq!(fast.total_pixels, reference.total_pixels);
         prop_assert_eq!(&fast.field, &reference.field, "vector fields differ");
+        // A scratch left by a sibling geometry: the same stride, window and
+        // frame size, so the same lane count and ranks, but another field
+        // size and padding, so other admission masks — what a geometry
+        // cache keyed on too little would wrongly reuse.
+        let mut scratch = RfbmeScratch::new();
+        let sibling = RfGeometry { size: sibling_size, stride, padding: sibling_padding };
+        let _ = Rfbme::new(sibling, SearchParams { radius, step })
+            .estimate_with(&new, &key, &mut scratch);
+        let again = rfbme.estimate_with(&key, &new, &mut scratch);
+        prop_assert_eq!(&again.errors, &reference.errors);
+        prop_assert_eq!(again.total_pixels, reference.total_pixels);
+        prop_assert_eq!(&again.field, &reference.field, "vector fields differ after a sibling");
         // Cost is the geometry's, not the frames': the static count is
         // exact, and swapping the frames does not move it.
         prop_assert_eq!(fast.ops(), rfbme.ops_bound(h, w));

@@ -225,31 +225,6 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut GemmScratch) -> R) -> R {
     })
 }
 
-/// The eight-wide AXPY used by the sparse-aware layers: `y += alpha * x`.
-///
-/// Feeding a suffix from non-zero activation entries turns each survivor
-/// into one AXPY over a transposed weight row, keeping the skip-zero path
-/// as vectorizable as the dense path it replaces.
-///
-/// # Panics
-///
-/// Panics when `x` and `y` lengths differ.
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    let n8 = x.len() - x.len() % 8;
-    let (xh, xt) = x.split_at(n8);
-    let (yh, yt) = y.split_at_mut(n8);
-    for (xc, yc) in xh.chunks_exact(8).zip(yh.chunks_exact_mut(8)) {
-        for lane in 0..8 {
-            yc[lane] += alpha * xc[lane];
-        }
-    }
-    for (xv, yv) in xt.iter().zip(yt.iter_mut()) {
-        *yv += alpha * xv;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packed micro-kernel driver
 // ---------------------------------------------------------------------------
