@@ -9,10 +9,9 @@
 
 use crate::zoo::{DETECTION_OUTPUTS, NUM_CLASSES};
 use eva2_tensor::Tensor3;
-use serde::{Deserialize, Serialize};
 
 /// A bounding box in normalized coordinates (`cy, cx, h, w`, all in `[0,1]`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormBox {
     /// Centre row / frame height.
     pub cy: f32,
@@ -44,7 +43,7 @@ impl NormBox {
 }
 
 /// One detection prediction decoded from a network output tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Predicted class id.
     pub class: usize,
@@ -83,7 +82,7 @@ impl Detection {
 }
 
 /// One evaluated frame: the prediction and the ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionResult {
     /// Network prediction.
     pub prediction: Detection,

@@ -22,10 +22,9 @@ use crate::warp::WarpStats;
 use eva2_cnn::network::Network;
 use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, RfbmeScratch, SearchParams};
 use eva2_tensor::{GemmScratch, GrayImage, Tensor3};
-use serde::{Deserialize, Serialize};
 
 /// How predicted frames update the stored activation (§IV-E1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarpMode {
     /// Full activation motion compensation (detection networks), with
     /// bilinear interpolation at fractional source positions (§II-C3).
@@ -38,7 +37,7 @@ pub enum WarpMode {
 }
 
 /// Configuration for an [`AmcExecutor`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmcConfig {
     /// Which layer ends the CNN prefix.
     pub target: TargetSelection,
@@ -273,7 +272,7 @@ pub struct AmcFrameResult {
 }
 
 /// Aggregate statistics across all processed frames.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExecStats {
     /// Frames processed.
     pub frames: usize,

@@ -23,7 +23,6 @@
 //! only constructs variants.
 
 use crate::error::AmcError;
-use serde::{Deserialize, Serialize};
 
 /// Per-frame features available to a key-frame policy, produced by the
 /// motion-estimation stage.
@@ -57,7 +56,7 @@ impl FrameMetrics {
 }
 
 /// A key-frame decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// Run the full CNN and refresh the stored state.
     Key,
@@ -68,7 +67,7 @@ pub enum FrameKind {
 /// The key-frame choice module's configuration: one of the paper's closed
 /// set of choices (see the [module docs](self)). A plain `Copy` value that
 /// a session holds and asks per frame through [`PolicyConfig::decide`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyConfig {
     /// Always run the full CNN (the paper's `orig` baseline).
     AlwaysKey,

@@ -1,8 +1,6 @@
 //! The engine's two injectable seams: the tick clock the deadline watchdog
 //! reads, and the failure injector the chaos soak drives.
 
-// lint: hot-path
-
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 

@@ -1,21 +1,22 @@
-//! The engine's one panic-containment seam. `std::panic::catch_unwind` may
-//! appear in this file's `// lint: containment` block and nowhere else in
-//! the workspace (enforced by the `eva2-lint` rule `contained-unwind`):
-//! panic-swallowing is a serving decision, and letting it leak into kernels
-//! or analysis passes would hide real bugs instead of containing them at
-//! the per-frame boundary.
-
-// lint: hot-path
+//! The engine's one panic-containment seam. `std::panic::catch_unwind` is
+//! a `disallowed-methods` entry in the workspace's `clippy.toml`, allowed
+//! by one `#[expect]` on [`run`] and nowhere else: panic-swallowing is a
+//! serving decision, and letting it leak into kernels or analysis passes
+//! would hide real bugs instead of containing them at the per-frame
+//! boundary.
 
 use super::chaos::{EnginePhase, FailureAction, FailureInjector, TickClock};
 use crate::error::AmcError;
 
-// lint: containment
 /// Runs one per-frame job, converting an escaping panic into
 /// [`AmcError::WorkerPanicked`] naming `phase`. `AssertUnwindSafe` is sound
 /// here because the caller quarantines the owning session on `Err` — the
 /// possibly half-mutated state is never trusted again until it is evicted
 /// and rehydrated.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the engine's one panic-containment seam"
+)]
 pub(super) fn run<T>(phase: EnginePhase, job: impl FnOnce() -> T) -> Result<T, AmcError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).map_err(|panic| {
         let payload = panic
@@ -35,6 +36,10 @@ pub(super) fn run<T>(phase: EnginePhase, job: impl FnOnce() -> T) -> Result<T, A
 /// inside a [`run`] job, so an injected panic is always contained one frame
 /// up. Payloads start with `"chaos:"` so test panic hooks can silence
 /// exactly the injected faults.
+#[expect(
+    clippy::panic,
+    reason = "an injected fault panics by design; `run` contains it"
+)]
 pub(super) fn chaos(
     injector: Option<&dyn FailureInjector>,
     clock: &dyn TickClock,
@@ -48,7 +53,6 @@ pub(super) fn chaos(
     match injector.action(phase, tick, session) {
         FailureAction::None => {}
         FailureAction::Panic => {
-            // lint:allow(no-panic)
             panic!("chaos: injected {phase:?} panic (tick {tick}, session {session})")
         }
         FailureAction::Delay { ms } => clock.sleep_us(ms.saturating_mul(1000)),

@@ -1,8 +1,6 @@
 //! The [`Engine`]: one network, per-worker scratch, session admission and
 //! housekeeping. A tick itself runs in the `tick` module.
 
-// lint: hot-path
-
 use super::chaos::{FailureInjector, MonotonicClock, TickClock};
 use super::health::{EngineHealth, HealthState};
 use super::session::{SessionCore, SessionSlot, StreamSession};

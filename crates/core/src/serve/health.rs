@@ -1,8 +1,6 @@
 //! The operator-facing health ledger: containment counters and recent tick
 //! durations, accumulated serially at the end of every tick.
 
-// lint: hot-path
-
 use super::FrameOutcome;
 use crate::error::AmcError;
 

@@ -1,13 +1,10 @@
 //! Resource limits, their validating builder, the SLO derivation, and the
 //! static per-session memory bound behind it.
 
-// lint: hot-path
-
 use super::session::SessionCore;
 use crate::error::AmcError;
 use crate::executor::AmcConfig;
 use eva2_cnn::network::Network;
-use serde::{Deserialize, Serialize};
 
 /// Resource limits a serving [`Engine`](super::Engine) enforces — the
 /// admission-control, backpressure, and memory-budget knobs of the
@@ -15,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// [`EngineLimits::unlimited`]: every limit at its type's maximum, which
 /// preserves the pre-lifecycle behaviour exactly (nothing is ever shed or
 /// evicted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineLimits {
     /// Maximum concurrently admitted sessions; `open_session*` beyond this
     /// returns [`AmcError::EngineAtCapacity`]. Dropped and retired

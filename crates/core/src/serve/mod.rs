@@ -134,8 +134,8 @@
 //! * **Panic isolation.** Every per-frame job — the RFBME estimate, the
 //!   walk's classify and commit, each key frame's prefix, each completion
 //!   — runs inside the engine's one `catch_unwind` seam (the `contain`
-//!   module; the `eva2-lint` rule `contained-unwind` keeps `catch_unwind`
-//!   out of every other file). A panic costs exactly that frame, as
+//!   module; `clippy.toml`'s `disallowed-methods` keeps `catch_unwind` out
+//!   of every other file). A panic costs exactly that frame, as
 //!   [`AmcError::WorkerPanicked`](crate::AmcError::WorkerPanicked) naming
 //!   the phase (`"estimate"`, `"admit"`, `"prefix"`, or `"complete"`), and
 //!   every other job completes bit-identically to a run without it. One
@@ -203,7 +203,9 @@
 //! assert_eq!(cam_b.stats().frames, 1);
 //! ```
 
-// lint: hot-path
+// Serving code reports failures as typed errors; test code may unwrap
+// (`clippy.toml`). This covers every module below.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 mod chaos;
 mod contain;

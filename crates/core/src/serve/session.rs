@@ -2,8 +2,6 @@
 //! engine's bookkeeping slot for each session, and the public
 //! [`StreamSession`] handle that owns both.
 
-// lint: hot-path
-
 use super::Engine;
 use crate::error::AmcError;
 use crate::executor::{AmcConfig, AmcFrameResult, ExecStats, WarpMode};

@@ -1,8 +1,6 @@
 //! The serving engine's unit tests, in one module so a test's name
 //! (`serve::tests::…`) does not depend on which file its code lives in.
 
-// lint: hot-path
-
 use super::session::KeyState;
 use super::tick::fan_out;
 use super::*;

@@ -5,8 +5,6 @@
 //! width [`fan_out`] splits a phase across changes (see the
 //! [threading model](crate::serve#threading-model--determinism)).
 
-// lint: hot-path
-
 use super::chaos::{EnginePhase, FailureInjector, TickClock};
 use super::contain;
 use super::session::{FramePlan, StreamSession};
@@ -130,15 +128,17 @@ impl FrameOutcome {
     }
 
     /// The served frame, panicking with `msg` on a refusal — the
-    /// test-and-example analogue of `Result::expect`. Panicking is this
-    /// method's documented contract (serving code uses
-    /// [`FrameOutcome::into_result`] instead), so the hot-path no-panic
-    /// lint is waived here by design.
+    /// test-and-example analogue of `Result::expect`. Serving code uses
+    /// [`FrameOutcome::into_result`] instead.
     #[track_caller]
+    #[expect(
+        clippy::panic,
+        reason = "panicking on a refusal is this method's documented contract"
+    )]
     pub fn expect(self, msg: &str) -> AmcFrameResult {
         match self.into_result() {
             Ok(frame) => frame,
-            Err(e) => panic!("{msg}: {e:?}"), // lint:allow(no-panic)
+            Err(e) => panic!("{msg}: {e:?}"),
         }
     }
 
@@ -146,7 +146,6 @@ impl FrameOutcome {
     /// analogue of `Result::unwrap`.
     #[track_caller]
     pub fn unwrap(self) -> AmcFrameResult {
-        // lint:allow(no-panic)
         self.expect("frame was not served")
     }
 }

@@ -21,7 +21,6 @@
 //! calibration constants and has no software model here.
 
 use eva2_tensor::{Fixed, Shape3, SparseActivation, Tensor3};
-use serde::{Deserialize, Serialize};
 
 /// Maximum zero gap representable in one RLE entry. Longer runs insert
 /// explicit zero-value entries, mirroring a fixed-width gap field in
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_ZERO_GAP: u16 = 255;
 
 /// One run-length entry: `zero_gap` zeros followed by `value`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RleEntry {
     /// Number of zeros preceding `value` in the stream.
     pub zero_gap: u16,
@@ -183,7 +182,7 @@ fn rle_compression(entries: usize, shape: Shape3) -> f32 {
 ///
 /// Channels are encoded independently (the hardware's decoder lanes walk one
 /// channel at a time). Trailing zeros in a channel are implicit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RleActivation {
     shape: Shape3,
     channels: Vec<Vec<RleEntry>>,

@@ -9,10 +9,9 @@
 use crate::error::AmcError;
 use eva2_cnn::network::Network;
 use eva2_motion::rfbme::RfGeometry;
-use serde::{Deserialize, Serialize};
 
 /// How the AMC target layer is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TargetSelection {
     /// After the CNN's first pooling layer (§IV-E3's "early target").
     Early,

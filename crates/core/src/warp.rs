@@ -48,7 +48,7 @@
 //! tests pin this), which is what lets the engine feed the CNN suffix from
 //! the fused output without changing a single output bit.
 
-// lint: hot-path
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 use crate::sparse::QuantizedActivation;
 use eva2_motion::field::VectorField;

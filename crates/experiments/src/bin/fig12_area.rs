@@ -39,5 +39,4 @@ fn main() {
         "Paper: EVA2 is 3.5% of the three-unit VPU; measured: {:.1}%",
         report.percent_of_total("EVA2").unwrap_or(0.0)
     );
-    eva2_experiments::report::write_json("fig12_area", &report);
 }

@@ -3,33 +3,18 @@
 //! frames alone), and `avg` (the overall average at the paper's `med`
 //! key-frame rates), with the per-unit breakdown (Eyeriss / EIE / EVA²).
 
-use eva2_experiments::report::{qty, write_json, Table};
+use eva2_experiments::report::{qty, Table};
 use eva2_hw::cost::HwModel;
 use eva2_hw::nets;
-use serde::Serialize;
 
 /// Key-frame fractions of the paper's `med` configurations (Table I).
 const MED_KEYS: [(&str, f64); 3] = [("AlexNet", 0.11), ("Faster16", 0.36), ("FasterM", 0.37)];
-
-#[derive(Serialize)]
-struct Fig13Row {
-    workload: String,
-    config: String,
-    latency_ms: f64,
-    energy_mj: f64,
-    normalized_latency: f64,
-    normalized_energy: f64,
-    eyeriss_mj: f64,
-    eie_mj: f64,
-    eva2_mj: f64,
-}
 
 fn main() {
     let model = HwModel::default();
     println!("Figure 13: performance and energy impact of EVA2");
     println!("(bars normalized to the orig baseline; med key-frame rates from Table I)");
     println!();
-    let mut rows = Vec::new();
     let mut t = Table::new([
         "network",
         "config",
@@ -58,17 +43,6 @@ fn main() {
                 qty(cost.eie_mj),
                 qty(cost.eva2_mj),
             ]);
-            rows.push(Fig13Row {
-                workload: name.to_string(),
-                config: config.to_string(),
-                latency_ms: cost.latency_ms,
-                energy_mj: cost.energy_mj,
-                normalized_latency: cost.latency_ms / orig.latency_ms,
-                normalized_energy: cost.energy_mj / orig.energy_mj,
-                eyeriss_mj: cost.eyeriss_mj,
-                eie_mj: cost.eie_mj,
-                eva2_mj: cost.eva2_mj,
-            });
         }
     }
     println!("{}", t.render());
@@ -82,5 +56,4 @@ fn main() {
             100.0 * (1.0 - avg.energy_mj / orig.energy_mj)
         );
     }
-    write_json("fig13_energy_latency", &rows);
 }

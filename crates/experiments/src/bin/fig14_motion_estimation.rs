@@ -8,19 +8,9 @@
 
 use eva2_cnn::zoo::Workload;
 use eva2_experiments::evalproto::{baseline_accuracy, gap_accuracy, GapPredictor};
-use eva2_experiments::report::{pct, write_json, Table};
+use eva2_experiments::report::{pct, Table};
 use eva2_experiments::workloads::{train_workload, Budget};
 use eva2_video::frame::Clip;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Fig14Row {
-    workload: String,
-    gap_ms: f32,
-    method: String,
-    map_percent: f32,
-    ops: Option<u64>,
-}
 
 fn main() {
     let budget = Budget::from_env();
@@ -34,7 +24,6 @@ fn main() {
         GapPredictor::Rfbme { bilinear: true },
         GapPredictor::OldKey,
     ];
-    let mut rows = Vec::new();
     for workload in [Workload::Faster16, Workload::FasterM] {
         eprintln!("[fig14] training {} ...", workload.name());
         let tw = train_workload(workload, &budget);
@@ -50,7 +39,7 @@ fn main() {
             .iter()
             .map(|p| (p.name().to_string(), Vec::new()))
             .collect();
-        for (gi, &gap_ms) in gaps_ms.iter().enumerate() {
+        for &gap_ms in &gaps_ms {
             let gap = Clip::frames_for_gap_ms(gap_ms);
             for (pi, &p) in predictors.iter().enumerate() {
                 eprintln!(
@@ -61,14 +50,6 @@ fn main() {
                 );
                 let acc = gap_accuracy(&tw.zoo, target, &tw.test, gap, p);
                 per_method[pi].1.push(acc);
-                rows.push(Fig14Row {
-                    workload: workload.name().into(),
-                    gap_ms,
-                    method: p.name().into(),
-                    map_percent: acc,
-                    ops: None,
-                });
-                let _ = gi;
             }
         }
         for (name, accs) in per_method {
@@ -78,5 +59,4 @@ fn main() {
     }
     println!("Paper shape: RFBME is at or near the best motion method; every motion method");
     println!("beats old-key reuse at 198 ms; the spread collapses at 33 ms.");
-    write_json("fig14_motion_estimation", &rows);
 }

@@ -11,19 +11,9 @@
 use eva2_cnn::zoo::Workload;
 use eva2_core::policy::PolicyConfig;
 use eva2_experiments::evalproto::{amc_config_for, fixed_gap_adaptive};
-use eva2_experiments::report::{pct, write_json, Table};
+use eva2_experiments::report::{pct, Table};
 use eva2_experiments::workloads::{train_workload, Budget};
 use eva2_video::frame::Clip;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Fig15Point {
-    workload: String,
-    feature: String,
-    threshold: f32,
-    predicted_percent: f32,
-    accuracy: f32,
-}
 
 const ERROR_THRESHOLDS: [f32; 7] = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, f32::INFINITY];
 const MAGNITUDE_THRESHOLDS: [f32; 7] = [0.0, 10.0, 25.0, 50.0, 100.0, 200.0, f32::INFINITY];
@@ -32,7 +22,6 @@ fn main() {
     let budget = Budget::from_env();
     println!("Figure 15: adaptive key-frame selection strategies");
     println!();
-    let mut points = Vec::new();
     for workload in Workload::ALL {
         eprintln!("[fig15] training {} ...", workload.name());
         let tw = train_workload(workload, &budget);
@@ -74,13 +63,6 @@ fn main() {
                     format!("{:.0}", pred_frac * 100.0),
                     pct(acc),
                 ]);
-                points.push(Fig15Point {
-                    workload: workload.name().into(),
-                    feature: feature.into(),
-                    threshold,
-                    predicted_percent: pred_frac * 100.0,
-                    accuracy: acc,
-                });
             }
         }
         println!("{}", t.render());
@@ -88,5 +70,4 @@ fn main() {
     println!("Paper shape: both adaptive curves dominate the straight fixed-rate line between");
     println!("their endpoints; block error and motion magnitude perform comparably, and the");
     println!("hardware uses block error because it is an RFBME byproduct.");
-    write_json("fig15_keyframe_policy", &points);
 }

@@ -5,23 +5,12 @@
 //! against the *empirical* operation counter of the actual RFBME
 //! implementation on same-geometry synthetic frames.
 
-use eva2_experiments::report::{write_json, Table};
+use eva2_experiments::report::Table;
 use eva2_hw::cost::HwModel;
 use eva2_hw::firstorder::{reuse_speedup, rfbme_ops, unoptimized_ops};
 use eva2_hw::nets;
 use eva2_motion::rfbme::{RfGeometry, Rfbme, SearchParams};
 use eva2_tensor::GrayImage;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Sec4aResult {
-    workload: String,
-    prefix_macs: u64,
-    unoptimized_ops: u64,
-    rfbme_ops: u64,
-    reuse_speedup: f64,
-    savings_ratio: f64,
-}
 
 fn main() {
     let model = HwModel::default();
@@ -36,7 +25,6 @@ fn main() {
         "reuse speedup",
         "MACs / RFBME ops",
     ]);
-    let mut results = Vec::new();
     for net in [nets::alexnet(), nets::faster16(), nets::fasterm()] {
         let p = model.rfbme_params(&net);
         let prefix = model.figures(&net).prefix_macs;
@@ -51,14 +39,6 @@ fn main() {
             format!("{:.0}x", reuse_speedup(&p)),
             format!("{ratio:.1e}"),
         ]);
-        results.push(Sec4aResult {
-            workload: net.name.clone(),
-            prefix_macs: prefix,
-            unoptimized_ops: un,
-            rfbme_ops: opt,
-            reuse_speedup: reuse_speedup(&p),
-            savings_ratio: ratio,
-        });
     }
     println!("{}", t.render());
 
@@ -99,5 +79,4 @@ fn main() {
         analytic as f64,
         r.ops() as f64 / analytic.max(1) as f64
     );
-    write_json("sec4a_firstorder", &results);
 }

@@ -13,21 +13,10 @@ use eva2_cnn::zoo::Workload;
 use eva2_core::executor::WarpMode;
 use eva2_core::policy::PolicyConfig;
 use eva2_experiments::evalproto::{amc_config_for, baseline_accuracy, run_policy};
-use eva2_experiments::report::{pct, qty, write_json, Table};
+use eva2_experiments::report::{pct, qty, Table};
 use eva2_experiments::workloads::{train_workload, Budget};
 use eva2_hw::cost::HwModel;
 use eva2_hw::nets;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Table1Row {
-    network: String,
-    config: String,
-    accuracy: f32,
-    keys_percent: f32,
-    time_ms: f64,
-    energy_mj: f64,
-}
 
 const THRESHOLDS: [f32; 9] = [0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 9.0, 14.0];
 
@@ -36,7 +25,6 @@ fn main() {
     let model = HwModel::default();
     println!("Table I: accuracy vs resource efficiency (synthetic-video analogues)");
     println!();
-    let mut rows = Vec::new();
     let mut t = Table::new([
         "Network",
         "Config",
@@ -60,14 +48,6 @@ fn main() {
             qty(orig_cost.latency_ms),
             qty(orig_cost.energy_mj),
         ]);
-        rows.push(Table1Row {
-            network: workload.name().into(),
-            config: "orig".into(),
-            accuracy: orig_test,
-            keys_percent: 100.0,
-            time_ms: orig_cost.latency_ms,
-            energy_mj: orig_cost.energy_mj,
-        });
 
         // Sweep thresholds on validation, recording (threshold, drop, keys).
         let mut sweep = Vec::new();
@@ -114,14 +94,6 @@ fn main() {
                 qty(cost.latency_ms),
                 qty(cost.energy_mj),
             ]);
-            rows.push(Table1Row {
-                network: workload.name().into(),
-                config: config.into(),
-                accuracy: out.accuracy,
-                keys_percent: out.key_fraction * 100.0,
-                time_ms: cost.latency_ms,
-                energy_mj: cost.energy_mj,
-            });
         }
     }
     println!("{}", t.render());
@@ -147,5 +119,4 @@ fn main() {
         pct(warp.accuracy),
         orig - warp.accuracy
     );
-    write_json("table1_tradeoff", &rows);
 }

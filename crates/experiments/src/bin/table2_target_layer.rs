@@ -8,25 +8,15 @@
 
 use eva2_cnn::zoo::Workload;
 use eva2_experiments::evalproto::{baseline_accuracy, gap_accuracy, GapPredictor};
-use eva2_experiments::report::{pct, write_json, Table};
+use eva2_experiments::report::{pct, Table};
 use eva2_experiments::workloads::{train_workload, Budget};
 use eva2_video::frame::Clip;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Table2Row {
-    network: String,
-    interval: String,
-    early_target: f32,
-    late_target: f32,
-}
 
 fn main() {
     let budget = Budget::from_env();
     println!("Table II: accuracy impact of the AMC target layer");
     println!();
     let mut t = Table::new(["Network", "Interval", "Early Target", "Late Target"]);
-    let mut rows = Vec::new();
     for workload in Workload::ALL {
         eprintln!("[table2] training {} ...", workload.name());
         let tw = train_workload(workload, &budget);
@@ -37,12 +27,6 @@ fn main() {
             pct(orig),
             pct(orig),
         ]);
-        rows.push(Table2Row {
-            network: workload.name().into(),
-            interval: "orig".into(),
-            early_target: orig,
-            late_target: orig,
-        });
         // AlexNet: the paper's single huge interval; detection: 33/198 ms.
         let intervals: Vec<(String, usize)> = match workload {
             Workload::AlexNet => {
@@ -64,23 +48,11 @@ fn main() {
         for (label, gap) in intervals {
             let early = gap_accuracy(&tw.zoo, tw.zoo.early_target, &tw.test, gap, predictor);
             let late = gap_accuracy(&tw.zoo, tw.zoo.late_target, &tw.test, gap, predictor);
-            t.row([
-                workload.name().to_string(),
-                label.clone(),
-                pct(early),
-                pct(late),
-            ]);
-            rows.push(Table2Row {
-                network: workload.name().into(),
-                interval: label,
-                early_target: early,
-                late_target: late,
-            });
+            t.row([workload.name().to_string(), label, pct(early), pct(late)]);
         }
     }
     println!("{}", t.render());
     println!("(*) AlexNet interval scaled to the synthetic clip length; the paper uses 4891 ms.");
     println!("Paper shape: the late target is at least as accurate as the early target in");
     println!("most cells, so AMC statically targets the last spatial layer.");
-    write_json("table2_target_layer", &rows);
 }

@@ -13,19 +13,11 @@ use eva2_cnn::train::TrainConfig;
 use eva2_cnn::zoo::{Task, Workload};
 use eva2_core::warp::warp_activation;
 use eva2_experiments::evalproto::{baseline_accuracy, SEARCH};
-use eva2_experiments::report::{pct, write_json, Table};
+use eva2_experiments::report::{pct, Table};
 use eva2_experiments::workloads::{det_sample, train_workload, Budget, TrainedWorkload};
 use eva2_motion::rfbme::{RfGeometry, Rfbme};
 use eva2_tensor::interp::Interpolation;
 use eva2_tensor::Tensor3;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Table3Row {
-    network: String,
-    variant: String,
-    accuracy_on_plain_data: f32,
-}
 
 /// Builds (warped activation, label, bbox) samples at the given target.
 fn warped_samples(
@@ -69,7 +61,6 @@ fn main() {
     println!("(accuracy measured on plain, unwarped key-frame data)");
     println!();
     let mut t = Table::new(["Network", "Target Layer", "Accuracy"]);
-    let mut rows = Vec::new();
     for workload in [Workload::FasterM, Workload::Faster16] {
         eprintln!("[table3] training {} ...", workload.name());
         let tw = train_workload(workload, &budget);
@@ -80,11 +71,6 @@ fn main() {
             "No Retraining".into(),
             pct(no_retrain),
         ]);
-        rows.push(Table3Row {
-            network: workload.name().into(),
-            variant: "no-retraining".into(),
-            accuracy_on_plain_data: no_retrain,
-        });
         for (label, target) in [
             ("Early Target", tw.zoo.early_target),
             ("Late Target", tw.zoo.late_target),
@@ -109,15 +95,9 @@ fn main() {
             );
             let acc = baseline_accuracy(&variant.zoo, &variant.test);
             t.row([workload.name().to_string(), label.into(), pct(acc)]);
-            rows.push(Table3Row {
-                network: workload.name().into(),
-                variant: label.to_lowercase().replace(' ', "-"),
-                accuracy_on_plain_data: acc,
-            });
         }
     }
     println!("{}", t.render());
     println!("Paper shape: retraining on warped data gives no reliable improvement on plain");
     println!("data (small or negative deltas) — so AMC ships without suffix retraining.");
-    write_json("table3_retraining", &rows);
 }

@@ -4,12 +4,12 @@
 //! shared machinery:
 //!
 //! * [`workloads`] — builds and trains the three scaled-down networks on the
-//!   synthetic video datasets (the Caffe-training step of §IV-B).
+//!   synthetic video datasets (the Caffe-training step of §IV-B), caching
+//!   the trained weights under `results/`.
 //! * [`evalproto`] — the paper's evaluation protocols: full-CNN baselines,
 //!   the fixed-gap key→predicted protocol of Fig 14 / Table II, and
 //!   policy-driven runs over whole clips for Table I / Fig 15.
-//! * [`report`] — plain-text tables matching the paper's rows plus JSON
-//!   dumps under `results/`.
+//! * [`report`] — plain-text tables matching the paper's rows.
 //!
 //! Binaries:
 //!

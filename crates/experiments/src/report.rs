@@ -1,8 +1,6 @@
-//! Plain-text tables and JSON result dumps.
+//! Plain-text tables and number formatting for the experiment binaries.
 
-use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// A simple fixed-width text table builder for experiment output.
 #[derive(Debug, Clone, Default)]
@@ -55,19 +53,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Writes a serialisable result to `results/<name>.json` (relative to the
-/// workspace root when run via `cargo run`), creating the directory as
-/// needed. Returns the path written, or `None` on I/O failure (results are
-/// still printed to stdout, so failure to persist is non-fatal).
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> Option<PathBuf> {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("{name}.json"));
-    let body = serde_json::to_string_pretty(value).ok()?;
-    std::fs::write(&path, body).ok()?;
-    Some(path)
 }
 
 /// Formats a percentage with one decimal.

@@ -8,7 +8,6 @@
 //! area, and the activation buffer occupies 16.0%" (§IV-B).
 
 use crate::calib::TECH_SCALE_45_TO_65;
-use serde::{Deserialize, Serialize};
 
 /// Published Eyeriss area at 65 nm, mm².
 pub const EYERISS_MM2: f64 = 12.2;
@@ -24,7 +23,7 @@ pub const EVA2_PIXEL_BUFFER_FRACTION: f64 = 0.545;
 pub const EVA2_ACTIVATION_BUFFER_FRACTION: f64 = 0.160;
 
 /// One unit's area entry in the Fig 12 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaEntry {
     /// Unit name.
     pub name: String,
@@ -33,7 +32,7 @@ pub struct AreaEntry {
 }
 
 /// The Fig 12 area report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaReport {
     /// Eyeriss, EIE (scaled), EVA².
     pub entries: Vec<AreaEntry>,
@@ -79,7 +78,7 @@ impl AreaReport {
 }
 
 /// EVA²'s internal area breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Eva2Breakdown {
     /// Pixel buffers (two eDRAM frame stores), mm².
     pub pixel_buffers_mm2: f64,

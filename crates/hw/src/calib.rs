@@ -11,11 +11,9 @@
 //! layers reuse less), so the model keeps one efficiency class per published
 //! network and assigns each workload the class of its nearest relative.
 
-use serde::{Deserialize, Serialize};
-
 /// Milliseconds and millijoules for one full network pass on the published
 /// accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PublishedRun {
     /// Total network latency, ms.
     pub latency_ms: f64,
@@ -91,7 +89,7 @@ pub const EVA2_INTERPS_PER_MS: f64 = 1.0e6 / EVA2_CLOCK_NS;
 
 /// Efficiency class: which published Eyeriss run a workload inherits its
 /// conv-layer efficiency from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConvClass {
     /// Large-kernel, few-layer networks (AlexNet, CNN-M).
     AlexNetLike,

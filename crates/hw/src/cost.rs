@@ -19,10 +19,9 @@ use crate::descriptor::NetDescriptor;
 use crate::firstorder::{rfbme_ops, RfbmeParams};
 use eva2_analysis::{analyze_layers, AnalysisOptions};
 use eva2_cnn::describe::LayerKind;
-use serde::{Deserialize, Serialize};
 
 /// Latency/energy for one frame, with a per-unit breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FrameCost {
     /// Total frame latency, ms.
     pub latency_ms: f64,
@@ -61,7 +60,7 @@ impl FrameCost {
 }
 
 /// AMC execution parameters the cost model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmcCostConfig {
     /// Prefix target layer index in the descriptor (defaults to the
     /// workload's canonical target when `None`).

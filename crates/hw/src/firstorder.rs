@@ -7,10 +7,8 @@
 //! [`HwModel::rfbme_params`](crate::cost::HwModel::rfbme_params) fills the
 //! parameters from `eva2-analysis`'s report on a network.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of an RFBME run on one network's target layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RfbmeParams {
     /// Target activation height ("layer height" in the paper's formulas).
     pub act_h: usize,

@@ -1,6 +1,5 @@
 //! Motion vectors and vector fields.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 2-D displacement in pixels.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Sign convention (*gather*): content now at position `p` in the current
 /// frame came from `p + v` in the key frame. Warping therefore reads
 /// `key[p + v]` to predict the current value at `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MotionVector {
     /// Vertical displacement (rows).
     pub dy: f32,
@@ -51,7 +50,7 @@ impl fmt::Display for MotionVector {
 /// motion of the image region anchored at pixel `(gy * cell, gx * cell)`.
 /// Dense optical flow uses `cell = 1`; RFBME uses `cell = receptive-field
 /// stride`, so its grid coincides with the target activation's spatial grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorField {
     grid_h: usize,
     grid_w: usize,

@@ -121,13 +121,12 @@
 //!   at radius 8, where fields span three tile columns and the sums make a
 //!   round trip through memory that the register sum here avoids.
 
-// lint: hot-path
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 use crate::field::{MotionVector, VectorField};
 use crate::sad::sad_tile;
 use crate::{MotionEstimator, MotionResult};
 use eva2_tensor::GrayImage;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Receptive-field geometry as seen from the input image.
@@ -135,7 +134,7 @@ use std::ops::Range;
 /// Mirrors `eva2_cnn::ReceptiveField` (duplicated here so the motion crate
 /// depends only on the tensor substrate; `eva2-core` converts between the
 /// two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RfGeometry {
     /// Receptive-field side length in pixels.
     pub size: usize,
@@ -163,7 +162,7 @@ impl RfGeometry {
 ///
 /// The producer "considers all locations in the key frame that are aligned
 /// with the search stride and are within the search radius" (§III-A1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SearchParams {
     /// Maximum displacement searched in each direction, in pixels.
     pub radius: usize,
@@ -442,7 +441,7 @@ impl DiffTileConsumer {
 /// The dense search evaluates every candidate exactly, so
 /// `candidates == refined` and both rejection counters are zero; the
 /// reference model reports all zeros.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Valid (offset, receptive field) pairs examined.
     pub candidates: u64,

@@ -7,7 +7,6 @@
 //! in `eva2-core` reproduces the hardware's rounding behaviour, and tests can
 //! bound the quantization error against the `f32` reference path.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -34,9 +33,7 @@ pub const SCALE: i32 = 1 << FRAC_BITS;
 /// assert_eq!((a * b).to_f32(), 0.375);
 /// assert_eq!((a + b).to_f32(), 1.75);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fixed(i16);
 
 impl Fixed {

@@ -127,7 +127,7 @@
 //! depend on `.cargo/config.toml`'s `target-cpu=native` and
 //! `-prefer-256-bit`.
 
-// lint: hot-path
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 use crate::microkernel::{add_tile, microkernel, microkernel_taps};
 use crate::pack::{pack_a_block, pack_b_block, MatRef};

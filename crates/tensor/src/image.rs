@@ -7,7 +7,6 @@
 //! simulator converts them to [`Tensor3`] activations at the network input.
 
 use crate::{Shape3, Tensor3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A row-major `H × W` frame of 8-bit luma pixels.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(img.get(2, 3), 11);
 /// assert_eq!(img.translate(1, 0, 0).get(1, 0), 0);
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct GrayImage {
     height: usize,
     width: usize,

@@ -39,7 +39,7 @@
 //! few wasted lanes instead of a second code path; the caller stores only
 //! the valid region of the returned tile.
 
-// lint: hot-path
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 use crate::pack::{MR, NR};
 

@@ -1,6 +1,5 @@
 //! Three-dimensional tensor shapes in channel-major (`C × H × W`) order.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The shape of a [`Tensor3`](crate::Tensor3): channels × height × width.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(s.len(), 64 * 14 * 14);
 /// assert_eq!(s.spatial(), (14, 14));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape3 {
     /// Number of channels (feature maps).
     pub channels: usize,

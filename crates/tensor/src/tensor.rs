@@ -1,7 +1,6 @@
 //! Channel-major three-dimensional `f32` tensors.
 
 use crate::shape::Shape3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
@@ -22,7 +21,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// assert_eq!(t.get(0, 1, 1), 3.5);
 /// assert_eq!(t.iter().copied().sum::<f32>(), 3.5);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor3 {
     shape: Shape3,
     data: Vec<f32>,

@@ -1,6 +1,5 @@
 //! Axis-aligned bounding boxes and intersection-over-union.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned bounding box in pixel coordinates.
@@ -18,7 +17,7 @@ use std::fmt;
 /// let b = BoundingBox::new(5.0, 5.0, 10.0, 10.0);
 /// assert!((a.iou(&b) - 25.0 / 175.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BoundingBox {
     /// Top edge (row).
     pub y: f32,

@@ -8,10 +8,9 @@
 
 use crate::frame::Clip;
 use crate::scene::{MotionRegime, Scene, SceneConfig};
-use serde::{Deserialize, Serialize};
 
 /// Dataset split with a disjoint seed space per variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Split {
     /// Training scenes (seed space 0).
     Train,
@@ -32,7 +31,7 @@ impl Split {
 }
 
 /// Options for building a clip collection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
     /// Scene template (size, task, noise, ...).
     pub scene: SceneConfig,

@@ -35,10 +35,9 @@ use crate::scene::Scene;
 use eva2_tensor::GrayImage;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// One kind of injected fault, applied to a single stream time step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The frame never arrives (transport loss): the client submits
     /// nothing this tick, so the session sees a larger inter-frame gap.
@@ -95,7 +94,7 @@ impl FaultKind {
 
 /// A schedule of faults keyed by stream time, plus the seed that fixes
 /// every random choice the faults make.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultScript {
     seed: u64,
     /// `(t, fault)` pairs, strictly increasing in `t`.

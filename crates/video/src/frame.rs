@@ -2,10 +2,9 @@
 
 use crate::bbox::BoundingBox;
 use eva2_tensor::GrayImage;
-use serde::{Deserialize, Serialize};
 
 /// Per-frame ground truth for the synthetic tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruth {
     /// Class id of the primary object (a [`crate::SpriteKind`] index).
     pub class: usize,
@@ -18,7 +17,7 @@ pub struct GroundTruth {
 }
 
 /// One video frame: pixels plus ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Luma pixels.
     pub image: GrayImage,
@@ -31,7 +30,7 @@ pub struct Frame {
 /// The paper decodes YTBB at 30 fps, "corresponding to a 33 ms time gap
 /// between each frame" (§IV-B); [`Clip::FRAME_MS`] preserves that constant so
 /// experiment code can speak in the paper's milliseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clip {
     /// The frames in presentation order.
     pub frames: Vec<Frame>,

@@ -6,10 +6,9 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic motion trajectory sampled at 30 fps frame indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum MotionScript {
     /// No motion.
     #[default]

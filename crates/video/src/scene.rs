@@ -7,11 +7,10 @@ use crate::sprite::SpriteKind;
 use eva2_tensor::GrayImage;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// How energetically the scene moves. Determines the sampled
 /// [`MotionScript`]s for the object and camera.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MotionRegime {
     /// Nothing moves; the ideal case for memoization.
     Frozen,
@@ -27,7 +26,7 @@ pub enum MotionRegime {
 }
 
 /// Configuration for a synthetic scene.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneConfig {
     /// Frame height in pixels.
     pub height: usize,

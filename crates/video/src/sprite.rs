@@ -6,10 +6,9 @@
 //! actually learn features rather than trivial pixel statistics.
 
 use eva2_tensor::GrayImage;
-use serde::{Deserialize, Serialize};
 
 /// The set of renderable object classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpriteKind {
     /// Filled square.
     Square,
