@@ -246,6 +246,11 @@ fn train_from_scratch(zoo: &mut ZooNet, workload: Workload, budget: &Budget) {
     }
 }
 
+/// `workload`'s network with the initial weights training starts from.
+fn untrained(workload: Workload) -> ZooNet {
+    workload.build(0x5EED ^ workload as u64)
+}
+
 /// Builds and trains a workload end to end.
 ///
 /// Mirrors the paper's protocol (§IV-B): train on the training split,
@@ -253,7 +258,7 @@ fn train_from_scratch(zoo: &mut ZooNet, workload: Workload, budget: &Budget) {
 /// cached under `results/` (training is deterministic; delete the cache to
 /// retrain).
 pub fn train_workload(workload: Workload, budget: &Budget) -> TrainedWorkload {
-    let mut zoo = workload.build(0x5EED ^ workload as u64);
+    let mut zoo = untrained(workload);
     load_or_train(&mut zoo, &cache_path(workload, budget), |zoo| {
         train_from_scratch(zoo, workload, budget)
     });
@@ -311,14 +316,40 @@ mod tests {
             eval_clip_len: 4,
             epochs: 1,
         };
-        let tw = train_workload(Workload::FasterM, &budget);
-        assert_eq!(tw.validation.len(), 2);
-        assert_eq!(tw.test.len(), 2);
+        let workload = Workload::FasterM;
+        let fresh = || untrained(workload);
+        // A cache of this process's own, so every run trains: a cache
+        // under `results/` would make only a checkout's first run train.
+        let path = temp_cache("quick_training");
+        let _ = std::fs::remove_file(&path);
+        let mut zoo = fresh();
+        let mut trained = false;
+        load_or_train(&mut zoo, &path, |zoo| {
+            train_from_scratch(zoo, workload, &budget);
+            trained = true;
+        });
+        assert!(trained, "a missing cache must train");
+        assert_ne!(
+            bits(&zoo.network.snapshot()),
+            bits(&fresh().network.snapshot()),
+            "training left the weights as built"
+        );
+        // The trained weights come back from the cache bit for bit.
+        let mut reloaded = fresh();
+        load_or_train(&mut reloaded, &path, |_| panic!("cache not reused"));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            bits(&reloaded.network.snapshot()),
+            bits(&zoo.network.snapshot())
+        );
         // The network runs on the eval frames.
-        let out = tw
-            .zoo
+        let eval_cfg = dataset_config(workload, budget.eval_clips, budget.eval_clip_len);
+        assert_eq!(dataset::build(&eval_cfg, Split::Validation).len(), 2);
+        let test = dataset::build(&eval_cfg, Split::Test);
+        assert_eq!(test.len(), 2);
+        let out = reloaded
             .network
-            .forward(&tw.test[0].frames[0].image.to_tensor());
+            .forward(&test[0].frames[0].image.to_tensor());
         assert_eq!(out.shape().channels, eva2_cnn::zoo::DETECTION_OUTPUTS);
     }
 

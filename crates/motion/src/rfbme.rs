@@ -33,18 +33,36 @@
 //!   vector registers (16 `u32` in a `zmm` on an AVX-512 target, 8 in a
 //!   `ymm` otherwise): 81 → 96 lanes for the early target's radius 4,
 //!   289 → 304 for the late target's radius 8.
-//! * **Producer: contiguous tiles against a contiguous strip, one tile
-//!   column at a time.** `new` is copied once per call tile-major, so a
-//!   tile is `stride²` contiguous bytes. For each `dx` at which tile column
-//!   `tx`'s windows stay in the key frame, the key frame's
-//!   `stride`-byte-wide column displaced by `dx` is copied into one
-//!   contiguous strip. The tile SAD at vertical offset `dy` is then a SAD
-//!   of two contiguous `stride²`-byte runs — the tile against the strip
-//!   from row `ty·stride + dy` — and consecutive `dy` are `stride` bytes
-//!   apart. `sad::sad_tile` compares the runs in 32-byte blocks (`vpsadbw`;
-//!   one 16-byte block at stride 4, a runtime-length run at other strides).
-//!   The SADs fill a `[tile row][lane]` plane for the column, at the valid
-//!   (tile, offset) pairs only.
+//! * **Producer: a register of windows at a time, one tile column at a
+//!   time.** `new` is copied once per call tile-major, so a tile is its
+//!   `stride` rows one after another. For each `dx` at which tile column
+//!   `tx` is searched, the key frame's `stride`-wide column displaced by
+//!   `dx` is a *strip* of rows in the same layout, so the window at
+//!   vertical offset `dy` is `stride` consecutive strip rows and the
+//!   windows at consecutive `dy` start one row apart. The strips live in a
+//!   ring keyed by key column: the columns one tile column needs lie within
+//!   `2 · radius` pixels, so each is copied once per call (the columns of
+//!   neighbouring tile columns overlap, and were copied once per use). One
+//!   out-of-line `column_sads` call per tile column then fills the column's
+//!   `[tile row][lane]` plane:
+//!   - at stride 8 and 16 a window is `stride²` contiguous bytes, and its
+//!     SAD is one `vpsadbw` and one fold per 64 bytes (a `zmm`; two `ymm`
+//!     without AVX-512): one fold per window at stride 8, where the search
+//!     this replaced paid one per 32 bytes;
+//!   - at stride 4 and below (rows padded to 4 bytes) a register of 16
+//!     consecutive strip rows (8 in a `ymm`) holds 16 windows' row `r` at
+//!     once, one per `u32` lane. Lane-wise byte `max − min` against the
+//!     tile's row `r` in every lane, then the byte pairs summed into 16-bit
+//!     fields, add one row of 16 SADs per 7 instructions with no shuffle;
+//!     one fold of the two fields per register ends 16 windows. The early
+//!     target's 9 `dy` take one register per tile and `dx`, where the
+//!     search this replaced paid one `xmm` `vpsadbw` and one fold per
+//!     window. A register is stored whole, so it may run past a tile's
+//!     searched `dy` into lanes that are written again later or never
+//!     admitted.
+//!
+//!   Other strides run the same loop on runtime lengths, and steps above 1
+//!   take the per-window form.
 //! * **Consumer, first half: a ring of tile-row sums.** For each field row,
 //!   the lane-wise sum of the plane rows it covers goes into a ring that
 //!   holds the last few tile columns, as many as the widest field is wide.
@@ -72,22 +90,51 @@
 //! checks both.
 //!
 //! Where a call's time goes (48×48 frames, a textured pair shifted by
-//! (1, 2), on an AVX-512 host; stages deleted from the back, minimum over
-//! 40 interleaved rounds of 100 calls): at RF 7/4/2, radius 4 (the early
-//! target), ≈ 22 µs — tile SADs and strip copies ≈ 15.3, tile-row sums
-//! into the ring ≈ 1.2, the field minimums ≈ 4.4, and copying `new`, the
-//! geometry check and the returned result ≈ 1.4; at RF 27/8/10, radius 8
-//! (the late target), ≈ 23.5 µs — SADs ≈ 17.5, ring ≈ 1.9, minimums ≈ 3.7,
-//! the rest ≈ 0.6. The `dy`-lane search this replaced kept one `u64` key
-//! per field per `dy` lane, folded every `dx` into it and settled ties in
-//! a pass per field. In the same harness it took 28.4–28.7 µs at radius 4,
-//! where every field covers a single tile and ≈ 13 µs of its consumer
-//! summed nothing, and 26.1–26.9 µs at radius 8.
+//! (1, 2), on a 2-vCPU AVX-512 host; stages deleted from the back one build
+//! at a time, minimum over 10 interleaved rounds of 20 × 100 calls): at RF
+//! 7/4/2, radius 4 (the early target), ≈ 15.2 µs — the field minimums
+//! ≈ 3.4, tile-row sums into the ring ≈ 1.9, the producer's registers ≈
+//! 7.3, strip copies ≈ 0.9, copying `new` ≈ 0.2, and the geometry check
+//! and the returned result ≈ 1.5; at RF 27/8/10, radius 8 (the late
+//! target), ≈ 17.7 µs — minimums ≈ 3.1, ring ≈ 2.1, the producer's windows
+//! ≈ 10.9, strips ≈ 1.0, the rest ≈ 0.7. The producer moves the 160,000
+//! and 473,344 bytes its operation counts name at ≈ 19 and ≈ 39 B/ns. The
+//! search this replaced, with one SAD call per tile and `dx` and a strip
+//! copied per use, ran ≈ 22.5 and ≈ 24.2 µs a call in the same harness
+//! and session: SADs ≈ 9.8 and ≈ 14.4, strip copies ≈ 3.8 and ≈ 3.2. At
+//! stride 4 each register still holds 9 searched `dy` in 16 lanes; the
+//! consumer costs per field and lane (144 fields of 96 lanes early, 36 of
+//! 304 late), not per operation.
 //!
 //! Measured on the way here, so nobody re-tries them blind (48×48, RF
 //! 27/8/10, radius 8, interleaved min-of-60 against the per-row `psadbw`
 //! search this replaced at 69 µs a call, unless stated):
 //!
+//! * The stride-4 producer as one 16-byte `vpsadbw xmm` and one fold per
+//!   window, inside the loop above (strips from the ring, one call per tile
+//!   column): 22.7 µs a call at radius 4 against 16.3 for the register of
+//!   16 windows, in one session.
+//! * Forms that never reach a lane-wise `psadbw` (compiled with this repo's
+//!   flags and read in the disassembly): `sad_chunk::<16>` on four
+//!   overlapping windows stays four `vpsadbw xmm` and four folds; per-16-
+//!   byte group sums of a 64-byte `max − min` array compile to `vpextrb`
+//!   scalar code; per-8-byte group sums against a broadcast row become a
+//!   `vpsrlq` / `vpmovqb` / `vpmovzxbq` transpose. LLVM builds `psadbw`
+//!   only for a whole reduction, so a register of windows must sum its
+//!   lanes with plain lane-wise adds (the 16-bit fields above).
+//! * 8-byte lanes at stride 8 (8 windows a register, so 24 lanes for the
+//!   late target's 17 `dy`, and 8 rows of 7 instructions each) count ≈ 12
+//!   instructions a window against ≈ 10 for a 64-byte `vpsadbw` and its
+//!   fold, so stride 8 stays one window at a time.
+//! * A strip cut into 8-byte sub-columns whose count the compiler could not
+//!   see made every row copy a `memcpy` and a `memset` call: strip copies
+//!   alone took ≈ 15 µs a call. The row width must be a constant.
+//! * `[u32; 16]::map` for the fold compiled to an out-of-line `try_map`
+//!   call through the stack: 18.7 against 14.8 µs a call at radius 4.
+//! * Key rows in `step` phases, so that consecutive searched `dy` are
+//!   consecutive rows at any step, need a per-row offset table and a bounds
+//!   check per row; steps above 1 (no served network has one) take the
+//!   per-window form instead.
 //! * Making `dx` the lane of the producer, with the per-row 8-byte kernel,
 //!   took it from 35 to 55 µs: per-lane bounds checks and spilled row
 //!   pointers. Within one `dx`, `dy` lanes need neither, because a strip
@@ -114,8 +161,11 @@
 //!   plane, skipping the tile-row sums: only 10 % off that consumer.
 //! * Moving the tile-row loop inside the out-of-line producer call, and a
 //!   branch-free producer that fills every lane from a padded strip, gained
-//!   nothing over valid lanes only — and the second would make the
-//!   reported operation count understate the work.
+//!   nothing over valid lanes only, with one SAD call per tile (before the
+//!   register of windows) — and the second would make the reported
+//!   operation count understate the work. The register of windows does
+//!   fill up to 7 unsearched lanes a tile at stride 4; the count names the
+//!   searched ones.
 //! * Summing a field's ring slots into a lane buffer first, then taking
 //!   the minimum over the buffer: level at radius 4, 1.12–1.14× the call
 //!   at radius 8, where fields span three tile columns and the sums make a
@@ -649,17 +699,6 @@ impl SearchCost {
     }
 }
 
-/// Copies the `s`-byte-wide column of `px` (rows `w` bytes apart) that
-/// starts at byte `x0` of each row into `dst`, one row after another, so
-/// that any `s × s` window of the column is `s²` contiguous bytes.
-/// `dst.len() / s` rows are copied.
-#[inline(always)]
-fn copy_column(px: &[u8], w: usize, x0: usize, s: usize, dst: &mut [u8]) {
-    for (row, out) in px[x0..].chunks(w).zip(dst.chunks_exact_mut(s)) {
-        out.copy_from_slice(&row[..s]);
-    }
-}
-
 /// Lanes are summed and compared in blocks of this many, one vector
 /// register of `u32` ([`eva2_tensor::F32_LANES`]: 16 in a `zmm` on an
 /// AVX-512 target, 8 in a `ymm` otherwise). The lanes are all the search
@@ -668,19 +707,138 @@ fn copy_column(px: &[u8], w: usize, x0: usize, s: usize, dst: &mut [u8]) {
 /// radius-8 one 289 in 304.
 const LANE_BLOCK: usize = eva2_tensor::F32_LANES;
 
-/// Writes the SAD of `tile` against each window of `windows` into `out`:
-/// window `i` is the `tile.len()` bytes starting `i · pitch` bytes in.
-/// `S` is the tile side (`0`: whatever `tile.len()` says).
-///
-/// Kept out of line: measured level with the inlined form at stride 8 and
-/// 5 % faster at stride 4.
-#[inline(never)]
-fn tile_lane_sads<const S: usize>(tile: &[u8], windows: &[u8], pitch: usize, out: &mut [u32]) {
-    let s2 = if S == 0 { tile.len() } else { S * S };
-    let tile = &tile[..s2];
-    for (sad, window) in out.iter_mut().zip(windows.windows(s2).step_by(pitch)) {
-        *sad = sad_tile::<S>(tile, window);
+/// Bytes the narrow producer compares at once: one vector register (64 in
+/// a `zmm`, 32 in a `ymm`), which holds [`LANE_BLOCK`] 4-byte rows.
+const VEC: usize = 4 * LANE_BLOCK;
+
+/// The even bytes of a `u32`, each in its own 16-bit field.
+const EVEN_BYTES: u32 = 0x00ff_00ff;
+
+/// A tile of side 4 or less with each of its rows (zero-padded to 4
+/// bytes) in every lane of a register: built once per tile, compared
+/// against every `dx`'s windows.
+type SplatRows = [[[u8; 4]; LANE_BLOCK]; 4];
+
+fn splat_rows(tile: &[u8]) -> SplatRows {
+    let mut rows = [[[0; 4]; LANE_BLOCK]; 4];
+    for (lanes, t) in rows.iter_mut().zip(tile.chunks_exact(4)) {
+        for lane in lanes {
+            lane.copy_from_slice(t);
+        }
     }
+    rows
+}
+
+/// Adds one tile row's absolute differences in every window to `fields`:
+/// `window` holds [`LANE_BLOCK`] consecutive 4-byte strip rows, compared in
+/// every lane against the tile row in `t`. Each lane's byte pairs are
+/// summed into its two 16-bit fields (`(d & EVEN_BYTES) + ((d >> 8) &
+/// EVEN_BYTES)`), lane-wise: no shuffle, and no fold until the tile's rows
+/// are in.
+#[inline(always)]
+fn add_tile_row(fields: &mut [u32; LANE_BLOCK], window: &[u8], t: &[[u8; 4]; LANE_BLOCK]) {
+    let mut diff = [[0u8; 4]; LANE_BLOCK];
+    let each = diff.as_flattened_mut().iter_mut().zip(&window[..VEC]);
+    for ((d, &k), &t) in each.zip(t.as_flattened()) {
+        *d = k.max(t) - k.min(t);
+    }
+    for (f, d) in fields.iter_mut().zip(diff) {
+        let d = u32::from_le_bytes(d);
+        *f += (d & EVEN_BYTES) + ((d >> 8) & EVEN_BYTES);
+    }
+}
+
+/// The narrow producer's register: the SADs of one tile of side `s ≤ 4`
+/// (`S`, or `0` for a runtime `s`) against [`LANE_BLOCK`] windows, window
+/// `k` starting `k` rows below the start of `strip`, whose rows are 4
+/// bytes, zero-padded past `s`. The tile's rows (at most 4, each adding at
+/// most `2 · 255` to a field) cannot overflow a field, and the two fields
+/// are added once, at the end.
+#[inline(always)]
+fn window_sads<const S: usize>(tile: &SplatRows, strip: &[u8], s: usize) -> [u32; LANE_BLOCK] {
+    let s = if S == 0 { s } else { S };
+    // Every row's register lies in this block: one bounds check.
+    let block = &strip[..(s - 1) * 4 + VEC];
+    let mut fields = [0u32; LANE_BLOCK];
+    for (r, t) in tile[..s].iter().enumerate() {
+        add_tile_row(&mut fields, &block[r * 4..], t);
+    }
+    for f in &mut fields {
+        *f = (*f & 0xffff) + (*f >> 16);
+    }
+    fields
+}
+
+/// The producer for one tile column: every searched tile's SADs at every
+/// searched offset, into `plane[ty · lanes + xi · n + yi]`.
+///
+/// The windows of one tile against one strip at consecutive searched
+/// `dy` start `step` strip rows apart, and a window is `s` consecutive
+/// rows. At tile sides above 4 that is `s²` contiguous bytes, so a window
+/// is one `vpsadbw` and one fold per 64 bytes ([`sad_tile`]). At side 4 and
+/// below (rows padded to 4 bytes) and step 1, a register of consecutive
+/// strip rows holds [`LANE_BLOCK`] windows, one per lane, and one register
+/// of sums covers that many offsets ([`window_sads`]); other steps take the
+/// per-window path. Each register is stored whole: a tile's last one may
+/// run past its searched offsets into the next `dx`'s lanes or the next
+/// tile row's, which are written again when their turn comes or are never
+/// searched and masked by the consumer. Every value is one tile's SAD, so
+/// no sum can overflow.
+#[inline(never)]
+fn column_sads<const S: usize>(
+    job: &ColumnJob<'_>,
+    tiles: &[u8],
+    strips: &[u8],
+    plane: &mut [u32],
+) {
+    let s = if S == 0 { job.shape.s } else { S };
+    let row = if S == 0 { job.shape.row } else { S.max(4) };
+    let (tile_len, step) = (s * row, job.params.step.max(1));
+    for (ty, yis) in job.tile_offsets.iter().enumerate() {
+        if yis.is_empty() {
+            continue;
+        }
+        let tile = &tiles[ty * tile_len..][..tile_len];
+        // Each `dx`'s lanes in this tile row, and the strip row of the
+        // tile's first window in that `dx`'s strip.
+        let top = ((ty * s) as isize + job.params.offset(yis.start)) as usize;
+        let out = &mut plane[ty * job.lanes + yis.start..];
+        let dxs = job.xis.clone().zip(job.strip_starts);
+        let dxs = dxs.map(|(xi, &strip)| (xi * job.n, strip + top * row));
+        if s <= 4 && step == 1 {
+            let tile = splat_rows(tile);
+            // A `dx`'s registers all go before the next `dx`'s, which may
+            // overwrite where the last one ran past.
+            for (lane, strip) in dxs {
+                for g in 0..yis.len().div_ceil(LANE_BLOCK) {
+                    let sums = window_sads::<S>(&tile, &strips[strip + g * VEC..], s);
+                    out[lane + g * LANE_BLOCK..][..LANE_BLOCK].copy_from_slice(&sums);
+                }
+            }
+        } else {
+            for (lane, strip) in dxs {
+                let windows = strips[strip..].windows(tile_len).step_by(step * row);
+                for (out, window) in out[lane..][..yis.len()].iter_mut().zip(windows) {
+                    *out = sad_tile::<S>(tile, window);
+                }
+            }
+        }
+    }
+}
+
+/// What [`column_sads`] needs besides the buffers it reads and writes.
+struct ColumnJob<'a> {
+    params: SearchParams,
+    shape: StripShape,
+    /// The offsets (indices) at which each tile row is searched.
+    tile_offsets: &'a [Range<usize>],
+    /// The offsets `dx` at which this tile column is searched, and where
+    /// each one's strip starts in the strip ring.
+    xis: Range<usize>,
+    strip_starts: &'a [usize],
+    /// Offsets per axis, and lanes per plane row.
+    n: usize,
+    lanes: usize,
 }
 
 /// The lane-wise sum of block `b` of `count` lane rows, the first at the
@@ -756,6 +914,62 @@ fn decode_rank(rank: u32, n: usize) -> (usize, usize) {
     ((offset / n) as usize, (offset % n) as usize)
 }
 
+/// How the producer lays out the frames, from the geometry alone.
+///
+/// A tile is its `s` rows, each `row` bytes: `s`, or 4 with zero padding
+/// when `s` is smaller. A *strip* is the key frame's `s`-wide column
+/// displaced by one `dx`, in rows of the same width: every key row, then
+/// one register of rows past the frame, which a tile's last register may
+/// read. So a window of a strip is `s` consecutive rows, and the windows at
+/// consecutive `dy` start one row apart. The strips live in a ring of
+/// `slots`: the key columns one tile column is searched against are within
+/// `2 · radius` pixels of each other, so each is copied once per call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct StripShape {
+    s: usize,
+    row: usize,
+    rows: usize,
+    slots: usize,
+}
+
+impl StripShape {
+    fn new(rfbme: &Rfbme, h: usize, w: usize) -> Self {
+        let s = rfbme.rf.stride.max(1);
+        Self {
+            s,
+            row: s.max(4),
+            rows: h + LANE_BLOCK,
+            slots: (2 * rfbme.params.radius + 1).min(w.saturating_sub(s) + 1),
+        }
+    }
+
+    /// Bytes of one tile, and of one strip.
+    fn tile_len(&self) -> usize {
+        self.s * self.row
+    }
+
+    fn strip_len(&self) -> usize {
+        self.rows * self.row
+    }
+}
+
+/// Copies `S` bytes (`0`: `shape.s`) of each row of `rows`, from byte `x0`
+/// on, into consecutive rows of `dst`, zero-padded to `shape.row`.
+#[inline(always)]
+fn copy_rows<'a, const S: usize>(
+    shape: &StripShape,
+    rows: impl Iterator<Item = &'a [u8]>,
+    x0: usize,
+    dst: &mut [u8],
+) {
+    let s = if S == 0 { shape.s } else { S };
+    let row = if S == 0 { shape.row } else { S.max(4) };
+    for (out, px) in dst.chunks_exact_mut(row).zip(rows) {
+        out[..s].copy_from_slice(&px[x0..][..s]);
+        out[s..].fill(0);
+    }
+}
+
 /// What the search derives from its geometry, `(rf, params, h, w)`, and
 /// keeps while that geometry lasts: the two axes' plans, the cost, and the
 /// per-lane tables of the min-check.
@@ -782,6 +996,8 @@ struct SearchPlan {
     row_mask: Vec<u32>,
     /// `[field column][lane]`, likewise.
     col_mask: Vec<u32>,
+    /// How the producer lays out tiles and strips.
+    shape: StripShape,
 }
 
 impl SearchPlan {
@@ -802,6 +1018,7 @@ impl SearchPlan {
             rank,
             row_mask,
             col_mask,
+            shape,
         } = self;
         rows.fill(rfbme, h);
         cols.fill(rfbme, w);
@@ -830,6 +1047,7 @@ impl SearchPlan {
                 lane_offsets().map(|o| mask(o.is_some_and(|(_, xi)| offsets.contains(&xi)))),
             );
         }
+        *shape = StripShape::new(rfbme, h, w);
         *geometry = Some((*rfbme, h, w));
     }
 
@@ -847,20 +1065,27 @@ impl SearchPlan {
 /// allocates nothing but the returned [`RfbmeResult`]. What the search
 /// derives from its geometry (the lane ranks and admission masks) is kept
 /// between calls and rebuilt whenever `(rf, params, h, w)` differs from the
-/// last call's; every other value is rewritten before it is read. So
-/// sharing a scratch across streams, key images or geometries, or none at
-/// all, is purely a performance choice.
+/// last call's; every other value is rewritten before it is read, except
+/// the rows past the frame that end each strip, which only reach lanes
+/// the admission masks discard. So sharing a scratch across streams, key
+/// images or geometries, or none at all, is purely a performance choice.
 #[derive(Debug, Clone, Default)]
 pub struct RfbmeScratch {
     /// What the last call's geometry derived.
     plan: SearchPlan,
     /// Min-check register per receptive field.
     best: Vec<RfMatch>,
-    /// `new`, one tile column after another, each `stride` bytes wide.
+    /// `new`, one tile column after another ([`StripShape`]'s tiles).
     new_tiles: Vec<u8>,
-    /// One `stride`-byte-wide column of `key`, displaced by `dx`.
-    strip: Vec<u8>,
-    /// Tile SADs of one tile column: `[tile row][lane]`.
+    /// The ring of strips: `key`'s `stride`-wide columns, each displaced
+    /// by some `dx` ([`StripShape`]'s strips).
+    strips: Vec<u8>,
+    /// The key column each strip holds, or `usize::MAX`.
+    strip_x0: Vec<usize>,
+    /// Where the current tile column's strip for each `dx` starts.
+    strip_starts: Vec<usize>,
+    /// Tile SADs of one tile column: `[tile row][lane]`, and one register
+    /// of lanes past the last row.
     plane: Vec<u32>,
     /// Tile-row sums of the last `ring_len` tile columns:
     /// `[field row][tile column mod ring_len][lane]`.
@@ -894,7 +1119,9 @@ impl RfbmeScratch {
             + vec_bytes(&plan.col_mask)
             + vec_bytes(&self.best)
             + vec_bytes(&self.new_tiles)
-            + vec_bytes(&self.strip)
+            + vec_bytes(&self.strips)
+            + vec_bytes(&self.strip_x0)
+            + vec_bytes(&self.strip_starts)
             + vec_bytes(&self.plane)
             + vec_bytes(&self.ring)
     }
@@ -992,8 +1219,8 @@ impl Rfbme {
             "search window too large for RFBME's u32 ranks"
         );
         // The stride as a constant is what turns the row copies into
-        // single moves and the tile SAD into two (or one, or eight) block
-        // SADs; any other stride runs the same loop on runtime lengths.
+        // single moves and the tile SADs into straight-line registers; any
+        // other stride runs the same loop on runtime lengths.
         match self.rf.stride {
             4 => self.search::<4>(key, new, scratch),
             8 => self.search::<8>(key, new, scratch),
@@ -1036,7 +1263,9 @@ impl Rfbme {
             plan,
             best,
             new_tiles,
-            strip,
+            strips,
+            strip_x0,
+            strip_starts,
             plane,
             ring,
         } = scratch;
@@ -1047,6 +1276,7 @@ impl Rfbme {
             n,
             lanes,
             ring_len,
+            shape,
             ..
         } = &*plan;
         let (n, lanes, ring_len) = (*n, *lanes, *ring_len);
@@ -1055,26 +1285,23 @@ impl Rfbme {
         let (tiles_y, tiles_x) = (h / s, w / s);
         let (grid_h, grid_w) = (rows.ranges.len(), cols.ranges.len());
         let (new_px, key_px) = (new.as_slice(), key.as_slice());
-        let step = self.params.step.max(1);
 
         best.clear();
         best.resize(grid_h * grid_w, RfMatch::UNMATCHED);
-        new_tiles.resize(tiles_x * tiles_y * s2, 0);
-        strip.resize(h * s, 0);
+        let column = tiles_y * shape.tile_len();
+        new_tiles.resize(tiles_x * column, 0);
+        strips.resize(shape.slots * shape.strip_len(), 0);
+        strip_x0.clear();
+        strip_x0.resize(shape.slots, usize::MAX);
+        strip_starts.clear();
+        strip_starts.reserve_exact(n);
         // A lane a tile is not searched at keeps an earlier tile's SAD, or
         // zero: its sums stay below `u32::MAX` and are masked off.
         plane.clear();
-        plane.resize(tiles_y * lanes, 0);
+        plane.resize(tiles_y * lanes + LANE_BLOCK, 0);
         ring.resize(grid_h * ring_len * lanes, 0);
-        let column = tiles_y * s2;
-        for tx in 0..tiles_x {
-            copy_column(
-                new_px,
-                w,
-                tx * s,
-                s,
-                &mut new_tiles[tx * column..][..column],
-            );
+        for (tx, tiles) in new_tiles.chunks_exact_mut(column.max(1)).enumerate() {
+            copy_rows::<S>(shape, new_px.chunks_exact(w), tx * s, tiles);
         }
 
         let live_rows = || {
@@ -1085,22 +1312,39 @@ impl Rfbme {
         let mut next_ax = 0;
         let mut slot = 0;
         for tx in 0..tiles_x {
-            // Producer: every tile of this tile column against the key
-            // column displaced by each `dx`, all vertical offsets at once.
-            // Consecutive `dy` lanes' windows start `step` strip rows apart.
-            for xi in cols.tile_offsets[tx].clone() {
-                let dx = self.params.offset(xi);
-                copy_column(key_px, w, ((tx * s) as isize + dx) as usize, s, strip);
-                let tiles = new_tiles[tx * column..][..column].chunks_exact(s2);
-                for ((ty, tile), yis) in tiles.enumerate().zip(&rows.tile_offsets) {
-                    if yis.is_empty() {
-                        continue;
-                    }
-                    let first = ((ty * s) as isize + self.params.offset(yis.start)) as usize * s;
-                    let sads = &mut plane[ty * lanes + xi * n..][yis.clone()];
-                    tile_lane_sads::<S>(tile, &strip[first..], step * s, sads);
+            // Producer: the key column displaced by each `dx` this tile
+            // column is searched at, copied unless the ring holds it, then
+            // every tile of the column against every strip, all vertical
+            // offsets a register at a time.
+            let xis = cols.tile_offsets[tx].clone();
+            let x0 = |xi| ((tx * s) as isize + self.params.offset(xi)) as usize;
+            let mut at = x0(xis.start) % shape.slots;
+            strip_starts.clear();
+            for xi in xis.clone() {
+                let (x0, len) = (x0(xi), shape.strip_len());
+                if strip_x0[at] != x0 {
+                    let strip = &mut strips[at * len..][..len];
+                    copy_rows::<S>(shape, key_px.chunks_exact(w), x0, strip);
+                    strip_x0[at] = x0;
+                }
+                strip_starts.push(at * len);
+                // The next `dx` is `step` columns on, in the next slot but
+                // `step - 1`.
+                at += self.params.step.max(1);
+                while at >= shape.slots {
+                    at -= shape.slots;
                 }
             }
+            let job = ColumnJob {
+                params: self.params,
+                shape: *shape,
+                tile_offsets: &rows.tile_offsets,
+                xis,
+                strip_starts,
+                n,
+                lanes,
+            };
+            column_sads::<S>(&job, &new_tiles[tx * column..][..column], strips, plane);
             // Consumer, first half: the tile rows each field row covers,
             // into this tile column's ring slot.
             for (ay, (&(ty0, ty1), _)) in live_rows() {
@@ -1199,6 +1443,7 @@ impl Rfbme {
         let lanes = (offsets * offsets).next_multiple_of(LANE_BLOCK);
         let consumer = DiffTileConsumer { rf: self.rf };
         let ring_len = SearchPlan::widest((0..grid_w).map(|a| consumer.tile_range(a, tiles_x)));
+        let shape = StripShape::new(self, h, w);
         bytes::<(usize, usize)>(grid_h) // rows.ranges
             + bytes::<(usize, usize)>(grid_w) // cols.ranges
             + 2 * bytes::<AxisSpan>(offsets) // rows.spans, cols.spans
@@ -1210,9 +1455,11 @@ impl Rfbme {
             + bytes::<u32>(grid_h * lanes) // row_mask
             + bytes::<u32>(grid_w * lanes) // col_mask
             + bytes::<RfMatch>(grid_h * grid_w) // best
-            + bytes::<u8>(tiles_x * tiles_y * s * s) // new_tiles
-            + bytes::<u8>(h * s) // strip
-            + bytes::<u32>(tiles_y * lanes) // plane
+            + bytes::<u8>(tiles_x * tiles_y * shape.tile_len()) // new_tiles
+            + bytes::<u8>(shape.slots * shape.strip_len()) // strips
+            + bytes::<usize>(shape.slots) // strip_x0
+            + bytes::<usize>(offsets) // strip_starts
+            + bytes::<u32>(tiles_y * lanes + LANE_BLOCK) // plane
             + bytes::<u32>(grid_h * ring_len * lanes) // ring
     }
 
@@ -1628,8 +1875,13 @@ mod tests {
 
     #[test]
     fn fast_path_matches_reference_on_translations() {
-        let key = textured(48, 48);
-        let rfs = [
+        // Three geometries at radius 6, and the two the engine serves at
+        // their own radii; shifts inside the window, at its edge and beyond
+        // it, of a textured frame and of a two-level one whose differences
+        // saturate (0 against 255).
+        let textured = textured(48, 48);
+        let two_level = GrayImage::from_fn(48, 48, |y, x| 255 * (((y / 3) ^ (x / 5)) & 1) as u8);
+        let radius_6 = [
             rf_844(),
             RfGeometry {
                 size: 16,
@@ -1642,13 +1894,27 @@ mod tests {
                 padding: 10,
             },
         ];
-        for rf in rfs {
-            let rfbme = Rfbme::new(rf, SearchParams { radius: 6, step: 1 });
-            for (dy, dx) in [(0isize, 0isize), (0, 1), (2, -3), (-5, 4), (8, 8)] {
-                let new = key.translate(dy, dx, 31);
-                let fast = rfbme.estimate(&key, &new);
-                let reference = rfbme.estimate_reference(&key, &new);
-                assert_same_result(&fast, &reference, &format!("rf {rf:?} shift ({dy},{dx})"));
+        let geometries = radius_6.map(|rf| (rf, 6)).into_iter().chain(served());
+        for (rf, radius) in geometries {
+            let rfbme = Rfbme::new(rf, SearchParams { radius, step: 1 });
+            let r = radius as isize;
+            let shifts = [
+                (0, 0),
+                (0, 1),
+                (2, -3),
+                (-5, 4),
+                (8, 8),
+                (r, -r),
+                (-r - 1, r + 2),
+            ];
+            for (key, fill) in [(&textured, 31), (&two_level, 255)] {
+                for (dy, dx) in shifts {
+                    let new = key.translate(dy, dx, fill);
+                    let fast = rfbme.estimate(key, &new);
+                    let reference = rfbme.estimate_reference(key, &new);
+                    let label = format!("rf {rf:?} r{radius} fill {fill} shift ({dy},{dx})");
+                    assert_same_result(&fast, &reference, &label);
+                }
             }
         }
     }
@@ -1843,30 +2109,30 @@ mod tests {
         assert!(Rfbme::sums_fit_u32(1, Rfbme::MAX_PIXELS - 1));
         assert!(!Rfbme::sums_fit_u32(1, Rfbme::MAX_PIXELS));
         assert!(!Rfbme::sums_fit_u32(usize::MAX, 2));
-        // All-0 against all-255: every offset of every field costs exactly
-        // 255 per compared pixel, far below the `u32::MAX - 1` clamp.
+        // All-0 against all-255, at both served geometries: every offset
+        // of every field costs exactly 255 per compared pixel, far below the
+        // `u32::MAX - 1` clamp.
         let key = GrayImage::filled(40, 48, 0);
         let new = GrayImage::filled(40, 48, 255);
-        let rf = RfGeometry {
-            size: 27,
-            stride: 8,
-            padding: 10,
-        };
-        let rfbme = Rfbme::new(rf, SearchParams { radius: 8, step: 1 });
-        let fast = rfbme.estimate(&key, &new);
-        assert_same_result(&fast, &rfbme.estimate_reference(&key, &new), "saturated");
-        let consumer = DiffTileConsumer { rf };
-        for gy in 0..fast.field.grid_h() {
-            for gx in 0..fast.field.grid_w() {
-                let (ty0, ty1) = consumer.tile_range(gy, 40 / 8);
-                let (tx0, tx1) = consumer.tile_range(gx, 48 / 8);
-                let pixels = ((ty1 - ty0) * (tx1 - tx0) * 64) as u32;
-                assert!(pixels > 0);
-                let err = fast.errors[gy * fast.field.grid_w() + gx];
-                assert_eq!(err, 255 * pixels, "field ({gy},{gx})");
+        for (rf, radius) in served() {
+            let rfbme = Rfbme::new(rf, SearchParams { radius, step: 1 });
+            let fast = rfbme.estimate(&key, &new);
+            let label = format!("saturated rf {rf:?}");
+            assert_same_result(&fast, &rfbme.estimate_reference(&key, &new), &label);
+            let consumer = DiffTileConsumer { rf };
+            let s = rf.stride;
+            for gy in 0..fast.field.grid_h() {
+                for gx in 0..fast.field.grid_w() {
+                    let (ty0, ty1) = consumer.tile_range(gy, 40 / s);
+                    let (tx0, tx1) = consumer.tile_range(gx, 48 / s);
+                    let pixels = ((ty1 - ty0) * (tx1 - tx0) * s * s) as u32;
+                    assert!(pixels > 0);
+                    let err = fast.errors[gy * fast.field.grid_w() + gx];
+                    assert_eq!(err, 255 * pixels, "{label} field ({gy},{gx})");
+                }
             }
+            assert_eq!(fast.total_error, 255 * fast.total_pixels);
         }
-        assert_eq!(fast.total_error, 255 * fast.total_pixels);
     }
 
     #[test]

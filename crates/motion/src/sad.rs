@@ -1,15 +1,19 @@
 //! Sum-of-absolute-difference kernels over contiguous byte runs.
 //!
 //! The dense RFBME search ([`crate::rfbme`]) lays its operands out so that
-//! every tile SAD is a SAD of two *contiguous* `stride²`-byte runs; the
-//! kernels here are written so the compiler turns such a run into wide
-//! vector code without intrinsics. [`sad_chunk`] is one fixed-width block:
-//! it writes the absolute differences into a byte array and then sums that
-//! array, which LLVM lowers (with `target-cpu=native` on x86-64) to one
-//! `vpsadbw` per block — on `ymm` operands for the 32-byte block, straight
-//! from memory. `sad_tile` is a whole tile of side 4, 8 or 16 as
-//! straight-line blocks; [`sad_row`] is a run of any length, for every
-//! other stride; [`sad_window`] is a 2-D window of a frame, row by row.
+//! every tile SAD above stride 4 is a SAD of two *contiguous*
+//! `stride²`-byte runs; the kernels here are written so the compiler turns
+//! such a run into wide vector code without intrinsics. (At stride 4 and
+//! below the search compares 16 windows a register with lane-wise adds of
+//! its own, because nothing here can give one `psadbw` several windows.)
+//! [`sad_chunk`] is one fixed-width block: it writes the absolute
+//! differences into a byte array as `max − min` and then sums that array,
+//! which LLVM lowers (with `target-cpu=native` on x86-64) to one `vpsadbw`
+//! per block and one fold of its partial sums — for the 64-byte block, a
+//! `zmm` `vpsadbw` straight from memory. `sad_tile` is a whole tile of
+//! side 8 or 16 as straight-line 64-byte blocks; [`sad_row`] is a run of
+//! any length, for every other stride; [`sad_window`] is a 2-D window of a
+//! frame, row by row.
 //!
 //! The forms are fragile. Measured alternatives, so nobody re-tries them
 //! blind (48×48 frames, radius 8 at RF 27/8/10 and radius 4 at RF 7/4/2;
@@ -19,30 +23,31 @@
 //!   over 64 contiguous bytes makes LLVM pick a vectorisation factor of 8
 //!   and emit eight `movq` + `psadbw xmm` pairs — 0.88× the per-row kernel
 //!   it replaced, not the 4× the layout allows.
-//! * One `[u8; 64]` block does get `vpsadbw zmm`, but inlined into the
-//!   search the differences are stored as two `ymm` halves and reloaded as
-//!   one `zmm`: a store-forwarding stall that ran **2.2× slower** than the
-//!   per-row kernel. 32-byte blocks have no such reload. (Out of line, as
-//!   the search calls it now, the 64-byte block loads its `zmm` straight
-//!   from memory and still ran 31.6 µs a call against 26–28.)
-//! * `u8::abs_diff` widens through `i32`. In a 32-byte block that is
-//!   recognised and becomes `vpsadbw (mem), ymm`. In a 16-byte block
-//!   inside the lane loop it is not: the compiler widens sixteen bytes to
-//!   sixteen `i32` in a `zmm` and never emits `psadbw` (75 µs a call at
-//!   stride 4, slower than the search this replaced). `max − min` stays
-//!   in `u8` and gets `vpsadbw xmm` at 16 bytes (33 µs) — but at 32 bytes
-//!   the same form merges two blocks into `vpminub`/`vpmaxub`/`vpsubb` and
-//!   one `vpsadbw zmm` against zero (32 µs a call at stride 8, against
-//!   27–28). So [`sad_chunk`] picks the form by block width.
+//! * An earlier `[u8; 64]` block, with the differences as `abs_diff`, got
+//!   `vpsadbw zmm` but stored them as two `ymm` halves and reloaded them as
+//!   one `zmm` when inlined: a store-forwarding stall, **2.2× slower** than
+//!   the per-row kernel (and 31.6 µs a call out of line, against 26–28, at
+//!   LLVM's 256-bit preference). With `max − min` and `-prefer-256-bit`
+//!   the block is one `vpsadbw (mem), zmm` and no stall.
+//! * `u8::abs_diff` widens through `i32`. With this toolchain and flags it
+//!   does so in 32- and 64-byte blocks too (`vpmovzxbd`, then `vpaddd`
+//!   folds; no `psadbw`), and in a 16-byte block inside the lane loop it
+//!   widens sixteen bytes to sixteen `i32` in a `zmm` (75 µs a call at
+//!   stride 4, slower than the search it replaced). `max − min` stays in
+//!   `u8` and gets one `vpsadbw` at 8, 16, 32 and 64 bytes, so
+//!   [`sad_chunk`] uses it at every width. (An earlier toolchain merged
+//!   two 32-byte `max − min` blocks into one `vpsadbw zmm` against zero,
+//!   32 µs a call at stride 8 against 27–28.)
+//! * At 128 bytes `max − min` widens to `i32` again: a wider tile is
+//!   whole 64-byte blocks, one fold each.
 
 use eva2_tensor::GrayImage;
 
 /// Sum of absolute differences over the first `N` bytes of two runs.
 ///
-/// The differences go through a `[u8; N]`, computed as `abs_diff` in
-/// blocks of 32 bytes and more and as `max − min` in narrower ones, on
-/// purpose (see the module docs): those are the forms the compiler lowers
-/// to one `psadbw` per block.
+/// The differences go through a `[u8; N]`, computed as `max − min`, on
+/// purpose (see the module docs): that is the form the compiler lowers to
+/// one `psadbw` per block up to 64 bytes.
 ///
 /// # Panics
 ///
@@ -52,19 +57,15 @@ pub fn sad_chunk<const N: usize>(a: &[u8], b: &[u8]) -> u32 {
     let (a, b) = (&a[..N], &b[..N]);
     let mut diff = [0u8; N];
     for i in 0..N {
-        diff[i] = if N < 32 {
-            a[i].max(b[i]) - a[i].min(b[i])
-        } else {
-            a[i].abs_diff(b[i])
-        };
+        diff[i] = a[i].max(b[i]) - a[i].min(b[i]);
     }
     diff.iter().map(|&d| u32::from(d)).sum()
 }
 
 /// Sum of absolute differences between two contiguous `S × S` tiles, for
-/// the tile sides the dense search specialises (4, 8, 16): one 16-byte
-/// block, or `S² / 32` 32-byte blocks, in straight-line code. `S = 0`
-/// compares runs of whatever (equal) length the slices have.
+/// the tile sides whose `S²` bytes are whole 64-byte blocks (8, 16): one
+/// [`sad_chunk`]`::<64>` per block, in straight-line code. `S = 0` compares
+/// runs of whatever (equal) length the slices have.
 ///
 /// # Panics
 ///
@@ -73,15 +74,14 @@ pub fn sad_chunk<const N: usize>(a: &[u8], b: &[u8]) -> u32 {
 pub(crate) fn sad_tile<const S: usize>(a: &[u8], b: &[u8]) -> u32 {
     const {
         assert!(
-            (S * S).is_multiple_of(32) || S == 4,
+            (S * S).is_multiple_of(64) || S < 8,
             "tile side without a block kernel"
         )
     };
     match S {
-        0 => sad_row(a, b),
-        4 => sad_chunk::<16>(a, b),
-        _ => (0..S * S / 32)
-            .map(|i| sad_chunk::<32>(&a[i * 32..], &b[i * 32..]))
+        0..8 => sad_row(a, b),
+        _ => (0..S * S / 64)
+            .map(|i| sad_chunk::<64>(&a[i * 64..], &b[i * 64..]))
             .sum(),
     }
 }
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn sad_row_matches_scalar() {
-        for len in [0usize, 1, 7, 8, 9, 16, 23, 32, 63] {
+        for len in [0usize, 1, 7, 8, 9, 16, 23, 32, 63, 64] {
             let a: Vec<u8> = (0..len).map(|i| (i * 37 % 251) as u8).collect();
             let b: Vec<u8> = (0..len).map(|i| (i * 91 % 251) as u8).collect();
             let expect: u32 = a
@@ -176,6 +176,7 @@ mod tests {
                 8 => assert_eq!(sad_chunk::<8>(&a, &b), expect),
                 16 => assert_eq!(sad_chunk::<16>(&a, &b), expect),
                 32 => assert_eq!(sad_chunk::<32>(&a, &b), expect),
+                64 => assert_eq!(sad_chunk::<64>(&a, &b), expect),
                 _ => {}
             }
         }
