@@ -25,9 +25,10 @@
 //!    statistics and a declared input range (see [`interval`]), flagging
 //!    layers whose activations can escape — or come within 2× of — the
 //!    Q8.8 representable range.
-//! 4. **Sparsity flow** — verifies the sparse-suffix seam: the target
-//!    activation should be ReLU-derived (sparse, non-negative) and the
-//!    first suffix layer should have a sparse-aware path (conv or FC).
+//! 4. **Sparsity flow** — verifies the prefix/suffix seam: the target
+//!    activation should be ReLU-derived (sparse, non-negative), because
+//!    the dense Q8.8 key store suppresses near-zero values, and a suffix
+//!    must remain to run on predicted frames.
 //! 5. **Static cost model** (see [`cost`]) — per-layer MACs and bytes
 //!    moved, aggregated into exact key-frame and predicted-frame cost
 //!    split at the AMC target, with static bounds for the RFBME and warp
@@ -57,8 +58,7 @@
 //! | `E-RANGE-001` | The activation interval at the target layer exceeds Q8.8's representable range while the fixed-point datapath is enabled — the stored/warped activation *will* saturate for some in-range input. | Scale down weights (or retrain), choose an earlier target, or disable `fixed_point`. |
 //! | `W-RANGE-002` | The target-layer interval fits the Q8.8 key store (every datapath stores the target in Q8.8) but with less than 2× headroom. | Consider weight scaling, or an earlier target. |
 //! | `W-RANGE-003` | At the target: the interval exceeds the Q8.8 key store's range, so stored values beyond ±128 saturate on every datapath (an error only with `fixed_point`, because the static interval is loose). Past the target: a layer's interval exceeds Q8.8, so an integer datapath through it would saturate. | Rescale the layer, or choose an earlier target; past the target, requantize before moving the layer onto an integer datapath. |
-//! | `W-SPARSE-001` | The target activation is not ReLU-derived: it can be dense and signed, so the RLE store's near-zero suppression clips real information. | Place the target on (or after) a ReLU/pool-of-ReLU boundary. |
-//! | `W-SPARSE-002` | The first suffix layer is not conv/FC, so it has no sparse-aware path and the warped activation is densified before use. | Reorder the suffix or accept the densify cost. |
+//! | `W-SPARSE-001` | The target activation is not ReLU-derived: it can be dense and signed, so the Q8.8 key store's near-zero suppression clips real information. | Place the target on (or after) a ReLU/pool-of-ReLU boundary. |
 //! | `W-SPARSE-003` | The target is the network's last layer: there is no suffix to run on predicted frames. | Choose an earlier target. |
 //! | `E-COST-001` | A per-layer or aggregate cost overflows `u64` — the network geometry is absurd and no capacity statement can be made. | Check the layer dimensions; this never fires for a realizable network. |
 //! | `W-COST-001` | The static cost model disagrees with the engine's reference MAC accounting (`Network::total_macs`/`prefix_macs`) — the two implementations have drifted. | File a bug: capacity plans and `ExecStats` cross-checks are unreliable until the models agree. |
@@ -411,10 +411,10 @@ fn range_pass(infos: &[LayerInfo], opts: &AnalysisOptions, report: &mut Analysis
 
 /// Pass 4: sparsity flow across the prefix/suffix seam.
 ///
-/// The key activation store thresholds near-zero values, which is lossless
-/// in spirit only when the stored activation is ReLU-derived (non-negative,
-/// mostly zero); and skip-zero execution only pays off when the first
-/// suffix layer can consume sparse input (conv or FC).
+/// The Q8.8 key store thresholds near-zero values, which is lossless in
+/// spirit only when the stored activation is ReLU-derived (non-negative,
+/// mostly zero); and a target at the last layer leaves predicted frames
+/// no suffix to run.
 fn sparsity_pass(infos: &[LayerInfo], opts: &AnalysisOptions, report: &mut AnalysisReport) {
     if opts.target >= infos.len() {
         return; // already an error in the warp pass
@@ -433,7 +433,7 @@ fn sparsity_pass(infos: &[LayerInfo], opts: &AnalysisOptions, report: &mut Analy
             Some(opts.target),
             format!(
                 "{}: target activation is produced by {} ({}), not a ReLU — it can \
-                 be dense and signed, so the sparse store's near-zero suppression \
+                 be dense and signed, so the Q8.8 key store's near-zero suppression \
                  clips information",
                 infos[opts.target].name,
                 infos[p].name,
@@ -441,38 +441,17 @@ fn sparsity_pass(infos: &[LayerInfo], opts: &AnalysisOptions, report: &mut Analy
             ),
         );
     }
-    // Consumer: the first suffix layer should have a sparse-aware path.
-    match infos.get(opts.target + 1) {
-        None => {
-            report.push(
-                DiagCode::SparseNoSuffix,
-                Severity::Warning,
-                Some(opts.target),
-                format!(
-                    "{}: target is the last layer — there is no suffix to run on \
-                     predicted frames",
-                    infos[opts.target].name
-                ),
-            );
-        }
-        Some(next) => {
-            if !matches!(
-                next.kind,
-                LayerKind::Conv { .. } | LayerKind::FullyConnected { .. }
-            ) {
-                report.push(
-                    DiagCode::SparseConsumerNotSparse,
-                    Severity::Warning,
-                    Some(opts.target + 1),
-                    format!(
-                        "{}: first suffix layer is {} — no sparse-aware path, the \
-                         warped activation will be densified before use",
-                        next.name,
-                        next.kind.label()
-                    ),
-                );
-            }
-        }
+    if opts.target + 1 == infos.len() {
+        report.push(
+            DiagCode::SparseNoSuffix,
+            Severity::Warning,
+            Some(opts.target),
+            format!(
+                "{}: target is the last layer — there is no suffix to run on \
+                 predicted frames",
+                infos[opts.target].name
+            ),
+        );
     }
 }
 

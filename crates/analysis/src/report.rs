@@ -57,8 +57,6 @@ pub enum DiagCode {
     RangeFloatExceedsFixed,
     /// `W-SPARSE-001`: target activation is not ReLU-derived.
     SparseProducerNotRelu,
-    /// `W-SPARSE-002`: first suffix layer has no sparse-aware path.
-    SparseConsumerNotSparse,
     /// `W-SPARSE-003`: target is the last layer; the suffix is empty.
     SparseNoSuffix,
     /// `E-COST-001`: a cost aggregate overflows `u64`.
@@ -90,7 +88,6 @@ impl DiagCode {
             DiagCode::RangeFixedNearOverflow => "W-RANGE-002",
             DiagCode::RangeFloatExceedsFixed => "W-RANGE-003",
             DiagCode::SparseProducerNotRelu => "W-SPARSE-001",
-            DiagCode::SparseConsumerNotSparse => "W-SPARSE-002",
             DiagCode::SparseNoSuffix => "W-SPARSE-003",
             DiagCode::CostModelOverflow => "E-COST-001",
             DiagCode::CostModelMismatch => "W-COST-001",

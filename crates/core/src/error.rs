@@ -121,7 +121,7 @@ pub enum AmcError {
     /// holding this session's state, so the state cannot be trusted. Every
     /// submission is refused with this error until the session is evicted
     /// (`StreamSession::evict_state`), which drops the suspect state and
-    /// lets the next frame rehydrate it through the forced-key seam —
+    /// lets the next frame rehydrate it through the no-state key seam —
     /// bit-identical to a fresh session from there on.
     SessionPoisoned {
         /// Id of the quarantined session.

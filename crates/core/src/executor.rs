@@ -52,14 +52,6 @@ pub struct AmcConfig {
     pub fixed_point: bool,
     /// Near-zero suppression threshold for the Q8.8 key activation store.
     pub sparsity_threshold: f32,
-    /// Confidence bound on the RFBME residual: when a frame the policy
-    /// decided *predicted* carries a per-pixel block error above this, the
-    /// match did not explain the frame (occlusion, corruption, a tolerated
-    /// cut) and warping would propagate garbage — the frame is degraded to
-    /// a key frame instead (§III-C), counted in
-    /// [`ExecStats::forced_keys`]. The default (`f32::INFINITY`) disables
-    /// the bound.
-    pub max_residual_error: f32,
     /// Skip the static verifier at engine/executor/session construction.
     ///
     /// By default every construction runs the `eva2-analysis` pass
@@ -83,7 +75,6 @@ impl Default for AmcConfig {
             },
             fixed_point: false,
             sparsity_threshold: 1.0 / 256.0,
-            max_residual_error: f32::INFINITY,
             allow_unverified: false,
         }
     }
@@ -111,9 +102,6 @@ impl AmcConfig {
         }
         if !self.sparsity_threshold.is_finite() || self.sparsity_threshold < 0.0 {
             return invalid("sparsity threshold must be finite and non-negative");
-        }
-        if self.max_residual_error.is_nan() || self.max_residual_error < 0.0 {
-            return invalid("max residual error must be non-negative (INFINITY disables it)");
         }
         self.policy.validate()
     }
@@ -215,13 +203,6 @@ impl AmcConfigBuilder {
         self
     }
 
-    /// Sets the residual-error confidence bound above which a predicted
-    /// frame is degraded to a key frame (`f32::INFINITY` disables it).
-    pub fn max_residual_error(mut self, bound: f32) -> Self {
-        self.config.max_residual_error = bound;
-        self
-    }
-
     /// Disables the static verifier at construction time — the escape
     /// hatch for (network, config) pairs the analysis would refuse (see
     /// [`AmcError::AnalysisRejected`]). Use for experiments only; a
@@ -284,11 +265,12 @@ pub struct ExecStats {
     pub rfbme_ops: u64,
     /// Total warp interpolations.
     pub warp_interpolations: u64,
-    /// Key frames forced by the residual confidence bound
-    /// ([`AmcConfig::max_residual_error`]): the policy said *predicted*
-    /// but the RFBME match could not explain the frame, so the executor
-    /// degraded it to a key frame rather than warp garbage (a subset of
-    /// [`ExecStats::key_frames`]).
+    /// Key frames the policy decided before any search
+    /// ([`PolicyConfig::forces_key`](crate::policy::PolicyConfig::forces_key):
+    /// the `max_gap` key, a `StaticRate` period, `AlwaysKey`) while key
+    /// state was stored, so no RFBME ran for them (a subset of
+    /// [`ExecStats::key_frames`]). First frames and rehydrations after an
+    /// eviction or reset are not counted: they have no key to search.
     pub forced_keys: usize,
     /// Key-state evictions this stream survived (serving-engine memory
     /// management); each one forces the next frame to re-key.
@@ -739,25 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_bound_forces_keys_in_executor_too() {
-        let z = zoo::tiny_fasterm(0);
-        let cfg = AmcConfig {
-            policy: PolicyConfig::BlockError {
-                threshold: f32::INFINITY,
-                max_gap: 1000,
-            },
-            max_residual_error: 0.5,
-            ..Default::default()
-        };
-        let mut amc = AmcExecutor::try_new(&z.network, cfg).unwrap();
-        amc.process(&textured_frame(48, 48, 0));
-        let noise = GrayImage::from_fn(48, 48, |y, x| ((y * 37 + x * 101) % 255) as u8);
-        assert!(amc.process(&noise).is_key);
-        assert_eq!(amc.stats().forced_keys, 1);
-        assert_eq!(amc.stats().key_frames, 2);
-    }
-
-    #[test]
     fn executors_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<AmcExecutor<'static>>();
@@ -786,7 +749,6 @@ mod tests {
             .policy(PolicyConfig::StaticRate { period: 3 })
             .fixed_point(true)
             .sparsity_threshold(0.25)
-            .max_residual_error(2.5)
             .allow_unverified()
             .build()
             .unwrap();
@@ -799,7 +761,6 @@ mod tests {
                 policy: PolicyConfig::StaticRate { period: 3 },
                 fixed_point: true,
                 sparsity_threshold: 0.25,
-                max_residual_error: 2.5,
                 allow_unverified: true,
             }
         );
@@ -812,8 +773,6 @@ mod tests {
             AmcConfig::builder().search(SearchParams { radius: 4, step: 0 }),
             AmcConfig::builder().sparsity_threshold(f32::NAN),
             AmcConfig::builder().sparsity_threshold(-0.5),
-            AmcConfig::builder().max_residual_error(f32::NAN),
-            AmcConfig::builder().max_residual_error(-1.0),
             AmcConfig::builder().policy(PolicyConfig::StaticRate { period: 0 }),
             AmcConfig::builder().policy(PolicyConfig::BlockError {
                 threshold: f32::NAN,

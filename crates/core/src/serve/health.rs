@@ -5,14 +5,15 @@ use super::FrameOutcome;
 use crate::error::AmcError;
 
 /// Operator-facing snapshot of the engine's failure-containment layer
-/// ([`Engine::health`](super::Engine::health)) — the §III-C degradation
-/// signal at engine scope.
+/// ([`Engine::health`](super::Engine::health)): contained panics,
+/// quarantines, evictions, sheds and tick timing. Key frames are counted
+/// per session, in [`ExecStats`](crate::executor::ExecStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineHealth {
     /// Ticks processed (one per
     /// [`Engine::process_batch`](super::Engine::process_batch) call).
     pub ticks: u64,
-    /// Frames served across all sessions (key, forced-key, or predicted).
+    /// Frames served across all sessions (key or predicted).
     pub frames_served: u64,
     /// Frame jobs that failed with a contained panic
     /// ([`AmcError::WorkerPanicked`]): one unwind costs exactly one frame,
@@ -26,10 +27,7 @@ pub struct EngineHealth {
     pub quarantined_sessions: usize,
     /// Sessions evicted by [`Engine::maintain`](super::Engine::maintain)
     /// (idle/LRU) or [`Engine::evict_session`](super::Engine::evict_session)
-    /// (once per retirement). Per-session budget trims inside a tick are
-    /// counted per session in
-    /// [`ExecStats::evictions`](crate::executor::ExecStats::evictions)
-    /// instead.
+    /// (once per retirement).
     pub evicted_sessions: u64,
     /// Ticks that overran
     /// [`EngineLimits::tick_deadline_ms`](super::EngineLimits::tick_deadline_ms)
@@ -41,9 +39,6 @@ pub struct EngineHealth {
     /// Frames shed by the frame/key per-tick budgets (all other
     /// [`FrameOutcome::Shed`] refusals).
     pub budget_sheds: u64,
-    /// Key frames forced by the residual confidence bound across all
-    /// sessions ([`FrameOutcome::ForcedKey`]).
-    pub forced_keys: u64,
     /// Median of the last [`TICK_RING`] tick durations, microseconds
     /// (0 until a tick completes).
     pub tick_p50_us: u64,
@@ -103,7 +98,6 @@ impl HealthState {
                     h.panics_caught += 1;
                     h.quarantines += 1;
                 }
-                FrameOutcome::ForcedKey { .. } => h.forced_keys += 1,
                 _ => {}
             }
         }

@@ -26,11 +26,6 @@ pub struct EngineLimits {
     /// streams cut scenes at once. Excess *key* frames are shed (predicted
     /// frames in the same tick still run).
     pub max_key_frames_per_tick: usize,
-    /// Per-session memory budget: a session whose
-    /// [`StreamSession::memory_footprint`](super::StreamSession::memory_footprint)
-    /// exceeds this after a key frame has its state evicted immediately (it
-    /// degrades to bounded-memory all-key serving rather than growing).
-    pub max_session_bytes: usize,
     /// Engine-wide memory budget over all admitted sessions' audited
     /// footprints, enforced by LRU eviction in
     /// [`Engine::maintain`](super::Engine::maintain).
@@ -64,7 +59,6 @@ impl EngineLimits {
             max_sessions: usize::MAX,
             max_key_frames_per_tick: usize::MAX,
             max_frames_per_tick: usize::MAX,
-            max_session_bytes: usize::MAX,
             max_total_bytes: usize::MAX,
             idle_evict_ticks: u64::MAX,
             tick_deadline_ms: u64::MAX,
@@ -97,9 +91,6 @@ impl EngineLimits {
         }
         if self.max_key_frames_per_tick == 0 {
             return invalid("engine limit max_key_frames_per_tick must be at least 1");
-        }
-        if self.max_session_bytes == 0 {
-            return invalid("engine limit max_session_bytes must be at least 1");
         }
         if self.max_total_bytes == 0 {
             return invalid("engine limit max_total_bytes must be at least 1");
@@ -154,12 +145,6 @@ impl EngineLimitsBuilder {
         self
     }
 
-    /// Sets [`EngineLimits::max_session_bytes`].
-    pub fn max_session_bytes(mut self, n: usize) -> Self {
-        self.limits.max_session_bytes = n;
-        self
-    }
-
     /// Sets [`EngineLimits::max_total_bytes`].
     pub fn max_total_bytes(mut self, n: usize) -> Self {
         self.limits.max_total_bytes = n;
@@ -199,11 +184,8 @@ impl EngineLimitsBuilder {
     ///   key frames;
     /// * [`EngineLimits::max_sessions`] — one stream per frame slot (each
     ///   live stream submits one frame per tick);
-    /// * [`EngineLimits::max_session_bytes`] — [`session_memory_bound`],
-    ///   the static per-session footprint (which the audited footprint
-    ///   never exceeds, so SLO-derived limits never degrade a session);
-    /// * [`EngineLimits::max_total_bytes`] — that bound across every
-    ///   admitted session.
+    /// * [`EngineLimits::max_total_bytes`] — [`session_memory_bound`], the
+    ///   static per-session footprint, across every admitted session.
     ///
     /// A budget too small for even one key frame is clamped to one frame
     /// per tick — the plan's `W-CAP-001` finding; call
@@ -234,7 +216,6 @@ impl EngineLimitsBuilder {
         self.limits.max_frames_per_tick = plan.max_frames_per_tick;
         self.limits.max_key_frames_per_tick = plan.max_key_frames_per_tick;
         self.limits.max_sessions = plan.max_frames_per_tick;
-        self.limits.max_session_bytes = session_bytes;
         self.limits.max_total_bytes = plan.max_total_bytes;
         Ok(self)
     }

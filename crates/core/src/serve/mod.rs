@@ -85,9 +85,8 @@
 //! # Lifecycle & failure modes
 //!
 //! Every submission returns a [`FrameOutcome`]: a served frame typed by how
-//! it was produced ([`FrameOutcome::Key`], [`FrameOutcome::Predicted`],
-//! [`FrameOutcome::ForcedKey`] with the residual that tripped the
-//! confidence bound) with its per-frame statistics delta, or a refusal
+//! it was produced ([`FrameOutcome::Key`] or [`FrameOutcome::Predicted`])
+//! with its per-frame statistics delta, or a refusal
 //! that says what to do about it: [`FrameOutcome::Shed`] (backpressure;
 //! resubmit next tick) or [`FrameOutcome::Rejected`] (the submission itself
 //! is wrong; [`Engine::process_batch`] lists every cause).
@@ -111,15 +110,15 @@
 //!   and Q8.8 key activation).
 //!   [`Engine::maintain`] drops the key state of sessions idle for
 //!   [`EngineLimits::idle_evict_ticks`] ticks, then of least-recently-used
-//!   sessions until the total fits [`EngineLimits::max_total_bytes`]; a
-//!   session over [`EngineLimits::max_session_bytes`] after a key frame is
-//!   trimmed at once. The next frame *rehydrates* through the forced-key
-//!   seam (no stored state ⇒ key frame), bit-identical to a fresh session.
+//!   sessions until the total fits [`EngineLimits::max_total_bytes`]. The
+//!   next frame *rehydrates* through the no-state key seam (no stored state
+//!   ⇒ key frame), bit-identical to a fresh session.
 //!   [`Engine::evict_session`] also revokes admission.
-//! * **Graceful degradation.** When the residual per-pixel block error
-//!   exceeds
-//!   [`AmcConfig::max_residual_error`](crate::executor::AmcConfig::max_residual_error),
-//!   the engine refuses to warp garbage and forces a key frame (§III-C).
+//! * **The policy is the one key decision.** Apart from a session with no
+//!   stored key state, a frame is key exactly when its
+//!   [`PolicyConfig`](crate::policy::PolicyConfig) says so: a
+//!   block-error policy is the paper's §III-C guard against warping a
+//!   frame motion estimation could not explain.
 //!
 //! `crates/core/tests/lifecycle_faults.rs` drives all of this under a
 //! deterministic fault-injection harness (dropped frames, corruption,

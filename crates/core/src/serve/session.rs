@@ -40,8 +40,9 @@ impl KeyState {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FramePlan {
     pub(super) kind: FrameKind,
-    /// The policy said `Predicted` but the residual block error exceeded
-    /// the confidence bound, so the frame was degraded to a key frame.
+    /// The policy made the frame a key frame before any search
+    /// ([`PolicyConfig::forces_key`]) while key state was stored, so no
+    /// RFBME ran for it.
     pub(super) forced: bool,
     pub(super) metrics: Option<FrameMetrics>,
     pub(super) rfbme_ops: u64,
@@ -63,7 +64,6 @@ pub(crate) struct SessionCore {
     warp_mode: WarpMode,
     fixed_point: bool,
     sparsity_threshold: f32,
-    max_residual_error: f32,
     /// Frame geometry the network was built for; every submitted frame is
     /// validated against it before any state is touched.
     input_h: usize,
@@ -101,7 +101,6 @@ impl SessionCore {
             warp_mode: config.warp,
             fixed_point: config.fixed_point,
             sparsity_threshold: config.sparsity_threshold,
-            max_residual_error: config.max_residual_error,
             input_h: net.input_shape().height,
             input_w: net.input_shape().width,
             policy: config.policy,
@@ -153,7 +152,7 @@ impl SessionCore {
     /// Drops the stored key state, returning the session to its
     /// just-opened memory footprint (a session owns no scratch: the RFBME
     /// buffers belong to whoever runs the estimate). The next frame
-    /// rehydrates through the forced-key seam (no state ⇒ key frame) and
+    /// rehydrates through the no-state key seam (no state ⇒ key frame) and
     /// is bit-identical to a fresh session from that frame on. Returns
     /// whether key state was actually present; only real state drops count
     /// in [`ExecStats::evictions`].
@@ -221,39 +220,26 @@ impl SessionCore {
     }
 
     /// Classifies a frame without committing anything: derives the metrics
-    /// the incoming frame *would* see, asks the policy, and applies the
-    /// residual-error confidence bound. Counters are untouched, so a plan
-    /// may be discarded (frame shed) with no trace. A frame that does not
+    /// the incoming frame *would* see and asks the policy, the one key
+    /// decision. Counters are untouched, so a plan may be discarded (frame
+    /// shed) with no trace. A frame that does not
     /// [need motion](SessionCore::needs_motion) is a key frame with no
     /// metrics and no RFBME ops, whatever estimate the caller supplies, so
     /// a caller that estimated anyway gets the same plan as one that did
     /// not.
     pub(crate) fn classify(&self, motion: &Option<RfbmeResult>) -> FramePlan {
-        let motion = motion.as_ref().filter(|_| self.needs_motion());
+        let needs_motion = self.needs_motion();
+        let motion = motion.as_ref().filter(|_| needs_motion);
         let metrics = motion.map(|m| FrameMetrics::from_rfbme(m, self.frames_since_key + 1));
-        let rfbme_ops = motion.map_or(0, |m| m.ops());
-        let mut kind = match &metrics {
+        let kind = match &metrics {
             None => FrameKind::Key,
             Some(m) => self.policy.decide(m),
         };
-        let mut forced = false;
-        if kind == FrameKind::Predicted {
-            if let Some(m) = &metrics {
-                // Graceful degradation (§III-C): a residual this large
-                // means motion estimation failed to explain the frame
-                // (occlusion, corruption, a cut the policy tolerated) —
-                // warping would propagate garbage, so spend a key frame.
-                if m.block_error_per_pixel > self.max_residual_error {
-                    kind = FrameKind::Key;
-                    forced = true;
-                }
-            }
-        }
         FramePlan {
             kind,
-            forced,
+            forced: self.state.is_some() && !needs_motion,
             metrics,
-            rfbme_ops,
+            rfbme_ops: motion.map_or(0, |m| m.ops()),
         }
     }
 
@@ -501,9 +487,8 @@ impl StreamSession {
     /// image and Q8.8 key activation, by allocated capacity — exactly
     /// [`session_memory_bound`](super::session_memory_bound) once a key
     /// frame is stored. This is the figure the engine's
-    /// [`EngineLimits::max_session_bytes`](super::EngineLimits::max_session_bytes) /
-    /// `max_total_bytes` budgets
-    /// are enforced against.
+    /// [`EngineLimits::max_total_bytes`](super::EngineLimits::max_total_bytes)
+    /// budget is enforced against.
     pub fn memory_footprint(&self) -> usize {
         self.core.memory_footprint()
     }

@@ -373,30 +373,6 @@ fn soft_eviction_rehydrates_bit_identically() {
 }
 
 #[test]
-fn session_budget_degrades_to_bounded_memory_key_serving() {
-    let net = Arc::new(zoo::tiny_fasterm(0).network);
-    // Far below any real key-state footprint: every key frame is
-    // immediately trimmed.
-    let limits = EngineLimits {
-        max_session_bytes: std::mem::size_of::<SessionCore>() + 1,
-        ..EngineLimits::unlimited()
-    };
-    let mut engine = Engine::with_limits(net, AmcConfig::default(), limits).unwrap();
-    let mut session = engine.open_session().unwrap();
-    let f = frame(0);
-    for _ in 0..3 {
-        let r = engine.process(&mut session, &f).unwrap();
-        assert!(r.is_key, "with no retained state every frame re-keys");
-        assert!(
-            session.memory_footprint() <= engine.limits().max_session_bytes,
-            "footprint {} exceeds the budget the engine promised to hold",
-            session.memory_footprint()
-        );
-    }
-    assert_eq!(session.stats().evictions, 3);
-}
-
-#[test]
 fn maintain_evicts_idle_then_lru() {
     let net = Arc::new(zoo::tiny_fasterm(0).network);
     let limits = EngineLimits {
@@ -430,59 +406,6 @@ fn maintain_evicts_idle_then_lru() {
     assert!(tight.total_session_bytes() > 1);
     assert_eq!(tight.maintain([&mut s]), 1);
     assert!(s.key_image().is_none());
-}
-
-#[test]
-fn residual_confidence_bound_forces_key_frames() {
-    let net = Arc::new(zoo::tiny_fasterm(0).network);
-    // A policy that never keys on error, bounded by the confidence
-    // guard alone.
-    let config = AmcConfig {
-        policy: PolicyConfig::BlockError {
-            threshold: f32::INFINITY,
-            max_gap: 1000,
-        },
-        max_residual_error: 0.5,
-        ..Default::default()
-    };
-    let mut engine = Engine::new(net, config).unwrap();
-    let mut session = engine.open_session().unwrap();
-    engine.process(&mut session, &frame(0)).unwrap();
-    // Content RFBME cannot explain: high residual error everywhere.
-    let noise = GrayImage::from_fn(48, 48, |y, x| ((y * 37 + x * 101) % 255) as u8);
-    match engine.process(&mut session, &noise) {
-        FrameOutcome::ForcedKey {
-            residual,
-            frame,
-            stats,
-        } => {
-            assert!(frame.is_key, "a forced key frame is a key frame");
-            assert!(
-                residual > 0.5,
-                "the outcome carries the residual that tripped the bound, got {residual}"
-            );
-            assert_eq!(stats.forced_keys, 1, "this frame's delta records the force");
-            assert_eq!(stats.key_frames, 1);
-        }
-        other => panic!("unexplained motion must degrade to a forced key, got {other:?}"),
-    }
-    assert_eq!(session.stats().forced_keys, 1);
-    // The same scene under an unlimited bound would have predicted.
-    let mut loose = Engine::new(
-        Arc::new(zoo::tiny_fasterm(0).network),
-        AmcConfig {
-            policy: PolicyConfig::BlockError {
-                threshold: f32::INFINITY,
-                max_gap: 1000,
-            },
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut ls = loose.open_session().unwrap();
-    loose.process(&mut ls, &frame(0)).unwrap();
-    assert!(!loose.process(&mut ls, &noise).unwrap().is_key);
-    assert_eq!(ls.stats().forced_keys, 0);
 }
 
 #[test]
@@ -725,7 +648,7 @@ fn contained_panic_quarantines_only_the_owner() {
         assert_eq!(health.quarantines, 1);
         assert_eq!(health.quarantined_sessions, 1);
         // Recovery: evicting the suspect state ends the quarantine and
-        // rehydrates through the forced-key seam, bit-identical to a
+        // rehydrates through the no-state key seam, bit-identical to a
         // fresh session.
         engine.clear_failure_injector();
         a.evict_state();

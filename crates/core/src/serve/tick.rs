@@ -33,23 +33,11 @@ pub enum FrameOutcome {
         /// This frame's statistics delta.
         stats: ExecStats,
     },
-    /// A key frame the policy (or a first frame / rehydration) asked for:
-    /// full prefix + suffix, key state refreshed.
+    /// A key frame: the policy asked for it, or the session held no key
+    /// state (a first frame, after a reset or an eviction). Full prefix +
+    /// suffix, key state refreshed.
     Key {
         /// The served frame.
-        frame: AmcFrameResult,
-        /// This frame's statistics delta.
-        stats: ExecStats,
-    },
-    /// The policy said *predicted* but the residual per-pixel block error
-    /// exceeded
-    /// [`AmcConfig::max_residual_error`](crate::executor::AmcConfig::max_residual_error),
-    /// so the engine refused to warp garbage and spent a key frame
-    /// (§III-C graceful degradation).
-    ForcedKey {
-        /// The residual per-pixel block error that tripped the bound.
-        residual: f32,
-        /// The served (key) frame.
         frame: AmcFrameResult,
         /// This frame's statistics delta.
         stats: ExecStats,
@@ -74,26 +62,20 @@ impl FrameOutcome {
         }
     }
 
-    /// Whether the frame was served (any of the three success variants).
+    /// Whether the frame was served (either success variant).
     pub fn is_served(&self) -> bool {
         self.frame().is_some()
     }
 
-    /// Whether the frame was served as a key frame (policy-chosen or
-    /// forced).
+    /// Whether the frame was served as a key frame.
     pub fn is_key(&self) -> bool {
-        matches!(
-            self,
-            FrameOutcome::Key { .. } | FrameOutcome::ForcedKey { .. }
-        )
+        matches!(self, FrameOutcome::Key { .. })
     }
 
     /// The served frame, when one was produced.
     pub fn frame(&self) -> Option<&AmcFrameResult> {
         match self {
-            FrameOutcome::Predicted { frame, .. }
-            | FrameOutcome::Key { frame, .. }
-            | FrameOutcome::ForcedKey { frame, .. } => Some(frame),
+            FrameOutcome::Predicted { frame, .. } | FrameOutcome::Key { frame, .. } => Some(frame),
             _ => None,
         }
     }
@@ -101,9 +83,7 @@ impl FrameOutcome {
     /// The statistics delta this frame added to its session, when served.
     pub fn stats_delta(&self) -> Option<ExecStats> {
         match self {
-            FrameOutcome::Predicted { stats, .. }
-            | FrameOutcome::Key { stats, .. }
-            | FrameOutcome::ForcedKey { stats, .. } => Some(*stats),
+            FrameOutcome::Predicted { stats, .. } | FrameOutcome::Key { stats, .. } => Some(*stats),
             _ => None,
         }
     }
@@ -120,9 +100,7 @@ impl FrameOutcome {
     /// variant distinction and stats delta.
     pub fn into_result(self) -> Result<AmcFrameResult, AmcError> {
         match self {
-            FrameOutcome::Predicted { frame, .. }
-            | FrameOutcome::Key { frame, .. }
-            | FrameOutcome::ForcedKey { frame, .. } => Ok(frame),
+            FrameOutcome::Predicted { frame, .. } | FrameOutcome::Key { frame, .. } => Ok(frame),
             FrameOutcome::Shed(e) | FrameOutcome::Rejected(e) => Err(e),
         }
     }
@@ -247,7 +225,7 @@ impl<'a> Job<'a> {
 
     /// Ends the job with `e`. A contained panic may have left the session's
     /// state half-mutated, so it also quarantines the session until it is
-    /// evicted and rehydrated through the forced-key seam.
+    /// evicted and rehydrated through the no-state key seam.
     fn refuse(&mut self, e: AmcError) {
         if matches!(e, AmcError::WorkerPanicked { .. }) {
             self.session.slot.poisoned.store(true, Relaxed);
@@ -359,7 +337,6 @@ impl<'a> Job<'a> {
         let (plan, before) = (*plan, *stats_before);
         let (session, frame) = (&mut *self.session, self.frame);
         let (id, core) = (session.id, &mut session.core);
-        let max_bytes = tick.limits.max_session_bytes;
         let outcome = match work {
             Work::Key => {
                 // A checkpoint only records an overrun: committed frames finish.
@@ -372,20 +349,9 @@ impl<'a> Job<'a> {
                     tick.run(EnginePhase::Complete, id, || {
                         let (metrics, ops) = (plan.metrics, plan.rfbme_ops);
                         let frame = core.finish_key_frame(net, scratch, frame, act, metrics, ops);
-                        // Per-session budget: rather than grow past its
-                        // allowance, the stream degrades to bounded-memory
-                        // all-key serving.
-                        if core.memory_footprint() > max_bytes {
-                            core.evict_state();
-                        }
-                        let stats = core.stats().delta_since(&before);
-                        match (plan.forced, plan.metrics) {
-                            (true, Some(m)) => FrameOutcome::ForcedKey {
-                                residual: m.block_error_per_pixel,
-                                frame,
-                                stats,
-                            },
-                            _ => FrameOutcome::Key { frame, stats },
+                        FrameOutcome::Key {
+                            stats: core.stats().delta_since(&before),
+                            frame,
                         }
                     })
                 })

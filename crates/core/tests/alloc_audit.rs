@@ -96,11 +96,10 @@ fn frame(t: usize) -> GrayImage {
 #[test]
 fn steady_state_predicted_frames_cause_no_net_heap_growth() {
     // --- Phase 1: engine steady state, predicted frames -------------------
-    // StaticRate { period: 1000 } + an unbounded residual gate: frame 0 is
-    // the key frame, every following frame takes the predicted path.
+    // StaticRate { period: 1000 }: frame 0 is the key frame, every
+    // following frame takes the predicted path.
     let config = AmcConfig::builder()
         .policy(PolicyConfig::StaticRate { period: 1000 })
-        .max_residual_error(f32::INFINITY)
         .build()
         .expect("valid config");
     let net = Arc::new(zoo::tiny_fasterm(0).network);
@@ -194,7 +193,6 @@ fn steady_state_predicted_frames_cause_no_net_heap_growth() {
             threshold: f32::INFINITY,
             max_gap: 4,
         })
-        .max_residual_error(f32::INFINITY)
         .build()
         .expect("valid config");
     let mut gapped = engine

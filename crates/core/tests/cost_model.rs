@@ -46,7 +46,6 @@ fn predicted_after_first(target: TargetSelection) -> AmcConfig {
     AmcConfig::builder()
         .target(target)
         .policy(PolicyConfig::StaticRate { period: 1000 })
-        .max_residual_error(f32::INFINITY)
         .build()
         .expect("valid config")
 }

@@ -88,22 +88,6 @@ fn assert_outcome_eq(a: &FrameOutcome, b: &FrameOutcome, label: &str) {
             assert_result_eq(fa, fb, label);
             assert_eq!(sa, sb, "{label}: stats delta");
         }
-        (
-            FrameOutcome::ForcedKey {
-                residual: ra,
-                frame: fa,
-                stats: sa,
-            },
-            FrameOutcome::ForcedKey {
-                residual: rb,
-                frame: fb,
-                stats: sb,
-            },
-        ) => {
-            assert_eq!(ra.to_bits(), rb.to_bits(), "{label}: forced residual");
-            assert_result_eq(fa, fb, label);
-            assert_eq!(sa, sb, "{label}: stats delta");
-        }
         (FrameOutcome::Shed(ea), FrameOutcome::Shed(eb))
         | (FrameOutcome::Rejected(ea), FrameOutcome::Rejected(eb)) => {
             assert_eq!(ea, eb, "{label}: error");
@@ -369,10 +353,7 @@ proptest! {
         key_budget in 1usize..3,
     ) {
         const TICKS: usize = 12;
-        let config = AmcConfig {
-            max_residual_error: 8.0,
-            ..AmcConfig::default()
-        };
+        let config = AmcConfig::default();
         let mk = |workers: usize| {
             let net = Arc::new(zoo::tiny_fasterm(3).network);
             let limits = EngineLimits::builder()
@@ -656,13 +637,15 @@ fn pre_decided_keys_skip_the_search_and_match_serial() {
                 .collect();
             let search_ops = serials[0].rfbme().ops_bound(48, 48);
             // Per stream: the next frame to submit (a shed frame is
-            // resubmitted), whether key state is stored, and the frames
-            // served since the last key frame.
+            // resubmitted), whether key state is stored, the frames served
+            // since the last key frame, and the served frames that searched
+            // or were pre-decided keys.
             let mut next = [0usize; STREAMS];
             let mut keyed = [false; STREAMS];
             let mut since = [0usize; STREAMS];
             let mut searched = [0u64; STREAMS];
-            let (mut pre_decided, mut shed_pre_decided) = (0usize, 0usize);
+            let mut pre_decided = [0usize; STREAMS];
+            let mut shed_pre_decided = 0usize;
             for t in 0..TICKS {
                 // Every stream submits every tick, except that stream 0
                 // sits out tick 1: the first keys are shed into ticks 0, 1
@@ -688,7 +671,7 @@ fn pre_decided_keys_skip_the_search_and_match_serial() {
                     let got = outcome.frame().expect("served or shed");
                     assert_result_eq(got, &serials[s].process(frame), &at);
                     if forced {
-                        pre_decided += 1;
+                        pre_decided[s] += 1;
                         assert!(got.is_key, "{at}: the policy's key");
                         assert!(got.metrics.is_none(), "{at}: no metrics without a search");
                         assert_eq!(got.rfbme_ops, 0, "{at}: no search");
@@ -709,7 +692,13 @@ fn pre_decided_keys_skip_the_search_and_match_serial() {
                     searched[s] * search_ops,
                     "{label}: stream {s} searched only the frames that needed motion"
                 );
+                assert_eq!(
+                    session.stats().forced_keys,
+                    pre_decided[s],
+                    "{label}: stream {s} counts exactly its pre-decided keys"
+                );
             }
+            let pre_decided: usize = pre_decided.iter().sum();
             assert!(
                 pre_decided >= STREAMS,
                 "{label}: {pre_decided} pre-decided keys"

@@ -33,7 +33,6 @@ fn runtime_probe(
         .target(target)
         .fixed_point(fixed_point)
         .policy(PolicyConfig::StaticRate { period: 1000 })
-        .max_residual_error(f32::INFINITY)
         .build()
         .map_err(|e| format!("probe config: {e}"))?;
     let mut exec = AmcExecutor::try_new(net, config).map_err(|e| format!("probe build: {e}"))?;

@@ -42,7 +42,6 @@ pub fn amc_config_for(workload: Workload) -> AmcConfig {
         },
         fixed_point: false,
         sparsity_threshold: 1.0 / 256.0,
-        max_residual_error: f32::INFINITY,
         allow_unverified: false,
     }
 }

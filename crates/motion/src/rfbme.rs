@@ -1422,47 +1422,6 @@ impl Rfbme {
         cost.producer.saturating_add(cost.consumer)
     }
 
-    /// Static upper bound on [`RfbmeScratch::heap_bytes`] after any number
-    /// of [`Rfbme::estimate_with`] calls over `h`×`w` frames. Every buffer
-    /// is sized exactly by the geometry, up to the allocator's minimum of
-    /// eight bytes or four wider elements.
-    pub fn scratch_bytes_bound(&self, h: usize, w: usize) -> usize {
-        use std::mem::size_of;
-        fn bytes<T>(len: usize) -> usize {
-            let floor = if size_of::<T>() == 1 { 8 } else { 4 };
-            if len == 0 {
-                0
-            } else {
-                len.max(floor) * size_of::<T>()
-            }
-        }
-        let s = self.rf.stride.max(1);
-        let (tiles_y, tiles_x) = (h / s, w / s);
-        let (grid_h, grid_w) = (self.rf.grid_len(h), self.rf.grid_len(w));
-        let offsets = self.params.axis().count();
-        let lanes = (offsets * offsets).next_multiple_of(LANE_BLOCK);
-        let consumer = DiffTileConsumer { rf: self.rf };
-        let ring_len = SearchPlan::widest((0..grid_w).map(|a| consumer.tile_range(a, tiles_x)));
-        let shape = StripShape::new(self, h, w);
-        bytes::<(usize, usize)>(grid_h) // rows.ranges
-            + bytes::<(usize, usize)>(grid_w) // cols.ranges
-            + 2 * bytes::<AxisSpan>(offsets) // rows.spans, cols.spans
-            + bytes::<Range<usize>>(tiles_y) // rows.tile_offsets
-            + bytes::<Range<usize>>(tiles_x) // cols.tile_offsets
-            + bytes::<Range<usize>>(grid_h) // rows.field_offsets
-            + bytes::<Range<usize>>(grid_w) // cols.field_offsets
-            + bytes::<u32>(lanes) // rank
-            + bytes::<u32>(grid_h * lanes) // row_mask
-            + bytes::<u32>(grid_w * lanes) // col_mask
-            + bytes::<RfMatch>(grid_h * grid_w) // best
-            + bytes::<u8>(tiles_x * tiles_y * shape.tile_len()) // new_tiles
-            + bytes::<u8>(shape.slots * shape.strip_len()) // strips
-            + bytes::<usize>(shape.slots) // strip_x0
-            + bytes::<usize>(offsets) // strip_starts
-            + bytes::<u32>(tiles_y * lanes + LANE_BLOCK) // plane
-            + bytes::<u32>(grid_h * ring_len * lanes) // ring
-    }
-
     /// Finalises per-field matches into an [`RfbmeResult`], mapping fields
     /// that never saw a valid offset to zero motion / zero error.
     fn result_from_matches(
@@ -1643,32 +1602,6 @@ mod tests {
             padding: 2,
         };
         [(late, 8), (early, 4)]
-    }
-
-    #[test]
-    fn scratch_bytes_bound_dominates_warmed_heap_bytes() {
-        let key = textured(48, 48);
-        let new = key.translate(2, 1, 0);
-        for (rf, radius) in [(rf_844(), 4)].into_iter().chain(served()) {
-            let rfbme = Rfbme::new(rf, SearchParams { radius, step: 1 });
-            let mut scratch = RfbmeScratch::new();
-            for _ in 0..3 {
-                let _ = rfbme.estimate_with(&key, &new, &mut scratch);
-            }
-            let used = scratch.heap_bytes();
-            let bound = rfbme.scratch_bytes_bound(48, 48);
-            assert!(
-                used <= bound,
-                "rf {rf:?}: warmed scratch {used} B > bound {bound} B"
-            );
-            // Tightness: almost every buffer is sized exactly by the
-            // geometry, so the bound should be close — a big gap means the
-            // model and the implementation have drifted apart.
-            assert!(
-                bound <= used * 2,
-                "rf {rf:?}: bound {bound} B is >2x warmed scratch {used} B"
-            );
-        }
     }
 
     #[test]

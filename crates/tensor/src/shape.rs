@@ -85,11 +85,6 @@ impl Shape3 {
     pub const fn contains_spatial(&self, y: isize, x: isize) -> bool {
         y >= 0 && x >= 0 && (y as usize) < self.height && (x as usize) < self.width
     }
-
-    /// Shape with the same spatial extent but a different channel count.
-    pub const fn with_channels(&self, channels: usize) -> Self {
-        Self::new(channels, self.height, self.width)
-    }
 }
 
 impl fmt::Display for Shape3 {

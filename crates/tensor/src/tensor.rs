@@ -120,11 +120,6 @@ impl Tensor3 {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// One channel plane as a row-major slice.
     pub fn channel(&self, c: usize) -> &[f32] {
         let plane = self.shape.plane_len();
@@ -152,13 +147,6 @@ impl Tensor3 {
         Self {
             shape: self.shape,
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 

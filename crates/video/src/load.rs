@@ -156,11 +156,6 @@ impl LoadGenerator {
         &self.config
     }
 
-    /// The current global tick (frames emitted per stream so far).
-    pub fn tick_count(&self) -> usize {
-        self.tick
-    }
-
     /// Advances the clock one tick and renders one frame per stream.
     pub fn tick(&mut self) -> Vec<LoadFrame> {
         let t = self.tick;

@@ -28,18 +28,14 @@ fn main() {
     let workload = zoo::tiny_fasterm(42);
     let net = Arc::new(workload.network);
     let config = AmcConfig::builder()
-        // A policy that trusts motion compensation completely (it only
-        // re-keys on its gap safety net)...
+        // Graceful degradation is the policy's own job: a frame whose
+        // residual block-match error exceeds the threshold (this scene's
+        // normal motion sits at 3–5 error/px) is keyed instead of warping
+        // garbage (§III-C), and the gap re-keys the rest.
         .policy(PolicyConfig::BlockError {
-            threshold: f32::INFINITY,
+            threshold: 8.0,
             max_gap: 16,
         })
-        // ...so the *engine's* graceful degradation is what protects the
-        // stream: a predicted frame whose residual block-match error
-        // exceeds this bound (this scene's normal motion sits at 3–5
-        // error/px) is forced to a key frame instead of warping garbage
-        // (§III-C).
-        .max_residual_error(8.0)
         .build()
         .expect("valid config");
     let limits = EngineLimits::builder()
@@ -126,10 +122,13 @@ fn main() {
             FrameOutcome::Predicted { .. } => {
                 println!("t={t:2}  {label:<28} -> served (predicted)")
             }
-            FrameOutcome::Key { .. } => println!("t={t:2}  {label:<28} -> served (key)"),
-            FrameOutcome::ForcedKey { residual, .. } => {
-                println!("t={t:2}  {label:<28} -> served (forced key, residual {residual:.1}/px)")
-            }
+            FrameOutcome::Key { frame, .. } => match frame.metrics {
+                Some(m) => println!(
+                    "t={t:2}  {label:<28} -> served (key, residual {:.1}/px)",
+                    m.block_error_per_pixel
+                ),
+                None => println!("t={t:2}  {label:<28} -> served (key)"),
+            },
             FrameOutcome::Shed(e) | FrameOutcome::Rejected(e) => {
                 println!("t={t:2}  {label:<28} -> typed error: {e}")
             }
@@ -137,7 +136,7 @@ fn main() {
     }
     let stats = sessions[1].stats();
     println!(
-        "\nstream 1: {} frames, {} keys ({} forced by the residual bound)",
+        "\nstream 1: {} frames, {} keys ({} on the policy's gap, with no search)",
         stats.frames, stats.key_frames, stats.forced_keys
     );
 

@@ -85,7 +85,6 @@ fn main() {
             kinds[s] = match outcome {
                 FrameOutcome::Predicted { .. } => '.',
                 FrameOutcome::Key { .. } => 'K',
-                FrameOutcome::ForcedKey { .. } => 'F',
                 refused => panic!("unlimited engine admits every frame: {refused:?}"),
             };
             keys += usize::from(outcome.is_key());
